@@ -11,8 +11,7 @@ a statistics harness, and a batch CLI (``trajvoi``).
 from .degrade import DegradationSpec, apply_spec, perturb, subsample, truncate
 from .gp import GaussianTrack, GpConfig, fit_track
 from .infogain import (IntegrationConfig, PriorKnowledge, VoiReport, VoiRow,
-                       combine, evaluate_voi, gaussian_entropy, ig_at,
-                       ig_over_period)
+                       combine, evaluate_voi, gaussian_entropy, ig_at)
 from .model import Measurement, ProjectionConfig, Region, Trajectory, project, unproject
 
 __version__ = "0.1.0"
@@ -21,7 +20,7 @@ __all__ = [
     "DegradationSpec", "apply_spec", "perturb", "subsample", "truncate",
     "GaussianTrack", "GpConfig", "fit_track",
     "IntegrationConfig", "PriorKnowledge", "VoiReport", "VoiRow",
-    "combine", "evaluate_voi", "gaussian_entropy", "ig_at", "ig_over_period",
+    "combine", "evaluate_voi", "gaussian_entropy", "ig_at",
     "Measurement", "ProjectionConfig", "Region", "Trajectory",
     "project", "unproject",
     "__version__",

@@ -123,8 +123,8 @@ def correctness_value(z: Trajectory, s_raw: Trajectory,
     Reconstructs from combine(Z, prior) and measures, at each raw
     measurement time, the expected Euclidean distance between the
     reconstruction and the raw point, approximated by
-    sqrt(||mean - point||^2 + var_x + var_y). The value is 1/(1 + mean
-    error), in (0, 1].
+    sqrt(||mean - point||^2 + 2 var), with var the variance both
+    coordinates share. The value is 1/(1 + mean error), in (0, 1].
     """
     if len(s_raw) == 0:
         raise ValueError("correctness_value needs a non-empty raw trajectory")
@@ -133,7 +133,9 @@ def correctness_value(z: Trajectory, s_raw: Trajectory,
     q = posterior_track.query(ts)
     dx = q.mean_x - np.array([p.x for p in s_raw.points])
     dy = q.mean_y - np.array([p.y for p in s_raw.points])
-    err = float(np.mean(np.sqrt(dx ** 2 + dy ** 2 + q.var_x + q.var_y)))
+    # one variance term per coordinate, added term by term: 2.0 * var
+    # rounds differently in the last bit and would shift reported scores
+    err = float(np.mean(np.sqrt(dx ** 2 + dy ** 2 + q.var + q.var)))
     return CorrectnessResult(
         expected_error_m=err,
         correctness_voi=1.0 / (1.0 + err),

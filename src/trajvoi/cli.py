@@ -23,21 +23,20 @@ import json
 import logging
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from . import analysis
 from .baselines import (BASELINE_CSV_FIELDS, baseline_row, correctness_value)
 from .degrade import DegradationSpec, apply_spec
-from .infogain import (IntegrationConfig, PriorKnowledge, VoiReport, VoiRow,
+from .infogain import (PriorKnowledge, VoiReport, VoiRow, curves_by_family,
                        evaluate_voi, match_equivalents, param_at_ig)
 from .ingest import (SegmentationConfig, ingest_plt_tree, read_trajectory_csv,
                      write_trajectory_csv)
 from .model import Trajectory
-from .gp import GpConfig
 from .runconfig import ConfigError, RunConfig, load_config
 
 log = logging.getLogger("trajvoi")
@@ -62,85 +61,83 @@ def _load_trajectories(cfg: RunConfig) -> List[Trajectory]:
 
 # --- cell matrix -------------------------------------------------------------
 
+def _specs(noise_levels_m, truncation_ratios, subsampling_ratios,
+           noise_seed: int, seed: int) -> List[DegradationSpec]:
+    """One spec per family parameter. Subsampling always draws with the
+    release seed, so a smaller ratio keeps a subset of a larger one."""
+    return ([DegradationSpec(kind="perturbation", total_noise=n,
+                             seed=noise_seed) for n in noise_levels_m]
+            + [DegradationSpec(kind="truncation", ratio=r)
+               for r in truncation_ratios]
+            + [DegradationSpec(kind="subsampling", ratio=r, seed=seed)
+               for r in subsampling_ratios])
+
+
 def _degradation_specs(cfg: RunConfig) -> List[DegradationSpec]:
-    specs: List[DegradationSpec] = []
-    if cfg.include_identity:
-        specs.append(DegradationSpec(kind="identity"))
-    specs += [DegradationSpec(kind="perturbation", total_noise=n, seed=cfg.seed)
-              for n in cfg.noise_levels_m]
-    specs += [DegradationSpec(kind="truncation", ratio=r)
-              for r in cfg.truncation_ratios]
-    specs += [DegradationSpec(kind="subsampling", ratio=r, seed=cfg.seed)
-              for r in cfg.subsampling_ratios]
-    return specs
+    identity = [DegradationSpec(kind="identity")] if cfg.include_identity \
+        else []
+    return identity + _specs(cfg.noise_levels_m, cfg.truncation_ratios,
+                             cfg.subsampling_ratios, cfg.seed, cfg.seed)
 
 
-def _prior_descriptors(cfg: RunConfig) -> List[Tuple[str, Optional[float]]]:
-    priors: List[Tuple[str, Optional[float]]] = []
-    if cfg.prior_uninformative:
-        priors.append(("uninformative", None))
-    priors += [("perturbation", n) for n in cfg.prior_noise_m]
-    priors += [("truncation", r) for r in cfg.prior_truncation_ratios]
-    priors += [("subsampling", r) for r in cfg.prior_subsampling_ratios]
-    return priors
+def _prior_specs(cfg: RunConfig) -> List[Optional[DegradationSpec]]:
+    """Prior scenarios: None is the uninformative prior, a spec makes the
+    earlier release the recipient already holds."""
+    uninformative = [None] if cfg.prior_uninformative else []
+    return uninformative + _specs(
+        cfg.prior_noise_m, cfg.prior_truncation_ratios,
+        cfg.prior_subsampling_ratios, cfg.effective_prior_seed(), cfg.seed)
 
 
-def _applicable(spec: DegradationSpec, prior_kind: str) -> bool:
+def _applicable(spec: DegradationSpec,
+                prior: Optional[DegradationSpec]) -> bool:
     """Released priors only pair with their own degradation family (plus
     the identity release); the uninformative prior pairs with everything."""
-    if prior_kind == "uninformative" or spec.kind == "identity":
-        return True
-    return spec.kind == prior_kind
-
-
-def _build_prior(s: Trajectory, prior_kind: str, prior_param: Optional[float],
-                 seed: int, prior_seed: int) -> PriorKnowledge:
-    if prior_kind == "uninformative":
-        return PriorKnowledge.uninformative()
-    if prior_kind == "perturbation":
-        spec = DegradationSpec(kind="perturbation", total_noise=prior_param,
-                               seed=prior_seed)
-    elif prior_kind == "truncation":
-        spec = DegradationSpec(kind="truncation", ratio=prior_param)
-    elif prior_kind == "subsampling":
-        # same seed as the release itself: nesting makes Z a superset
-        spec = DegradationSpec(kind="subsampling", ratio=prior_param,
-                               seed=seed)
-    else:
-        raise ValueError(f"unknown prior kind {prior_kind!r}")
-    return PriorKnowledge.from_release(apply_spec(s, spec), spec)
-
-
-def _prior_label(kind: str, param: Optional[float]) -> str:
-    return "uninformative" if kind == "uninformative" else f"{kind}:{param:g}"
+    return prior is None or spec.kind in ("identity", prior.kind)
 
 
 def _voi_cell(task):
     """Evaluate one (trajectory, spec, prior) cell; never raises."""
-    (traj, spec, prior_kind, prior_param, seed, prior_seed,
-     gp_cfg, integration) = task
+    traj, spec, prior_spec, gp_cfg, integration = task
     started = time.perf_counter()
-    label = _prior_label(prior_kind, prior_param)
     try:
         z = apply_spec(traj, spec)
-        prior = _build_prior(traj, prior_kind, prior_param, seed, prior_seed)
+        prior = PriorKnowledge.uninformative() if prior_spec is None \
+            else PriorKnowledge.from_release(apply_spec(traj, prior_spec),
+                                             prior_spec)
         row = evaluate_voi(z, spec.kind, spec.param, prior, gp_cfg,
                            integration)
         return ("ok", row, traj.trajectory_id, time.perf_counter() - started)
     except Exception as e:  # isolation: one bad cell must not sink the batch
-        record = {"trajectory_id": traj.trajectory_id, "prior": label,
+        record = {"trajectory_id": traj.trajectory_id,
+                  "prior": "uninformative" if prior_spec is None
+                  else prior_spec.label(),
                   "kind": spec.kind, "param": spec.param,
                   "error": f"{type(e).__name__}: {e}"}
         return ("error", record, traj.trajectory_id,
                 time.perf_counter() - started)
 
 
-def _run_cells(tasks, jobs: int):
+def _baseline_task(task):
+    """Baseline metrics of one trajectory; never raises."""
+    traj, grid, spp, gp_cfg = task
+    try:
+        corr = correctness_value(traj, traj, PriorKnowledge.uninformative(),
+                                 gp_cfg)
+        return ("ok", baseline_row(traj, grid, spp, corr))
+    except Exception as e:
+        return ("error", {"trajectory_id": traj.trajectory_id,
+                          "error": f"{type(e).__name__}: {e}"})
+
+
+def _map(fn, tasks, jobs: int) -> list:
+    """``fn`` over ``tasks`` in order, over ``jobs`` worker processes when
+    there is more than one of each."""
     if jobs <= 1 or len(tasks) < 2:
-        return [_voi_cell(t) for t in tasks]
-    chunk = max(1, len(tasks) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_voi_cell, tasks, chunksize=chunk))
+        return [fn(t) for t in tasks]
+    with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, tasks,
+                             chunksize=max(1, len(tasks) // (jobs * 8))))
 
 
 # --- subcommands -------------------------------------------------------------
@@ -171,8 +168,7 @@ def cmd_degrade(cfg: RunConfig) -> int:
     trajectories = _load_trajectories(cfg)
     out = Path(cfg.output_dir) / "degraded"
     for spec in _degradation_specs(cfg):
-        name = "identity" if spec.kind == "identity" \
-            else f"{spec.kind}_{spec.param:g}"
+        name = spec.label().replace(":", "_")
         degraded = [apply_spec(t, spec) for t in trajectories]
         dest = out / f"{name}.csv"
         dest.parent.mkdir(parents=True, exist_ok=True)
@@ -184,35 +180,34 @@ def cmd_degrade(cfg: RunConfig) -> int:
 def cmd_voi(cfg: RunConfig) -> int:
     trajectories = _load_trajectories(cfg)
     specs = _degradation_specs(cfg)
-    priors = _prior_descriptors(cfg)
+    priors = _prior_specs(cfg)
     if not specs:
         raise ConfigError("degradation matrix is empty")
     if not priors:
         raise ConfigError("no prior scenarios configured")
 
-    tasks = []
+    cells = []
     seen = set()
     duplicates = 0
-    for traj in trajectories:
-        for prior_kind, prior_param in priors:
-            for spec in specs:
-                if not _applicable(spec, prior_kind):
-                    continue
-                key = (traj.trajectory_id, spec.kind, spec.param,
-                       _prior_label(prior_kind, prior_param))
-                if key in seen:
-                    duplicates += 1
-                    continue
-                seen.add(key)
-                tasks.append((traj, spec, prior_kind, prior_param, cfg.seed,
-                              cfg.effective_prior_seed(), cfg.gp,
-                              cfg.integration))
-    if duplicates:
+    for prior in priors:
+        for spec in specs:
+            if not _applicable(spec, prior):
+                continue
+            key = (spec.kind, spec.param, prior and prior.label())
+            if key in seen:
+                duplicates += 1
+                continue
+            seen.add(key)
+            cells.append((spec, prior))
+    dropped = duplicates * len(trajectories)
+    if dropped:
         log.warning("voi: %d duplicate cells in the matrix were dropped",
-                    duplicates)
+                    dropped)
+    tasks = [(traj, spec, prior, cfg.gp, cfg.integration)
+             for traj in trajectories for spec, prior in cells]
 
     started = time.perf_counter()
-    outcomes = _run_cells(tasks, cfg.jobs)
+    outcomes = _map(_voi_cell, tasks, cfg.jobs)
 
     rows: List[VoiRow] = []
     errors: List[dict] = []
@@ -242,26 +237,10 @@ def cmd_voi(cfg: RunConfig) -> int:
     return 2 if errors else 0
 
 
-def _baseline_task(args):
-    traj, grid, spp, gp_cfg = args
-    try:
-        corr = correctness_value(traj, traj, PriorKnowledge.uninformative(),
-                                 gp_cfg)
-        return ("ok", baseline_row(traj, grid, spp, corr))
-    except Exception as e:
-        return ("error", {"trajectory_id": traj.trajectory_id,
-                          "error": f"{type(e).__name__}: {e}"})
-
-
 def cmd_baselines(cfg: RunConfig) -> int:
     trajectories = _load_trajectories(cfg)
     tasks = [(t, cfg.entropy_grid, cfg.spp, cfg.gp) for t in trajectories]
-    if cfg.jobs <= 1 or len(tasks) < 2:
-        outcomes = [_baseline_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(_baseline_task, tasks,
-                                     chunksize=max(1, len(tasks) // (cfg.jobs * 8))))
+    outcomes = _map(_baseline_task, tasks, cfg.jobs)
     rows = [p for status, p in outcomes if status == "ok"]
     errors = [p for status, p in outcomes if status == "error"]
     rows.sort(key=lambda r: r["trajectory_id"])
@@ -332,29 +311,6 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return 0
 
 
-def _curves_from_rows(rows: Sequence[VoiRow], base_sigma: float
-                      ) -> Dict[str, List[Tuple[float, float]]]:
-    """Per-family (parameter, gain) curves for one trajectory.
-
-    The identity release joins every family: as ratio 1.0 for truncation
-    and subsampling, and as the base measurement noise for perturbation.
-    """
-    acc: Dict[str, Dict[float, list]] = {
-        "perturbation": {}, "truncation": {}, "subsampling": {}}
-    for r in rows:
-        if r.kind == "identity":
-            targets = (("perturbation", base_sigma), ("truncation", 1.0),
-                       ("subsampling", 1.0))
-        elif r.kind in acc:
-            targets = ((r.kind, r.param),)
-        else:
-            continue
-        for kind, param in targets:
-            acc[kind].setdefault(param, []).append(r.ig_bit_seconds)
-    return {kind: [(p, float(np.median(v))) for p, v in sorted(d.items())]
-            for kind, d in acc.items() if d}
-
-
 def cmd_equivalence(cfg: RunConfig, trajectory_id: str, kind: str,
                     param: float) -> int:
     report_path = Path(cfg.output_dir) / "voi_report.jsonl"
@@ -366,7 +322,7 @@ def cmd_equivalence(cfg: RunConfig, trajectory_id: str, kind: str,
     if not rows:
         raise ConfigError(f"no uninformative-prior cells for trajectory "
                           f"{trajectory_id!r} in {report_path}")
-    curves = _curves_from_rows(rows, cfg.segmentation.default_sigma)
+    curves = curves_by_family(rows, cfg.segmentation.default_sigma)
     if kind not in curves:
         raise ConfigError(f"no {kind!r} curve for trajectory "
                           f"{trajectory_id!r}; families: {sorted(curves)}")

@@ -11,7 +11,11 @@ data) and the white term carries each training point's own measurement
 noise. The mean function is an affine trend in time.
 
 Exact inference via Cholesky factorization of the training covariance, with
-a small escalating diagonal jitter for conditioning. Predictions are for the
+a small escalating diagonal jitter for conditioning. Both coordinates share
+the fix times, the per-fix noise and the length scale, so they share the
+training covariance: one factorization per track serves both, and since the
+posterior variance never looks at the coordinate values, both coordinates
+share one variance too. Only the means differ. Predictions are for the
 latent location, so the white-noise term is excluded at query time: reported
 variance is uncertainty about where the owner was, not about a hypothetical
 noisy re-measurement.
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -52,7 +56,6 @@ class GpConfig:
 
     sigma_f: float = 7500.0
     length_scale_bounds: Tuple[float, float] = DEFAULT_LENGTH_SCALE_BOUNDS
-    fixed_length_scale: Optional[float] = None   # skip training when set
     grid_size: int = 32                          # log-spaced scan resolution
 
     def __post_init__(self):
@@ -61,10 +64,6 @@ class GpConfig:
         lo, hi = self.length_scale_bounds
         if not (0 < lo < hi):
             raise ValueError("length_scale_bounds must satisfy 0 < lo < hi")
-        if self.fixed_length_scale is not None \
-                and not lo <= self.fixed_length_scale <= hi:
-            raise ValueError("fixed_length_scale must lie within "
-                             "length_scale_bounds")
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
 
@@ -136,41 +135,52 @@ def _cholesky_with_jitter(times_h, sigmas, sigma_f, length_scale,
 
 
 class CoordinateGP:
-    """Exact GP posterior for one spatial coordinate."""
+    """Exact GP posterior for the coordinate channels of one track.
 
-    def __init__(self, times, values, sigmas, mean_fn: MeanFunction,
+    The channels share timestamps and per-point noise, so one Cholesky
+    factorization serves all of them; each channel keeps its own mean
+    function and its own weights ``alpha``.
+    """
+
+    def __init__(self, times, channels, sigmas, mean_fns: Sequence[MeanFunction],
                  sigma_f: float, length_scale: float, trajectory_id: str = ""):
-        self.mean_fn = mean_fn
+        self.mean_fns = tuple(mean_fns)
         self.sigma_f = float(sigma_f)
         self.length_scale = float(length_scale)
         self._times_s = np.asarray(times, dtype=float)
         self._times_h = self._times_s / SECONDS_PER_HOUR
         self.n_train = self._times_s.size
         if self.n_train:
-            values = np.asarray(values, dtype=float)
-            sigmas = np.asarray(sigmas, dtype=float)
             (chol, _), self.jitter_rel = _cholesky_with_jitter(
-                self._times_h, sigmas, sigma_f, length_scale, trajectory_id)
+                self._times_h, np.asarray(sigmas, dtype=float), sigma_f,
+                length_scale, trajectory_id)
             self._chol = chol
-            self._alpha = cho_solve((chol, True), values - mean_fn(self._times_s))
+            # one solve per channel, as in log_marginal_likelihood
+            self._alphas = [
+                cho_solve((chol, True),
+                          np.asarray(values, dtype=float) - m(self._times_s))
+                for values, m in zip(channels, self.mean_fns)]
         else:
             self._chol = None
-            self._alpha = None
+            self._alphas = None
             self.jitter_rel = 0.0
 
-    def predict(self, times) -> Tuple[np.ndarray, np.ndarray]:
-        """Posterior (mean, variance) of the latent coordinate at each time."""
+    def predict(self, times) -> Tuple[List[np.ndarray], np.ndarray]:
+        """Posterior mean of each channel and the variance they share, at
+        each time, for the latent coordinates."""
         q = np.atleast_1d(np.asarray(times, dtype=float))
         if self.n_train == 0:
-            return self.mean_fn(q), np.full(q.shape, self.sigma_f ** 2)
+            return ([m(q) for m in self.mean_fns],
+                    np.full(q.shape, self.sigma_f ** 2))
         k_star = matern32(q[:, None] / SECONDS_PER_HOUR, self._times_h[None, :],
                           self.sigma_f, self.length_scale)
-        mean = self.mean_fn(q) + k_star @ self._alpha
+        means = [m(q) + k_star @ alpha
+                 for m, alpha in zip(self.mean_fns, self._alphas)]
         v = solve_triangular(self._chol, k_star.T, lower=True)
         var = self.sigma_f ** 2 - np.einsum("ij,ij->j", v, v)
         # guard against cancellation rounding; the latent variance is positive
         np.maximum(var, 1e-12 * self.sigma_f ** 2, out=var)
-        return mean, var
+        return means, var
 
 
 def log_marginal_likelihood(times, channels, sigmas, mean_fns,
@@ -273,48 +283,20 @@ def train_length_scale(times, channels, sigmas, mean_fns, sigma_f: float,
 
 class TrackQuery(NamedTuple):
     mean_x: np.ndarray
-    var_x: np.ndarray
     mean_y: np.ndarray
-    var_y: np.ndarray
+    var: np.ndarray          # shared by both coordinates
 
 
 @dataclass(frozen=True)
 class GaussianTrack:
-    """Continuous-time reconstruction: independent Gaussians per coordinate."""
+    """Continuous-time reconstruction: independent Gaussians per coordinate,
+    with one shared variance."""
 
-    gp_x: CoordinateGP
-    gp_y: CoordinateGP
-    n_train: int
-    sigma_f: float
-
-    @property
-    def length_scale_x(self) -> float:
-        return self.gp_x.length_scale
-
-    @property
-    def length_scale_y(self) -> float:
-        return self.gp_y.length_scale
+    gp: CoordinateGP
 
     def query(self, times) -> TrackQuery:
-        mx, vx = self.gp_x.predict(times)
-        my, vy = self.gp_y.predict(times)
-        return TrackQuery(mx, vx, my, vy)
-
-    def debug_dump(self, times) -> dict:
-        """JSON-ready snapshot of the fit on a sampled time grid."""
-        q = self.query(times)
-        return {
-            "sigma_f": self.sigma_f,
-            "n_train": self.n_train,
-            "length_scale_x": self.length_scale_x,
-            "length_scale_y": self.length_scale_y,
-            "samples": [
-                {"t": float(t), "mean_x": float(mx), "var_x": float(vx),
-                 "mean_y": float(my), "var_y": float(vy)}
-                for t, mx, vx, my, vy in zip(
-                    np.atleast_1d(times), q.mean_x, q.var_x, q.mean_y, q.var_y)
-            ],
-        }
+        (mx, my), var = self.gp.predict(times)
+        return TrackQuery(mx, my, var)
 
 
 def fit_track(points, cfg: GpConfig,
@@ -322,32 +304,24 @@ def fit_track(points, cfg: GpConfig,
               mean_y: Optional[MeanFunction] = None,
               length_scale: Optional[float] = None,
               trajectory_id: str = "") -> GaussianTrack:
-    """Fit both coordinate GPs on a shared measurement list.
+    """Fit the GP of both coordinates on a shared measurement list.
 
     ``points`` may be empty, in which case the track is the pure prior:
     mean function everywhere and variance sigma_f^2. When ``length_scale``
     is not given it is trained jointly on both coordinates (one shared
-    value, summed evidence), unless the config pins it.
+    value, summed evidence).
     """
-    mean_x = mean_x or MeanFunction()
-    mean_y = mean_y or MeanFunction()
+    mean_fns = [mean_x or MeanFunction(), mean_y or MeanFunction()]
     points = list(points)
     times = np.array([p.t for p in points], dtype=float)
-    xs = np.array([p.x for p in points], dtype=float)
-    ys = np.array([p.y for p in points], dtype=float)
+    channels = [np.array([p.x for p in points], dtype=float),
+                np.array([p.y for p in points], dtype=float)]
     sigmas = np.array([p.sigma for p in points], dtype=float)
 
     if length_scale is None:
-        length_scale = cfg.fixed_length_scale
-    if length_scale is None:
         length_scale = train_length_scale(
-            times, [xs, ys], sigmas, [mean_x, mean_y], cfg.sigma_f,
+            times, channels, sigmas, mean_fns, cfg.sigma_f,
             bounds=cfg.length_scale_bounds, grid_size=cfg.grid_size,
             trajectory_id=trajectory_id)
-
-    gp_x = CoordinateGP(times, xs, sigmas, mean_x, cfg.sigma_f, length_scale,
-                        trajectory_id)
-    gp_y = CoordinateGP(times, ys, sigmas, mean_y, cfg.sigma_f, length_scale,
-                        trajectory_id)
-    return GaussianTrack(gp_x=gp_x, gp_y=gp_y, n_train=len(points),
-                         sigma_f=cfg.sigma_f)
+    return GaussianTrack(CoordinateGP(times, channels, sigmas, mean_fns,
+                                      cfg.sigma_f, length_scale, trajectory_id))

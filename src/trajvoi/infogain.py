@@ -9,9 +9,15 @@ coordinate):
     IG_t = h(loc_t | prior) - h(loc_t | Z, prior)        [bits]
     IG   = integral of IG_t over the covering day        [bit seconds]
 
+Both coordinates share one variance (see :mod:`.gp`), so IG_t is the single
+log-variance ratio log2(var_prior / var_posterior). Conditioning on more
+fixes never raises a Gaussian's variance, so IG_t is never negative as long
+as the posterior's evidence contains the prior's.
+
 The prior is either uninformative (location anywhere in the region,
-standard deviation sigma0 per coordinate) or an earlier, more degraded
-release of the same trajectory. Reconstructions come from :mod:`.gp`.
+standard deviation ``gp.sigma0_m`` per coordinate) or an earlier, more
+degraded release of the same trajectory. :func:`evaluate_voi` is the one
+path that fits both reconstructions and integrates the gain.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import trapezoid
@@ -45,14 +51,13 @@ class PriorKnowledge:
     """What the recipient already knows before seeing Z.
 
     Either nothing beyond "somewhere in the study area" (``uninformative``:
-    an N(0, sigma0^2) location per coordinate at every time), or an
-    earlier, more degraded release of the same trajectory (``released``,
-    carrying the released data and the spec that produced it). ``sigma0``
-    left unset defers to the GP config's amplitude.
+    an N(0, sigma_f^2) location per coordinate at every time, with sigma_f
+    from the GP config), or an earlier, more degraded release of the same
+    trajectory (``released``, carrying the released data and the spec that
+    produced it).
     """
 
     kind: str = "uninformative"
-    sigma0: Optional[float] = None
     released: Optional[Trajectory] = None
     released_spec: Optional[DegradationSpec] = None
 
@@ -66,8 +71,6 @@ class PriorKnowledge:
                                  "trajectory and its degradation spec")
         else:
             raise ValueError(f"unknown prior kind {self.kind!r}")
-        if self.sigma0 is not None and not self.sigma0 > 0:
-            raise ValueError("sigma0 must be > 0")
 
     @property
     def label(self) -> str:
@@ -76,8 +79,8 @@ class PriorKnowledge:
         return self.released_spec.label()
 
     @staticmethod
-    def uninformative(sigma0: Optional[float] = None) -> "PriorKnowledge":
-        return PriorKnowledge(kind="uninformative", sigma0=sigma0)
+    def uninformative() -> "PriorKnowledge":
+        return PriorKnowledge(kind="uninformative")
 
     @staticmethod
     def from_release(released: Trajectory,
@@ -89,26 +92,29 @@ class PriorKnowledge:
 def combine(z: Trajectory, prior: PriorKnowledge) -> List[Measurement]:
     """Merge the release Z with the prior's data into one evidence set.
 
-    A perturbation prior shares Z's timestamps, so coinciding points fuse
-    by inverse-variance weighting. Truncation and subsampling priors are
-    subsets of Z (same seed, smaller ratio), and an identity prior equals
-    Z, so in those cases Z alone already carries all the evidence.
+    A perturbation prior is the same trajectory under other noise, with the
+    same length, order and timestamps, so the i-th point of Z fuses with the
+    i-th prior point by inverse-variance weighting. Truncation and
+    subsampling releases of one trajectory nest (a smaller ratio keeps a
+    subset of a larger one), and the identity release holds them all, so
+    the longer of Z and the prior release is their union. A release that is
+    a subset of its prior thus adds no evidence and scores 0.
     """
     if prior.kind == "uninformative":
         return list(z.points)
-    if prior.released.trajectory_id != z.trajectory_id:
+    omega = prior.released
+    if omega.trajectory_id != z.trajectory_id:
         raise ValueError(
             f"prior release is from trajectory "
-            f"{prior.released.trajectory_id!r}, not {z.trajectory_id!r}")
+            f"{omega.trajectory_id!r}, not {z.trajectory_id!r}")
     if prior.released_spec.kind != "perturbation":
-        return list(z.points)
-    by_time = {p.t: p for p in prior.released.points}
+        return list(max(z.points, omega.points, key=len))
+    if [p.t for p in z.points] != [q.t for q in omega.points]:
+        raise ValueError(
+            f"perturbation prior and release of {z.trajectory_id!r} differ "
+            f"in their timestamps")
     merged: List[Measurement] = []
-    for p in z.points:
-        q = by_time.pop(p.t, None)
-        if q is None:
-            merged.append(p)
-            continue
+    for p, q in zip(z.points, omega.points):
         wp = 1.0 / p.sigma ** 2
         wq = 1.0 / q.sigma ** 2
         merged.append(Measurement(
@@ -117,8 +123,6 @@ def combine(z: Trajectory, prior: PriorKnowledge) -> List[Measurement]:
             t=p.t,
             sigma=(wp + wq) ** -0.5,
         ))
-    merged.extend(by_time.values())
-    merged.sort(key=lambda m: m.t)
     return merged
 
 
@@ -146,11 +150,10 @@ def covering_day_start(t: float, day_seconds: float = DAY_SECONDS) -> float:
 
 def ig_at(prior_track: GaussianTrack, posterior_track: GaussianTrack,
           times) -> np.ndarray:
-    """Pointwise entropy reduction in bits at each query time."""
-    p = prior_track.query(times)
-    q = posterior_track.query(times)
-    return 0.5 * (np.log2(p.var_x) - np.log2(q.var_x)
-                  + np.log2(p.var_y) - np.log2(q.var_y))
+    """Pointwise entropy reduction in bits at each query time, summed over
+    the two coordinates: 2 * 0.5 * log2 of the shared variance ratio."""
+    return (np.log2(prior_track.query(times).var)
+            - np.log2(posterior_track.query(times).var))
 
 
 def integration_grid(day_start: float, cfg: IntegrationConfig,
@@ -166,14 +169,6 @@ def integration_grid(day_start: float, cfg: IntegrationConfig,
     extra = np.asarray(extra_times, dtype=float)
     extra = extra[(extra >= day_start) & (extra <= day_start + cfg.day_seconds)]
     return np.unique(np.concatenate([grid, extra]))
-
-
-def ig_over_period(prior_track: GaussianTrack, posterior_track: GaussianTrack,
-                   day_start: float, extra_times: Sequence[float] = (),
-                   cfg: IntegrationConfig = IntegrationConfig()) -> float:
-    """Integrated gain over one day, in bit seconds (trapezoid rule)."""
-    ts = integration_grid(day_start, cfg, extra_times)
-    return float(trapezoid(ig_at(prior_track, posterior_track, ts), ts))
 
 
 @dataclass(frozen=True)
@@ -281,12 +276,10 @@ def _released_fit(omega: Trajectory, cfg: GpConfig
     sigmas = np.array([p.sigma for p in omega.points])
     mean_x = fit_linear_mean(ts, xs)
     mean_y = fit_linear_mean(ts, ys)
-    l = cfg.fixed_length_scale
-    if l is None:
-        l = train_length_scale(ts, [xs, ys], sigmas, [mean_x, mean_y],
-                               cfg.sigma_f, bounds=cfg.length_scale_bounds,
-                               grid_size=cfg.grid_size,
-                               trajectory_id=omega.trajectory_id)
+    l = train_length_scale(ts, [xs, ys], sigmas, [mean_x, mean_y],
+                           cfg.sigma_f, bounds=cfg.length_scale_bounds,
+                           grid_size=cfg.grid_size,
+                           trajectory_id=omega.trajectory_id)
     return mean_x, mean_y, l
 
 
@@ -302,13 +295,8 @@ def reconstruction_tracks(z: Trajectory, prior: PriorKnowledge,
     gain isolates what the new data adds rather than what refitting does.
     """
     if prior.kind == "uninformative":
-        sigma0 = prior.sigma0 if prior.sigma0 is not None else gp_cfg.sigma_f
-        cfg = GpConfig(sigma_f=sigma0,
-                       length_scale_bounds=gp_cfg.length_scale_bounds,
-                       fixed_length_scale=gp_cfg.fixed_length_scale,
-                       grid_size=gp_cfg.grid_size)
-        prior_track = fit_track([], cfg)
-        posterior_track = fit_track(z.points, cfg,
+        prior_track = fit_track([], gp_cfg)
+        posterior_track = fit_track(z.points, gp_cfg,
                                     trajectory_id=z.trajectory_id)
         data_times = [p.t for p in z.points]
     else:
@@ -340,8 +328,8 @@ def evaluate_voi(z: Trajectory, kind: str, param: float,
     ig = float(trapezoid(igs, ts))
     return VoiRow(trajectory_id=z.trajectory_id, prior=prior.label,
                   kind=kind, param=param, ig_bit_seconds=ig,
-                  length_scale_x=posterior_track.length_scale_x,
-                  length_scale_y=posterior_track.length_scale_y,
+                  length_scale_x=posterior_track.gp.length_scale,
+                  length_scale_y=posterior_track.gp.length_scale,
                   day_start=day_start,
                   day_end=day_start + integration.day_seconds,
                   trace=tuple(zip(ts.tolist(), igs.tolist()))
@@ -357,33 +345,29 @@ class EquivalencePoint:
     param_b: Optional[float]
 
 
-def equivalence_curve(s: Trajectory, specs, prior: PriorKnowledge,
-                      gp_cfg: GpConfig = GpConfig(),
-                      integration: IntegrationConfig = IntegrationConfig()
-                      ) -> List[Tuple[object, float]]:
-    """Integrated gain of each degraded release of one trajectory.
+def curves_by_family(rows: Sequence[VoiRow], base_sigma: float
+                     ) -> Dict[str, List[Tuple[float, float]]]:
+    """Per-family (parameter, IG) curves from one trajectory's report rows,
+    each sorted by parameter; duplicate parameters collapse to their median
+    gain.
 
-    Returns (spec, IG) pairs in the given spec order; feed one family's
-    pairs through :func:`family_curve` before interpolating.
+    The identity release joins every family: as ratio 1.0 for truncation
+    and subsampling, and as the base measurement noise for perturbation.
     """
-    from .degrade import apply_spec
-    out = []
-    for spec in specs:
-        z = apply_spec(s, spec)
-        row = evaluate_voi(z, spec.kind, spec.param, prior, gp_cfg, integration)
-        out.append((spec, row.ig_bit_seconds))
-    return out
-
-
-def family_curve(pairs: Iterable[Tuple[object, float]], kind: str
-                 ) -> List[Tuple[float, float]]:
-    """(parameter, IG) points of one degradation family, sorted by
-    parameter. Duplicate parameters collapse to their median gain."""
-    by_param: dict = {}
-    for spec, ig in pairs:
-        if spec.kind == kind:
-            by_param.setdefault(spec.param, []).append(ig)
-    return [(p, float(np.median(v))) for p, v in sorted(by_param.items())]
+    acc: Dict[str, Dict[float, list]] = {
+        "perturbation": {}, "truncation": {}, "subsampling": {}}
+    for r in rows:
+        if r.kind == "identity":
+            targets = (("perturbation", base_sigma), ("truncation", 1.0),
+                       ("subsampling", 1.0))
+        elif r.kind in acc:
+            targets = ((r.kind, r.param),)
+        else:
+            continue
+        for kind, param in targets:
+            acc[kind].setdefault(param, []).append(r.ig_bit_seconds)
+    return {kind: [(p, float(np.median(v))) for p, v in sorted(d.items())]
+            for kind, d in acc.items() if d}
 
 
 def param_at_ig(curve: Sequence[Tuple[float, float]],

@@ -149,8 +149,7 @@ def test_criterion_4_oracle_equivalence():
         var = np.maximum(sf ** 2 - np.einsum("ij,ij->i", ks @ Kinv, ks),
                          1e-12 * sf ** 2)
         for got, want in ((q.mean_x, ks @ Kinv @ xs),
-                          (q.mean_y, ks @ Kinv @ ys),
-                          (q.var_x, var), (q.var_y, var)):
+                          (q.mean_y, ks @ Kinv @ ys), (q.var, var)):
             # fraction of the 1e-8 relative band used (1e-8 absolute floor
             # so that means crossing zero stay comparable)
             used = np.max(np.abs(got - want) / (1e-8 + 1e-8 * np.abs(want)))

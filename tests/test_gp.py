@@ -84,9 +84,8 @@ def test_empty_fit_is_the_prior():
     track = fit_track([], cfg)
     q = track.query(np.array([0.0, 40000.0]))
     assert np.allclose(q.mean_x, 0.0)
-    assert np.allclose(q.var_x, 7500.0 ** 2)
-    assert np.allclose(q.var_y, 7500.0 ** 2)
-    assert track.n_train == 0
+    assert np.allclose(q.var, 7500.0 ** 2)
+    assert track.gp.n_train == 0
 
 
 def test_single_point_shrinkage():
@@ -94,15 +93,15 @@ def test_single_point_shrinkage():
     track = fit_track(s.points, GpConfig(sigma_f=7500.0), length_scale=1.0)
     q = track.query(np.array([0.0]))
     assert 97.0 <= float(q.mean_x[0]) <= 103.0
-    assert float(q.var_x[0]) < 3.1 ** 2
-    assert float(q.var_x[0]) < 0.001 * 7500.0 ** 2
+    assert float(q.var[0]) < 3.1 ** 2
+    assert float(q.var[0]) < 0.001 * 7500.0 ** 2
 
 
 def test_far_query_reverts_to_prior():
     s = make_trajectory([100.0], [0.0], sigmas=3.0)
     track = fit_track(s.points, GpConfig(sigma_f=7500.0), length_scale=0.5)
     q = track.query(np.array([50 * 0.5 * HOUR]))
-    assert float(q.var_x[0]) == pytest.approx(7500.0 ** 2, rel=0.01)
+    assert float(q.var[0]) == pytest.approx(7500.0 ** 2, rel=0.01)
     assert float(q.mean_x[0]) == pytest.approx(0.0, abs=1.0)
 
 
@@ -116,8 +115,7 @@ def test_posterior_variance_never_exceeds_prior():
         track = fit_track(s.points, GpConfig(sigma_f=7500.0),
                           length_scale=float(rng.uniform(0.05, 9.0)))
         q = track.query(np.linspace(-HOUR, 25 * HOUR, 200))
-        assert np.all(q.var_x <= 7500.0 ** 2 * (1 + 1e-6))
-        assert np.all(q.var_y <= 7500.0 ** 2 * (1 + 1e-6))
+        assert np.all(q.var <= 7500.0 ** 2 * (1 + 1e-6))
 
 
 def test_oracle_direct_inverse_small_instances():
@@ -144,7 +142,7 @@ def test_oracle_direct_inverse_small_instances():
         var = 100.0 ** 2 - np.einsum("ij,ij->i", ks @ Kinv, ks)
         var = np.maximum(var, 1e-12 * 100.0 ** 2)
         assert np.allclose(q.mean_x, mean, rtol=1e-8, atol=1e-8)
-        assert np.allclose(q.var_x, var, rtol=1e-8, atol=1e-8)
+        assert np.allclose(q.var, var, rtol=1e-8, atol=1e-8)
 
 
 def test_time_reversal_symmetry():
@@ -160,7 +158,7 @@ def test_time_reversal_symmetry():
     qf = fwd.query(q)
     qr = rev.query(pivot - q)
     assert np.allclose(qf.mean_x, qr.mean_x, rtol=1e-10, atol=1e-8)
-    assert np.allclose(qf.var_x, qr.var_x, rtol=1e-10, atol=1e-8)
+    assert np.allclose(qf.var, qr.var, rtol=1e-10, atol=1e-8)
 
 
 def test_channel_swap_symmetry():
@@ -176,7 +174,7 @@ def test_channel_swap_symmetry():
     q = np.linspace(0, HOUR, 30)
     qa, qb = a.query(q), b.query(q)
     assert np.array_equal(qa.mean_x, qb.mean_y)
-    assert np.array_equal(qa.var_x, qb.var_y)
+    assert np.array_equal(qa.var, qb.var)
     assert np.array_equal(qa.mean_y, qb.mean_x)
 
 
@@ -186,6 +184,39 @@ def test_duplicate_timestamps_are_fine():
     track = fit_track(s.points, GpConfig(sigma_f=100.0), length_scale=1.0)
     q = track.query(np.array([500.0]))
     assert 9.0 <= float(q.mean_x[0]) <= 13.0
+
+
+def test_fit_track_factorizes_once(monkeypatch):
+    # both coordinates share the training covariance, so one Cholesky
+    # factorization serves the whole track
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return scipy.linalg.cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(gp, "cho_factor", counting)
+    s = make_trajectory([1.0, 2.0, 4.0], [0.0, 60.0, 600.0], sigmas=3.0,
+                        ys=[5.0, 3.0, 0.0])
+    fit_track(s.points, GpConfig(sigma_f=100.0), length_scale=1.0)
+    assert len(calls) == 1
+
+
+def test_each_channel_solves_alone():
+    # a channel's mean is bitwise the same whether or not it shares the
+    # factorization with another channel
+    rng = np.random.default_rng(4)
+    ts = np.sort(rng.uniform(0, 2 * HOUR, 15))
+    xs, ys = rng.normal(0, 80, 15), rng.normal(0, 80, 15)
+    sig = rng.uniform(1, 10, 15)
+    q = np.linspace(0, 2 * HOUR, 25)
+    both = gp.CoordinateGP(ts, [xs, ys], sig, [MeanFunction()] * 2, 300.0, 0.8)
+    (mx, my), var = both.predict(q)
+    for values, mean in ((xs, mx), (ys, my)):
+        alone = gp.CoordinateGP(ts, [values], sig, [MeanFunction()], 300.0, 0.8)
+        (m,), v = alone.predict(q)
+        assert np.array_equal(m, mean)
+        assert np.array_equal(v, var)
 
 
 def test_cholesky_failure_raises_named_error(monkeypatch):
@@ -206,7 +237,7 @@ def test_variance_floor():
     s = make_trajectory([0.0] * 5, [0.0] * 5, sigmas=1e-9)
     track = fit_track(s.points, GpConfig(sigma_f=10.0), length_scale=10.0)
     q = track.query(np.array([0.0]))
-    assert float(q.var_x[0]) >= 1e-12 * 10.0 ** 2
+    assert float(q.var[0]) >= 1e-12 * 10.0 ** 2
 
 
 # --- marginal likelihood and length-scale training ----------------------------
@@ -292,7 +323,9 @@ def test_fit_track_trains_jointly_when_scale_unset():
                                sigma_f=100.0, noise=1.0)
     s = make_trajectory(xs, ts, sigmas=1.0, ys=ys[:80])
     track = fit_track(s.points, GpConfig(sigma_f=100.0))
-    assert track.length_scale_x == track.length_scale_y
+    joint = train_length_scale(ts, [xs, ys], np.full(80, 1.0),
+                               [MeanFunction(), MeanFunction()], 100.0)
+    assert track.gp.length_scale == joint
 
 
 def test_gp_config_validation():
@@ -300,15 +333,3 @@ def test_gp_config_validation():
         GpConfig(sigma_f=0.0)
     with pytest.raises(ValueError):
         GpConfig(length_scale_bounds=(1.0, 0.5))
-    with pytest.raises(ValueError):
-        GpConfig(fixed_length_scale=100.0)
-
-
-def test_debug_dump_shape():
-    s = make_trajectory([1.0, 2.0], [0.0, 600.0], sigmas=3.0)
-    track = fit_track(s.points, GpConfig(sigma_f=50.0), length_scale=1.0)
-    dump = track.debug_dump(np.array([0.0, 300.0, 600.0]))
-    assert dump["n_train"] == 2
-    assert len(dump["samples"]) == 3
-    assert set(dump["samples"][0]) == {"t", "mean_x", "var_x", "mean_y",
-                                       "var_y"}

@@ -5,17 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from synth import DAY_START, HOUR, make_trajectory
 from trajvoi.degrade import DegradationSpec, apply_spec
 from trajvoi.gp import GpConfig, fit_track
 from trajvoi.infogain import (IntegrationConfig, PriorKnowledge, VoiReport,
                               VoiRow, VOI_CSV_FIELDS, combine,
-                              covering_day_start, equivalence_curve,
-                              evaluate_voi, family_curve, gaussian_entropy,
-                              ig_at, ig_over_period, integration_grid,
-                              match_equivalents, param_at_ig,
-                              reconstruction_tracks)
+                              covering_day_start, curves_by_family,
+                              evaluate_voi, gaussian_entropy, ig_at,
+                              integration_grid, match_equivalents,
+                              param_at_ig, reconstruction_tracks)
 
 
 # --- entropy -----------------------------------------------------------------
@@ -92,7 +92,8 @@ def test_constant_gain_integrates_to_day_times_c():
     prior = constant_track(7500.0)
     post = constant_track(750.0)
     c = float(ig_at(prior, post, np.array([0.0]))[0])
-    total = ig_over_period(prior, post, day_start=0.0)
+    ts = integration_grid(0.0, IntegrationConfig())
+    total = float(trapezoid(ig_at(prior, post, ts), ts))
     assert total == pytest.approx(86400.0 * c, rel=1e-12)
 
 
@@ -115,8 +116,6 @@ def test_prior_validation():
         PriorKnowledge(kind="mystery")
     with pytest.raises(ValueError):
         PriorKnowledge(kind="released")
-    with pytest.raises(ValueError):
-        PriorKnowledge.uninformative(sigma0=-5.0)
     assert PriorKnowledge.uninformative().label == "uninformative"
 
 
@@ -151,14 +150,50 @@ def test_combine_perturbation_inverse_variance_weighting():
     assert all(m.sigma < 100.0 for m in merged)
 
 
+def test_combine_perturbation_pairs_repeated_timestamps_by_position():
+    s = make_trajectory([0.0, 5.0, 10.0],
+                        [DAY_START, DAY_START, DAY_START + HOUR], sigmas=3.0)
+    spec = DegradationSpec(kind="perturbation", total_noise=400.0, seed=5)
+    z = apply_spec(s, DegradationSpec(kind="perturbation", total_noise=10.0,
+                                      seed=6))
+    merged = combine(z, PriorKnowledge.from_release(apply_spec(s, spec), spec))
+    assert [m.t for m in merged] == [p.t for p in s.points]
+    assert [m.sigma for m in merged] \
+        == pytest.approx([(10.0 ** -2 + 400.0 ** -2) ** -0.5] * 3, rel=1e-12)
+    assert merged[0].sigma == pytest.approx(9.997, abs=5e-4)
+
+
+def test_combine_perturbation_rejects_other_timestamps():
+    s = make_trajectory([0.0, 5.0], [DAY_START, DAY_START + 60], sigmas=3.0)
+    spec = DegradationSpec(kind="perturbation", total_noise=400.0, seed=5)
+    prior = PriorKnowledge.from_release(apply_spec(s, spec), spec)
+    z = apply_spec(s, DegradationSpec(kind="truncation", ratio=0.5))
+    with pytest.raises(ValueError):
+        combine(z, prior)
+
+
 def test_combine_superset_releases_use_z_alone():
     s = make_trajectory(np.arange(10.0), DAY_START + np.arange(10) * 30.0,
                         sigmas=3.0)
     spec = DegradationSpec(kind="subsampling", ratio=0.3, seed=4)
     omega = apply_spec(s, spec)
-    z = apply_spec(s, DegradationSpec(kind="subsampling", ratio=0.8, seed=4))
+    z_spec = DegradationSpec(kind="subsampling", ratio=0.8, seed=4)
+    z = apply_spec(s, z_spec)
     merged = combine(z, PriorKnowledge.from_release(omega, spec))
     assert merged == list(z.points)
+    # the other way round the prior already holds the whole release
+    assert combine(omega, PriorKnowledge.from_release(z, z_spec)) \
+        == list(z.points)
+
+
+@pytest.mark.parametrize("kind", ["truncation", "subsampling"])
+def test_release_inside_its_prior_scores_zero(suite, kind):
+    s = suite[0]                        # 26 fixes
+    prior_spec = DegradationSpec(kind=kind, ratio=0.2, seed=0)
+    z = apply_spec(s, DegradationSpec(kind=kind, ratio=0.05, seed=0))
+    prior = PriorKnowledge.from_release(apply_spec(s, prior_spec), prior_spec)
+    assert len(s) == 26 and len(z) < len(prior.released)
+    assert evaluate_voi(z, kind, 0.05, prior).ig_bit_seconds == 0.0
 
 
 def test_released_prior_shares_mean_and_scale():
@@ -168,8 +203,8 @@ def test_released_prior_shares_mean_and_scale():
     spec = DegradationSpec(kind="truncation", ratio=0.5)
     prior = PriorKnowledge.from_release(apply_spec(s, spec), spec)
     prior_track, post_track, _ = reconstruction_tracks(s, prior, GpConfig())
-    assert prior_track.length_scale_x == post_track.length_scale_x
-    assert prior_track.gp_x.mean_fn == post_track.gp_x.mean_fn
+    assert prior_track.gp.length_scale == post_track.gp.length_scale
+    assert prior_track.gp.mean_fns == post_track.gp.mean_fns
 
 
 def test_release_equal_to_prior_has_no_gain():
@@ -202,7 +237,7 @@ def test_gain_bounded_by_entropy_range():
                        keep_trace=True)
     _, post, _ = reconstruction_tracks(s, PriorKnowledge.uninformative())
     grid = np.array([t for t, _ in row.trace])
-    var_min = min(post.query(grid).var_x.min(), post.query(grid).var_y.min())
+    var_min = post.query(grid).var.min()
     bound = 86400.0 * 2 * (gaussian_entropy(7500.0 ** 2)
                            - gaussian_entropy(var_min))
     assert row.ig_bit_seconds <= bound
@@ -281,7 +316,22 @@ def test_equivalence_curve_runs_specs():
     s = make_trajectory(rng.normal(0, 10, 30), ts, sigmas=3.0,
                         trajectory_id="eq")
     specs = [DegradationSpec(kind="truncation", ratio=r) for r in (0.3, 1.0)]
-    pairs = equivalence_curve(s, specs, PriorKnowledge.uninformative())
-    curve = family_curve(pairs, "truncation")
+    rows = [evaluate_voi(apply_spec(s, spec), spec.kind, spec.param,
+                         PriorKnowledge.uninformative()) for spec in specs]
+    curve = curves_by_family(rows, base_sigma=3.0)["truncation"]
     assert [p for p, _ in curve] == [0.3, 1.0]
     assert curve[0][1] <= curve[1][1]
+
+
+def test_curves_by_family_joins_identity_and_takes_medians():
+    rows = [make_row(kind="identity", param=1.0, ig_bit_seconds=100.0),
+            make_row(kind="perturbation", param=10.0, ig_bit_seconds=50.0),
+            make_row(kind="truncation", param=0.5, ig_bit_seconds=10.0),
+            make_row(kind="truncation", param=0.5, ig_bit_seconds=30.0),
+            make_row(kind="truncation", param=0.5, ig_bit_seconds=20.0),
+            make_row(kind="truncation", param=0.2, ig_bit_seconds=5.0)]
+    curves = curves_by_family(rows, base_sigma=3.0)
+    assert curves == {"perturbation": [(3.0, 100.0), (10.0, 50.0)],
+                      "truncation": [(0.2, 5.0), (0.5, 20.0), (1.0, 100.0)],
+                      "subsampling": [(1.0, 100.0)]}
+    assert "subsampling" not in curves_by_family(rows[1:], base_sigma=3.0)
