@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .degrade import DegradationSpec
 from .gp import GaussianTrack, GpConfig, MeanFunction, fit_linear_mean, fit_track, train_length_scale
@@ -325,7 +324,7 @@ def evaluate_voi(z: Trajectory, kind: str, param: float,
                                    integration.day_seconds)
     ts = integration_grid(day_start, integration, data_times)
     igs = ig_at(prior_track, posterior_track, ts)
-    ig = float(trapezoid(igs, ts))
+    ig = float(np.trapezoid(igs, ts))
     return VoiRow(trajectory_id=z.trajectory_id, prior=prior.label,
                   kind=kind, param=param, ig_bit_seconds=ig,
                   length_scale_x=posterior_track.gp.length_scale,

@@ -119,7 +119,11 @@ class RunConfig:
         }
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        """Digest of the settings that shape the results: where a run
+        writes and how many workers it uses are left out."""
+        settings = self.to_dict()
+        del settings["jobs"], settings["output_dir"]
+        blob = json.dumps(settings, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
 

@@ -3,6 +3,10 @@ error paths that must map onto exit codes 1 and 2."""
 
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -286,3 +290,35 @@ def test_analyze_needs_identity_cells(tmp_path, capsys):
     (out / "baselines.csv").write_text(baselines_text(["aa"]))
     assert cli.entrypoint(["analyze", "--config", str(config)]) == 1
     assert "identity" in capsys.readouterr().err
+
+
+def test_outputs_do_not_depend_on_blas_threads(suite, tmp_path):
+    # the same run with one and with two BLAS threads, each in a fresh
+    # interpreter so that the thread count takes effect
+    traj_csv = tmp_path / "suite.csv"
+    write_trajectory_csv(suite[:20], traj_csv)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        config = tmp_path / f"threads{threads}.yaml"
+        config.write_text("\n".join([
+            f'trajectories_csv: "{traj_csv}"',
+            f'output_dir: "{out}"',
+            "degradation:",
+            "  noise_levels_m: [100]",
+            "  truncation_ratios: [0.5]",
+            "  subsampling_ratios: [0.5]",
+            "priors:",
+            "  perturbation_noise_m: [400]",
+            "  truncation_ratios: []",
+            "  subsampling_ratios: []",
+        ]) + "\n")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        for command in ("voi", "baselines"):
+            subprocess.run([sys.executable, "-m", "trajvoi.cli", command,
+                            "--config", str(config)], env=env, check=True,
+                           capture_output=True)
+        outputs[threads] = {name: (out / name).read_bytes()
+                            for name in ("voi_report.jsonl", "baselines.csv")}
+    assert outputs["1"] == outputs["2"]

@@ -1,10 +1,10 @@
 """Exact GP inference: kernel values, posterior algebra, length-scale training."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import trajvoi.gp as gp
 from synth import make_trajectory
@@ -12,6 +12,8 @@ from trajvoi.gp import (DEFAULT_LENGTH_SCALE_BOUNDS, GaussianTrack, GpConfig,
                         GpNumericalError, MeanFunction, fit_linear_mean,
                         fit_track, log_marginal_likelihood, matern32,
                         train_length_scale)
+from trajvoi.infogain import (IntegrationConfig, covering_day_start,
+                             integration_grid)
 
 HOUR = 3600.0
 
@@ -186,20 +188,26 @@ def test_duplicate_timestamps_are_fine():
     assert 9.0 <= float(q.mean_x[0]) <= 13.0
 
 
-def test_fit_track_factorizes_once(monkeypatch):
-    # both coordinates share the training covariance, so one Cholesky
-    # factorization serves the whole track
+def test_fit_track_runs_one_filter_and_smoother_pass(monkeypatch):
+    # both coordinates share the covariance recursion, so one filter pass
+    # and one smoother pass serve the whole track, and queries run neither
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return scipy.linalg.cho_factor(*args, **kwargs)
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(gp, "cho_factor", counting)
+    monkeypatch.setattr(gp, "_kalman_filter",
+                        counting("filter", gp._kalman_filter))
+    monkeypatch.setattr(gp, "_rts_smoother",
+                        counting("smoother", gp._rts_smoother))
     s = make_trajectory([1.0, 2.0, 4.0], [0.0, 60.0, 600.0], sigmas=3.0,
                         ys=[5.0, 3.0, 0.0])
-    fit_track(s.points, GpConfig(sigma_f=100.0), length_scale=1.0)
-    assert len(calls) == 1
+    track = fit_track(s.points, GpConfig(sigma_f=100.0), length_scale=1.0)
+    track.query(np.linspace(-600.0, 1200.0, 40))
+    assert calls == ["filter", "smoother"]
 
 
 def test_each_channel_solves_alone():
@@ -219,17 +227,34 @@ def test_each_channel_solves_alone():
         assert np.array_equal(v, var)
 
 
-def test_cholesky_failure_raises_named_error(monkeypatch):
-    def always_fail(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("forced")
+def test_non_finite_sigma_raises_named_error():
+    ts = np.array([0.0, 60.0, 120.0])
+    xs = np.array([1.0, 2.0, 4.0])
+    for bad in (np.nan, np.inf):
+        sig = np.array([3.0, bad, 3.0])
+        for build in (
+                lambda: gp.CoordinateGP(ts, [xs], sig, [MeanFunction()],
+                                        100.0, 1.0, trajectory_id="doomed"),
+                lambda: log_marginal_likelihood(ts, [xs], sig, [MeanFunction()],
+                                                100.0, 1.0, "doomed"),
+                lambda: train_length_scale(ts, [xs], sig, [MeanFunction()],
+                                           100.0, trajectory_id="doomed")):
+            with pytest.raises(GpNumericalError) as err:
+                build()
+            assert err.value.trajectory_id == "doomed"
+            assert "doomed" in str(err.value)
 
-    monkeypatch.setattr(gp, "cho_factor", always_fail)
-    s = make_trajectory([1.0, 2.0], [0.0, 60.0], sigmas=3.0)
-    with pytest.raises(GpNumericalError) as err:
-        fit_track(s.points, GpConfig(sigma_f=100.0), length_scale=1.0,
-                  trajectory_id="doomed")
-    assert err.value.trajectory_id == "doomed"
-    assert "doomed" in str(err.value)
+
+def test_decreasing_times_raise():
+    ts = np.array([0.0, 60.0, 30.0])
+    xs = np.array([1.0, 2.0, 4.0])
+    sig = np.full(3, 3.0)
+    with pytest.raises(ValueError):
+        gp.CoordinateGP(ts, [xs], sig, [MeanFunction()], 100.0, 1.0)
+    with pytest.raises(ValueError):
+        log_marginal_likelihood(ts, [xs], sig, [MeanFunction()], 100.0, 1.0)
+    with pytest.raises(ValueError):
+        train_length_scale(ts, [xs], sig, [MeanFunction()], 100.0)
 
 
 def test_variance_floor():
@@ -264,6 +289,101 @@ def test_log_marginal_likelihood_matches_direct_formula():
     want = direct_lml(ts, xs, sig, 200.0, 1.5) \
         + direct_lml(ts, ys, sig, 200.0, 1.5)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+def dense_posterior_var(ts, sig, sigma_f, l, q):
+    K = matern32(ts[:, None] / HOUR, ts[None, :] / HOUR, sigma_f, l) \
+        + np.diag(sig ** 2) + 1e-10 * sigma_f ** 2 * np.eye(len(ts))
+    ks = matern32(q[:, None] / HOUR, ts[None, :] / HOUR, sigma_f, l)
+    v = np.linalg.solve(np.linalg.cholesky(K), ks.T)
+    return np.maximum(sigma_f ** 2 - np.einsum("ij,ij->j", v, v),
+                      1e-12 * sigma_f ** 2)
+
+
+def test_state_space_matches_dense_oracle_at_scale():
+    # A 1000-fix walk sampled every 5-25 s. At sigma_f = 7500 m and l = 10 h
+    # the dense Gram matrix is conditioned badly enough that the np.linalg
+    # oracle itself drifts by ~1e-9 relative, so the prior here is 1000 m.
+    rng = np.random.default_rng(1000)
+    n, sf = 1000, 1000.0
+    ts = 8 * HOUR + np.cumsum(rng.uniform(5.0, 25.0, n))
+    xs = np.cumsum(rng.normal(0.0, 8.0, n))
+    ys = np.cumsum(rng.normal(0.0, 8.0, n))
+    sig = rng.uniform(2.0, 10.0, n)
+    mean_fns = [MeanFunction(), MeanFunction()]
+    grid = integration_grid(covering_day_start(ts[0]), IntegrationConfig(), ts)
+    for l in (0.05, 1.0, 10.0):
+        got = log_marginal_likelihood(ts, [xs, ys], sig, mean_fns, sf, l)
+        want = direct_lml(ts, xs, sig, sf, l) + direct_lml(ts, ys, sig, sf, l)
+        assert got == pytest.approx(want, rel=1e-9)
+        _, var = gp.CoordinateGP(ts, [xs, ys], sig, mean_fns, sf, l).predict(grid)
+        dense = dense_posterior_var(ts, sig, sf, l, grid)
+        gain = np.trapezoid(np.log2(sf ** 2) - np.log2(var), grid)
+        dense_gain = np.trapezoid(np.log2(sf ** 2) - np.log2(dense), grid)
+        assert gain == pytest.approx(dense_gain, rel=1e-8)
+
+
+def test_zero_noise_duplicate_timestamps_match_dense_oracle():
+    # fixes that share a timestamp and carry no noise of their own: a step
+    # of zero length, kept well posed by the noise floor alone. The floor is
+    # all that separates the duplicates' Gram rows, so the float64 oracle is
+    # itself only good to ~1e-6 here (it misses a 50-digit evaluation by
+    # 3.4e-7, the state-space route by 3e-13).
+    ts = np.array([0.0, 300.0, 300.0, 300.0, 900.0, 900.0, 2000.0])
+    xs = np.array([5.0, 7.0, 7.0, 7.001, -3.0, -3.0, 12.0])
+    sig = np.zeros(7)
+    got = log_marginal_likelihood(ts, [xs], sig, [MeanFunction()], 100.0, 1.0)
+    assert math.isfinite(got)
+    assert got == pytest.approx(direct_lml(ts, xs, sig, 100.0, 1.0), rel=1e-6)
+    q = np.linspace(-600.0, 2600.0, 33)
+    (mean,), var = gp.CoordinateGP(ts, [xs], sig, [MeanFunction()],
+                                   100.0, 1.0).predict(q)
+    assert np.all(np.isfinite(mean)) and np.all(var > 0)
+    assert np.allclose(var, dense_posterior_var(ts, sig, 100.0, 1.0, q),
+                       rtol=1e-6)
+
+
+def test_transition_matches_high_precision():
+    # A(dt) and Q(dt) = P_inf - A P_inf A^T in closed form. Q's position
+    # entry cancels to O(u^3) at small u = lam dt, where the float form
+    # keeps only a few digits, and long gaps must neither overflow nor
+    # leave anything but A = 0 and Q = P_inf.
+    lam, var = 2.5, 7.0
+    for u in (1e-7, 2e-4, 3e-3, 0.0999, 0.1, 0.7, 4.0, 60.0, 900.0):
+        dt = u / lam
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            A, Q = gp._transition(np.array([dt]), lam, var)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            U, L, T, V = (Decimal(dt) * Decimal(lam), Decimal(lam),
+                          Decimal(dt), Decimal(var))
+            e, e2 = (-U).exp(), (-2 * U).exp()
+            want_A = (e * (1 + U), e * T, -L * U * e, e * (1 - U))
+            want_Q = (V * (1 - e2 * (1 + 2 * U + 2 * U * U)),
+                      V * L * 2 * U * U * e2,
+                      V * L * L * (1 - e2 * (1 - 2 * U + 2 * U * U)))
+        for got, want in zip(A + Q, want_A + want_Q):
+            assert float(got[0]) == pytest.approx(float(want), rel=1e-13,
+                                                  abs=1e-300)
+
+
+def test_grid_scan_lanes_match_single_scale_calls():
+    # the length-scale scan runs every grid point as a lane of one pass
+    rng = np.random.default_rng(21)
+    ts, xs = sample_matern_path(rng, 150, l=0.7, sigma_f=300.0, noise=4.0)
+    ys = xs[::-1] + rng.normal(0, 4.0, 150)
+    ts[40:43] = ts[40]                                    # a duplicate run
+    sig = rng.uniform(2.0, 8.0, 150)
+    mean_fns = [fit_linear_mean(ts, xs), fit_linear_mean(ts, ys)]
+    grid = np.exp(np.linspace(math.log(0.01), math.log(10.0), 32))
+    dt, noise, resids = gp._track_inputs(ts, [xs, ys], sig, mean_fns, 300.0,
+                                         "")
+    lanes = gp._kalman_filter(dt[:, None], noise, resids, gp.SQRT3 / grid,
+                              300.0 ** 2).lml
+    for l, got in zip(grid, lanes):
+        want = log_marginal_likelihood(ts, [xs, ys], sig, mean_fns, 300.0,
+                                       float(l))
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def sample_matern_path(rng, n, l, sigma_f, noise):

@@ -1,7 +1,13 @@
 """YAML run configuration: defaults, coercion, rejection, hashing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import trajvoi
 from trajvoi.runconfig import (PRIOR_SEED_OFFSET, ConfigError, RunConfig,
                                load_config)
 
@@ -112,6 +118,28 @@ def test_config_hash_stability_and_sensitivity(tmp_path):
     assert len(a.config_hash()) == 64
     c = load_config(write(tmp_path, "degradation: {seed: 4}\n"))
     assert a.config_hash() != c.config_hash()
+
+
+def test_config_hash_ignores_run_placement():
+    # the worker count and the output directory change no result, so runs
+    # that differ only there carry the same hash in their reports
+    a = RunConfig(jobs=1, output_dir="out")
+    b = RunConfig(jobs=8, output_dir="elsewhere/out")
+    assert a.config_hash() == b.config_hash()
+
+
+def test_setup_path_loads_no_scipy():
+    # importing the package and loading a config stays clear of scipy,
+    # which only the analysis stage needs
+    code = ("import sys, trajvoi\n"
+            "from trajvoi.runconfig import load_config\n"
+            "load_config(None)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(trajvoi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_config_hash_backs_out_derived_prior_seed():
