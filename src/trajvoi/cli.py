@@ -25,7 +25,7 @@ import sys
 import time
 from concurrent import futures
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -96,26 +96,54 @@ def _applicable(spec: DegradationSpec,
     return prior is None or spec.kind in ("identity", prior.kind)
 
 
-def _voi_cell(task):
-    """Evaluate one (trajectory, spec, prior) cell; never raises."""
-    traj, spec, prior_spec, gp_cfg, integration = task
+def _error_record(tid: str, spec: DegradationSpec,
+                  prior_spec: Optional[DegradationSpec], error: str) -> dict:
+    return {"trajectory_id": tid,
+            "prior": "uninformative" if prior_spec is None
+            else prior_spec.label(),
+            "kind": spec.kind, "param": spec.param, "error": error}
+
+
+def _once(memo: dict, key, make):
+    """``make()``, or what it gave or raised for ``key`` before."""
+    if key not in memo:
+        try:
+            memo[key] = make()
+        except Exception as e:
+            memo[key] = e
+    if isinstance(memo[key], Exception):
+        raise memo[key]
+    return memo[key]
+
+
+def _voi_task(task):
+    """Evaluate every cell of one trajectory; never raises.
+
+    Each distinct spec is applied once, and each released prior is fit once
+    and shared by the cells under it. A failure in such a shared step fails
+    every cell that depends on it, each with its own error record."""
+    traj, cells, gp_cfg, integration = task
     started = time.perf_counter()
-    try:
-        z = apply_spec(traj, spec)
-        prior = PriorKnowledge.uninformative() if prior_spec is None \
-            else PriorKnowledge.from_release(apply_spec(traj, prior_spec),
-                                             prior_spec)
-        row = evaluate_voi(z, spec.kind, spec.param, prior, gp_cfg,
-                           integration)
-        return ("ok", row, traj.trajectory_id, time.perf_counter() - started)
-    except Exception as e:  # isolation: one bad cell must not sink the batch
-        record = {"trajectory_id": traj.trajectory_id,
-                  "prior": "uninformative" if prior_spec is None
-                  else prior_spec.label(),
-                  "kind": spec.kind, "param": spec.param,
-                  "error": f"{type(e).__name__}: {e}"}
-        return ("error", record, traj.trajectory_id,
-                time.perf_counter() - started)
+    releases: dict = {}
+    priors: dict = {None: PriorKnowledge.uninformative()}
+
+    def release(spec):
+        return _once(releases, spec, lambda: apply_spec(traj, spec))
+
+    outcomes = []
+    for spec, prior_spec in cells:
+        try:
+            z = release(spec)
+            prior = _once(priors, prior_spec,
+                          lambda: PriorKnowledge.from_release(
+                              release(prior_spec), prior_spec, gp_cfg))
+            outcomes.append(("ok", evaluate_voi(z, spec.kind, spec.param,
+                                                prior, gp_cfg, integration)))
+        except Exception as e:  # isolation: one bad cell must not sink the batch
+            outcomes.append(("error", _error_record(
+                traj.trajectory_id, spec, prior_spec,
+                f"{type(e).__name__}: {e}")))
+    return outcomes, time.perf_counter() - started
 
 
 def _baseline_task(task):
@@ -130,14 +158,46 @@ def _baseline_task(task):
                           "error": f"{type(e).__name__}: {e}"})
 
 
-def _map(fn, tasks, jobs: int) -> list:
+_WORKER_DIED = "BrokenProcessPool: the worker process died"
+
+
+def _died(f: futures.Future) -> bool:
+    return isinstance(f.exception(), futures.BrokenExecutor)
+
+
+def _map(fn, tasks, jobs: int, dead) -> list:
     """``fn`` over ``tasks`` in order, over ``jobs`` worker processes when
-    there is more than one of each."""
+    there is more than one of each.
+
+    A worker that dies (killed by the OS, say) breaks its pool. The results
+    already returned are kept, and each unfinished task runs again alone on
+    a fresh one-worker pool, ``jobs`` such pools at a time. A task that
+    kills that worker as well gets ``dead(task, message)`` as its result."""
     if jobs <= 1 or len(tasks) < 2:
         return [fn(t) for t in tasks]
     with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks,
-                             chunksize=max(1, len(tasks) // (jobs * 8))))
+        submitted = [pool.submit(fn, t) for t in tasks]
+        futures.wait(submitted)
+    results = [None if _died(f) else f.result() for f in submitted]
+    lost = [i for i, f in enumerate(submitted) if _died(f)]
+    alone: dict = {}
+    try:
+        while lost or alone:
+            while lost and len(alone) < jobs:
+                i = lost.pop()
+                pool = futures.ProcessPoolExecutor(max_workers=1)
+                alone[pool.submit(fn, tasks[i])] = (i, pool)
+            done, _ = futures.wait(alone,
+                                   return_when=futures.FIRST_COMPLETED)
+            for f in done:
+                i, pool = alone.pop(f)
+                pool.shutdown()
+                results[i] = (dead(tasks[i], _WORKER_DIED) if _died(f)
+                              else f.result())
+    finally:
+        for _, pool in alone.values():
+            pool.shutdown(cancel_futures=True)
+    return results
 
 
 # --- subcommands -------------------------------------------------------------
@@ -203,20 +263,23 @@ def cmd_voi(cfg: RunConfig) -> int:
     if dropped:
         log.warning("voi: %d duplicate cells in the matrix were dropped",
                     dropped)
-    tasks = [(traj, spec, prior, cfg.gp, cfg.integration)
-             for traj in trajectories for spec, prior in cells]
+    tasks = [(traj, cells, cfg.gp, cfg.integration) for traj in trajectories]
+
+    def dead(task, error):
+        tid = task[0].trajectory_id
+        return ([("error", _error_record(tid, spec, prior, error))
+                 for spec, prior in cells], 0.0)
 
     started = time.perf_counter()
-    outcomes = _map(_voi_cell, tasks, cfg.jobs)
+    outcomes = _map(_voi_task, tasks, cfg.jobs, dead)
 
     rows: List[VoiRow] = []
     errors: List[dict] = []
-    per_traj: Dict[str, list] = {}
-    for status, payload, tid, seconds in outcomes:
-        per_traj.setdefault(tid, [0, 0.0])
-        per_traj[tid][0] += 1
-        per_traj[tid][1] += seconds
-        (rows if status == "ok" else errors).append(payload)
+    for traj, (cell_outcomes, seconds) in zip(trajectories, outcomes):
+        for status, payload in cell_outcomes:
+            (rows if status == "ok" else errors).append(payload)
+        log.info("voi: trajectory %s: %d cells in %.2fs",
+                 traj.trajectory_id, len(cell_outcomes), seconds)
 
     report = VoiReport(rows=rows).sorted()
     errors.sort(key=lambda e: (e["trajectory_id"], e["prior"], e["kind"],
@@ -227,11 +290,9 @@ def cmd_voi(cfg: RunConfig) -> int:
     _write_text(out / "voi_errors.jsonl",
                 "".join(json.dumps(e, sort_keys=True) + "\n" for e in errors))
 
-    for tid in sorted(per_traj):
-        n, seconds = per_traj[tid]
-        log.info("voi: trajectory %s: %d cells in %.2fs", tid, n, seconds)
     log.info("voi: %d cells (%d failed) in %.1fs wall",
-             len(tasks), len(errors), time.perf_counter() - started)
+             len(rows) + len(errors), len(errors),
+             time.perf_counter() - started)
     if errors:
         log.warning("voi: %d cells failed; see voi_errors.jsonl", len(errors))
     return 2 if errors else 0
@@ -240,7 +301,10 @@ def cmd_voi(cfg: RunConfig) -> int:
 def cmd_baselines(cfg: RunConfig) -> int:
     trajectories = _load_trajectories(cfg)
     tasks = [(t, cfg.entropy_grid, cfg.spp, cfg.gp) for t in trajectories]
-    outcomes = _map(_baseline_task, tasks, cfg.jobs)
+    outcomes = _map(_baseline_task, tasks, cfg.jobs,
+                    lambda task, error: ("error", {
+                        "trajectory_id": task[0].trajectory_id,
+                        "error": error}))
     rows = [p for status, p in outcomes if status == "ok"]
     errors = [p for status, p in outcomes if status == "error"]
     rows.sort(key=lambda r: r["trajectory_id"])

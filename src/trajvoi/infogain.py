@@ -46,6 +46,37 @@ def gaussian_entropy(variance: float) -> float:
 
 
 @dataclass(frozen=True)
+class ReleasedFit:
+    """What an earlier release fixes for every gain measured against it:
+    the mean trend of each coordinate, the trained length scale and the
+    prior reconstruction, all under ``gp_cfg``."""
+
+    mean_x: MeanFunction
+    mean_y: MeanFunction
+    length_scale: float
+    track: GaussianTrack
+    gp_cfg: GpConfig
+
+
+def fit_release(omega: Trajectory, cfg: GpConfig) -> ReleasedFit:
+    """Mean lines and length scale learned from the earlier release, and
+    the prior reconstruction they give."""
+    ts = np.array([p.t for p in omega.points])
+    xs = np.array([p.x for p in omega.points])
+    ys = np.array([p.y for p in omega.points])
+    sigmas = np.array([p.sigma for p in omega.points])
+    mean_x = fit_linear_mean(ts, xs)
+    mean_y = fit_linear_mean(ts, ys)
+    l = train_length_scale(ts, [xs, ys], sigmas, [mean_x, mean_y],
+                           cfg.sigma_f, bounds=cfg.length_scale_bounds,
+                           grid_size=cfg.grid_size,
+                           trajectory_id=omega.trajectory_id)
+    track = fit_track(omega.points, cfg, mean_x, mean_y, length_scale=l,
+                      trajectory_id=omega.trajectory_id)
+    return ReleasedFit(mean_x, mean_y, l, track, cfg)
+
+
+@dataclass(frozen=True)
 class PriorKnowledge:
     """What the recipient already knows before seeing Z.
 
@@ -53,12 +84,15 @@ class PriorKnowledge:
     an N(0, sigma_f^2) location per coordinate at every time, with sigma_f
     from the GP config), or an earlier, more degraded release of the same
     trajectory (``released``, carrying the released data and the spec that
-    produced it).
+    produced it). A released prior may also carry its :class:`ReleasedFit`,
+    so that the gains of many releases against it share one fit.
     """
 
     kind: str = "uninformative"
     released: Optional[Trajectory] = None
     released_spec: Optional[DegradationSpec] = None
+    fit: Optional[ReleasedFit] = field(default=None, compare=False,
+                                       repr=False)
 
     def __post_init__(self):
         if self.kind == "uninformative":
@@ -82,10 +116,13 @@ class PriorKnowledge:
         return PriorKnowledge(kind="uninformative")
 
     @staticmethod
-    def from_release(released: Trajectory,
-                     spec: DegradationSpec) -> "PriorKnowledge":
-        return PriorKnowledge(kind="released", released=released,
-                              released_spec=spec)
+    def from_release(released: Trajectory, spec: DegradationSpec,
+                     gp_cfg: Optional[GpConfig] = None) -> "PriorKnowledge":
+        """A released prior; with ``gp_cfg`` its fit is made now, once,
+        instead of in every evaluation against it."""
+        return PriorKnowledge(
+            kind="released", released=released, released_spec=spec,
+            fit=None if gp_cfg is None else fit_release(released, gp_cfg))
 
 
 def combine(z: Trajectory, prior: PriorKnowledge) -> List[Measurement]:
@@ -266,22 +303,6 @@ class VoiReport:
         return VoiReport(rows=rows)
 
 
-def _released_fit(omega: Trajectory, cfg: GpConfig
-                  ) -> Tuple[MeanFunction, MeanFunction, float]:
-    """Mean functions and length scale learned from the earlier release."""
-    ts = np.array([p.t for p in omega.points])
-    xs = np.array([p.x for p in omega.points])
-    ys = np.array([p.y for p in omega.points])
-    sigmas = np.array([p.sigma for p in omega.points])
-    mean_x = fit_linear_mean(ts, xs)
-    mean_y = fit_linear_mean(ts, ys)
-    l = train_length_scale(ts, [xs, ys], sigmas, [mean_x, mean_y],
-                           cfg.sigma_f, bounds=cfg.length_scale_bounds,
-                           grid_size=cfg.grid_size,
-                           trajectory_id=omega.trajectory_id)
-    return mean_x, mean_y, l
-
-
 def reconstruction_tracks(z: Trajectory, prior: PriorKnowledge,
                           gp_cfg: GpConfig = GpConfig()
                           ) -> Tuple[GaussianTrack, GaussianTrack, List[float]]:
@@ -292,6 +313,7 @@ def reconstruction_tracks(z: Trajectory, prior: PriorKnowledge,
     trained on Z). With a released prior, the mean trend and length scale
     come from the earlier release and are shared by both tracks, so the
     gain isolates what the new data adds rather than what refitting does.
+    That fit is the prior's own when it carries one, else it is made here.
     """
     if prior.kind == "uninformative":
         prior_track = fit_track([], gp_cfg)
@@ -300,13 +322,13 @@ def reconstruction_tracks(z: Trajectory, prior: PriorKnowledge,
         data_times = [p.t for p in z.points]
     else:
         omega = prior.released
-        mean_x, mean_y, l = _released_fit(omega, gp_cfg)
-        prior_track = fit_track(omega.points, gp_cfg, mean_x, mean_y,
-                                length_scale=l,
-                                trajectory_id=omega.trajectory_id)
+        fit = prior.fit or fit_release(omega, gp_cfg)
+        if fit.gp_cfg != gp_cfg:
+            raise ValueError("the prior was fit under another GP config")
+        prior_track = fit.track
         evidence = combine(z, prior)
-        posterior_track = fit_track(evidence, gp_cfg, mean_x, mean_y,
-                                    length_scale=l,
+        posterior_track = fit_track(evidence, gp_cfg, fit.mean_x, fit.mean_y,
+                                    length_scale=fit.length_scale,
                                     trajectory_id=z.trajectory_id)
         data_times = sorted({p.t for p in evidence}
                             | {p.t for p in omega.points})

@@ -10,10 +10,14 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 import synth
-from trajvoi import cli
-from trajvoi.infogain import VOI_CSV_FIELDS, VoiReport, VoiRow
-from trajvoi.ingest import write_trajectory_csv
+from trajvoi import cli, gp, infogain
+from trajvoi.degrade import apply_spec
+from trajvoi.infogain import (VOI_CSV_FIELDS, PriorKnowledge, VoiReport,
+                              VoiRow, evaluate_voi)
+from trajvoi.ingest import read_trajectory_csv, write_trajectory_csv
 from trajvoi.runconfig import load_config
 
 DAY = synth.DAY_START
@@ -206,6 +210,136 @@ def test_voi_isolates_failing_cells(tmp_path, monkeypatch):
     assert all("boom" in e["error"] for e in errors)
     report = VoiReport.from_jsonl((out / "voi_report.jsonl").read_text())
     assert len(report.rows) == 10 - 2
+
+
+def reference_matrix_config(tmp, trajectories, **extra):
+    """Default (reference-matrix) config over these trajectories."""
+    traj_csv = tmp / "trajectories.csv"
+    out = tmp / "out"
+    write_trajectory_csv(trajectories, traj_csv)
+    path = tmp / "run.yaml"
+    path.write_text("".join(f"{k}: {v}\n" for k, v in dict(
+        trajectories_csv=f'"{traj_csv}"', output_dir=f'"{out}"',
+        **extra).items()))
+    return path, out
+
+
+def test_voi_fits_each_prior_and_applies_each_spec_once(suite, tmp_path,
+                                                        monkeypatch):
+    # the 55-cell matrix: 17 releases trained under the uninformative prior
+    # and 6 released priors trained once each; 17 release specs and 2
+    # prior-only specs (the perturbation priors' seed differs). The
+    # uninformative prior's own track has no fixes, so nothing to train.
+    config, _ = reference_matrix_config(tmp_path, suite[1:2])
+    counts = {"trainings": 0, "apply_spec": 0}
+
+    def counted(module, name, counter, when=lambda *a: True):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            if when(*args):
+                counts[counter] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    def has_fixes(times, *rest):
+        return np.asarray(times).size > 0
+
+    counted(gp, "train_length_scale", "trainings", has_fixes)
+    counted(infogain, "train_length_scale", "trainings", has_fixes)
+    counted(cli, "apply_spec", "apply_spec")
+    assert cli.entrypoint(["voi", "--config", str(config)]) == 0
+    assert counts["trainings"] == 23
+    assert counts["apply_spec"] <= 19
+
+
+def test_voi_rows_equal_per_cell_evaluation(suite, tmp_path):
+    # sharing a prior's fit across its cells must not change one bit
+    config, out = reference_matrix_config(tmp_path, suite[:3])
+    assert cli.entrypoint(["voi", "--config", str(config)]) == 0
+    cfg = load_config(str(config))
+    rows = []
+    for traj in read_trajectory_csv(cfg.trajectories_csv):
+        for prior_spec in cli._prior_specs(cfg):
+            for spec in cli._degradation_specs(cfg):
+                if not cli._applicable(spec, prior_spec):
+                    continue
+                prior = PriorKnowledge.uninformative() if prior_spec is None \
+                    else PriorKnowledge.from_release(
+                        apply_spec(traj, prior_spec), prior_spec)
+                rows.append(evaluate_voi(apply_spec(traj, spec), spec.kind,
+                                         spec.param, prior, cfg.gp,
+                                         cfg.integration))
+    assert len(rows) == 3 * 55
+    assert (out / "voi_report.jsonl").read_text() \
+        == VoiReport(rows=rows).sorted().to_jsonl()
+
+
+def test_voi_failed_prior_fit_fails_only_its_cells(suite, tmp_path,
+                                                   monkeypatch):
+    config, out = reference_matrix_config(tmp_path, suite[:1])
+    real = infogain.train_length_scale
+
+    def fail_on_300m_prior(times, channels, sigmas, *args, **kwargs):
+        if np.all(np.asarray(sigmas) == 300.0):
+            raise RuntimeError("no fit")
+        return real(times, channels, sigmas, *args, **kwargs)
+
+    monkeypatch.setattr(infogain, "train_length_scale", fail_on_300m_prior)
+    assert cli.entrypoint(["voi", "--config", str(config)]) == 2
+    errors = [json.loads(line) for line in
+              (out / "voi_errors.jsonl").read_text().splitlines()]
+    # identity plus the six perturbation levels pair with that prior
+    assert len(errors) == 7
+    for e in errors:
+        assert set(e) == {"trajectory_id", "prior", "kind", "param", "error"}
+        assert e["trajectory_id"] == suite[0].trajectory_id
+        assert e["prior"] == "perturbation:300"
+        assert e["kind"] in ("identity", "perturbation")
+        assert e["error"] == "RuntimeError: no fit"
+    report = VoiReport.from_jsonl((out / "voi_report.jsonl").read_text())
+    assert len(report.rows) == 55 - 7
+    assert "perturbation:300" not in {r.prior for r in report.rows}
+
+
+def test_voi_survives_a_dead_worker(tmp_path, monkeypatch):
+    config, traj_csv, out = write_config(tmp_path)
+    write_trajectory_csv(small_fleet(), traj_csv)
+    real = cli.evaluate_voi
+
+    def die_on_b(z, *args, **kwargs):
+        if z.trajectory_id == "b":
+            os._exit(1)
+        return real(z, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_voi", die_on_b)
+    assert cli.entrypoint(["voi", "--config", str(config),
+                           "--jobs", "2"]) == 2
+    errors = [json.loads(line) for line in
+              (out / "voi_errors.jsonl").read_text().splitlines()]
+    assert len(errors) == 10
+    assert {e["trajectory_id"] for e in errors} == {"b"}
+    assert all("BrokenProcessPool" in e["error"] for e in errors)
+    report = VoiReport.from_jsonl((out / "voi_report.jsonl").read_text())
+    assert len(report.rows) == 20
+    assert {r.trajectory_id for r in report.rows} == {"a", "c"}
+
+
+def test_baselines_survive_a_dead_worker(tmp_path, monkeypatch):
+    config, traj_csv, out = write_config(tmp_path)
+    write_trajectory_csv(small_fleet(), traj_csv)
+    real = cli.correctness_value
+
+    def die_on_b(z, *args, **kwargs):
+        if z.trajectory_id == "b":
+            os._exit(1)
+        return real(z, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "correctness_value", die_on_b)
+    assert cli.entrypoint(["baselines", "--config", str(config),
+                           "--jobs", "2"]) == 2
+    lines = (out / "baselines.csv").read_text().splitlines()
+    assert [l.split(",")[0] for l in lines[1:]] == ["a", "c"]
 
 
 def test_missing_trajectory_csv_is_config_error(tmp_path, capsys):

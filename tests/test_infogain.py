@@ -207,6 +207,23 @@ def test_released_prior_shares_mean_and_scale():
     assert prior_track.gp.mean_fns == post_track.gp.mean_fns
 
 
+def test_prior_fit_made_once_is_the_fit_made_per_evaluation():
+    rng = np.random.default_rng(0)
+    ts = DAY_START + np.sort(rng.uniform(0, 2 * HOUR, 30))
+    s = make_trajectory(rng.normal(0, 20, 30), ts, sigmas=3.0)
+    spec = DegradationSpec(kind="perturbation", total_noise=100.0, seed=1)
+    z = apply_spec(s, DegradationSpec(kind="perturbation", total_noise=10.0,
+                                      seed=2))
+    omega = apply_spec(s, spec)
+    fitted = PriorKnowledge.from_release(omega, spec, GpConfig())
+    assert fitted.fit is not None
+    assert evaluate_voi(z, "perturbation", 10.0, fitted) \
+        == evaluate_voi(z, "perturbation", 10.0,
+                        PriorKnowledge.from_release(omega, spec))
+    with pytest.raises(ValueError, match="another GP config"):
+        evaluate_voi(z, "perturbation", 10.0, fitted, GpConfig(grid_size=16))
+
+
 def test_release_equal_to_prior_has_no_gain():
     rng = np.random.default_rng(1)
     ts = DAY_START + np.sort(rng.uniform(0, 3 * HOUR, 40))
