@@ -212,15 +212,13 @@ def test_voi_isolates_failing_cells(tmp_path, monkeypatch):
     assert len(report.rows) == 10 - 2
 
 
-def reference_matrix_config(tmp, trajectories, **extra):
+def reference_matrix_config(tmp, trajectories):
     """Default (reference-matrix) config over these trajectories."""
     traj_csv = tmp / "trajectories.csv"
     out = tmp / "out"
     write_trajectory_csv(trajectories, traj_csv)
     path = tmp / "run.yaml"
-    path.write_text("".join(f"{k}: {v}\n" for k, v in dict(
-        trajectories_csv=f'"{traj_csv}"', output_dir=f'"{out}"',
-        **extra).items()))
+    path.write_text(f'trajectories_csv: "{traj_csv}"\noutput_dir: "{out}"\n')
     return path, out
 
 
