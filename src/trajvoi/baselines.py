@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-from .gp import GpConfig
+from .gp import GaussianTrack, GpConfig
 from .infogain import PriorKnowledge, reconstruction_tracks
 from .model import Trajectory
 
@@ -109,26 +109,25 @@ def spp_value(s: Trajectory, cfg: SppConfig = SppConfig()) -> float:
 @dataclass(frozen=True)
 class CorrectnessResult:
     expected_error_m: float
-    correctness_voi: float
-    # true when the release IS the ground truth, so the score only reflects
-    # residual measurement noise rather than genuine predictive skill
-    degenerate: bool
 
 
 def correctness_value(z: Trajectory, s_raw: Trajectory,
                       prior: PriorKnowledge = PriorKnowledge.uninformative(),
-                      gp_cfg: GpConfig = GpConfig()) -> CorrectnessResult:
+                      gp_cfg: GpConfig = GpConfig(),
+                      posterior: Optional[GaussianTrack] = None
+                      ) -> CorrectnessResult:
     """Prediction-error score of a release against the raw trajectory.
 
     Reconstructs from combine(Z, prior) and measures, at each raw
     measurement time, the expected Euclidean distance between the
     reconstruction and the raw point, approximated by
     sqrt(||mean - point||^2 + 2 var), with var the variance both
-    coordinates share. The value is 1/(1 + mean error), in (0, 1].
+    coordinates share. A ``posterior`` already fit is used as it is (see
+    :func:`~trajvoi.infogain.reconstruction_tracks`).
     """
     if len(s_raw) == 0:
         raise ValueError("correctness_value needs a non-empty raw trajectory")
-    _, posterior_track, _ = reconstruction_tracks(z, prior, gp_cfg)
+    _, posterior_track, _ = reconstruction_tracks(z, prior, gp_cfg, posterior)
     ts = np.array([p.t for p in s_raw.points])
     q = posterior_track.query(ts)
     dx = q.mean_x - np.array([p.x for p in s_raw.points])
@@ -136,11 +135,7 @@ def correctness_value(z: Trajectory, s_raw: Trajectory,
     # one variance term per coordinate, added term by term: 2.0 * var
     # rounds differently in the last bit and would shift reported scores
     err = float(np.mean(np.sqrt(dx ** 2 + dy ** 2 + q.var + q.var)))
-    return CorrectnessResult(
-        expected_error_m=err,
-        correctness_voi=1.0 / (1.0 + err),
-        degenerate=(z.points == s_raw.points),
-    )
+    return CorrectnessResult(expected_error_m=err)
 
 
 def baseline_row(s: Trajectory, grid: EntropyGridConfig = EntropyGridConfig(),

@@ -33,7 +33,8 @@ from . import analysis
 from .baselines import (BASELINE_CSV_FIELDS, baseline_row, correctness_value)
 from .degrade import DegradationSpec, apply_spec
 from .infogain import (PriorKnowledge, VoiReport, VoiRow, curves_by_family,
-                       evaluate_voi, match_equivalents, param_at_ig)
+                       evaluate_voi, fit_cells, match_equivalents,
+                       param_at_ig)
 from .ingest import (SegmentationConfig, ingest_plt_tree, read_trajectory_csv,
                      write_trajectory_csv)
 from .model import Trajectory
@@ -116,46 +117,108 @@ def _once(memo: dict, key, make):
     return memo[key]
 
 
+# Fixes a voi or baselines task aims to carry. A task takes a chunk of
+# trajectories, whose trainings and tracks run as the lanes of shared
+# filter passes (see gp), so more fixes per chunk amortise each pass over
+# more lanes, at the cost of holding the chunk's tracks at once.
+CHUNK_FIXES = 4096
+
+
+def _chunks(trajectories: Sequence[Trajectory], jobs: int) -> list:
+    """Consecutive chunks of about CHUNK_FIXES fixes, and at least ``jobs``
+    of them when there are that many trajectories."""
+    fixes = sum(len(t) for t in trajectories)
+    count = max(-(-fixes // CHUNK_FIXES), min(jobs, len(trajectories)), 1)
+    size = -(-len(trajectories) // count)
+    return [list(trajectories[i:i + size])
+            for i in range(0, len(trajectories), size)]
+
+
+def _fit_cells(cells, gp_cfg):
+    """fit_cells over the whole batch. Should a batched pass fail as a
+    whole, the cells it left are fit one by one, so that only the cells at
+    fault fail."""
+    done = 0
+    try:
+        for fitted in fit_cells(cells, gp_cfg):
+            yield fitted
+            done += 1
+    except Exception:
+        for cell in cells[done:]:
+            try:
+                yield from fit_cells([cell], gp_cfg)
+            except Exception as e:
+                yield e
+
+
 def _voi_task(task):
-    """Evaluate every cell of one trajectory; never raises.
+    """Evaluate every cell of a chunk of trajectories; never raises.
 
-    Each distinct spec is applied once, and each released prior is fit once
-    and shared by the cells under it. A failure in such a shared step fails
-    every cell that depends on it, each with its own error record."""
-    traj, cells, gp_cfg, integration = task
-    started = time.perf_counter()
-    releases: dict = {}
-    priors: dict = {None: PriorKnowledge.uninformative()}
+    Each distinct spec is applied once per trajectory. Then the released
+    priors and the posterior reconstructions of the whole chunk are fit
+    together (one training call for the chunk, one batch of tracks per
+    trajectory; see infogain.fit_cells), and evaluate_voi scores each cell. A failure in a shared step fails every cell that
+    depends on it, each with its own error record. Returns each
+    trajectory's (status, payload) outcomes, one per cell in order."""
+    chunk, cells, gp_cfg, integration = task
+    outcomes, pending = [], []
+    for traj in chunk:
+        releases: dict = {}
+        priors: dict = {None: PriorKnowledge.uninformative()}
 
-    def release(spec):
-        return _once(releases, spec, lambda: apply_spec(traj, spec))
+        def release(spec):
+            return _once(releases, spec, lambda: apply_spec(traj, spec))
 
-    outcomes = []
-    for spec, prior_spec in cells:
+        own = []
+        for spec, prior_spec in cells:
+            try:
+                z = release(spec)
+                prior = _once(priors, prior_spec,
+                              lambda: PriorKnowledge.from_release(
+                                  release(prior_spec), prior_spec))
+                pending.append((own, len(own), z, spec, prior_spec, prior))
+                own.append(None)
+            except Exception as e:
+                own.append(_cell_error(traj, spec, prior_spec, e))
+        outcomes.append(own)
+    fitted = _fit_cells([(z, prior) for *_, z, _, _, prior in pending],
+                        gp_cfg)
+    for (own, k, z, spec, prior_spec, _), fit in zip(pending, fitted):
         try:
-            z = release(spec)
-            prior = _once(priors, prior_spec,
-                          lambda: PriorKnowledge.from_release(
-                              release(prior_spec), prior_spec, gp_cfg))
-            outcomes.append(("ok", evaluate_voi(z, spec.kind, spec.param,
-                                                prior, gp_cfg, integration)))
+            if isinstance(fit, Exception):
+                raise fit
+            prior, posterior = fit
+            own[k] = ("ok", evaluate_voi(z, spec.kind, spec.param, prior,
+                                         gp_cfg, integration,
+                                         posterior=posterior))
         except Exception as e:  # isolation: one bad cell must not sink the batch
-            outcomes.append(("error", _error_record(
-                traj.trajectory_id, spec, prior_spec,
-                f"{type(e).__name__}: {e}")))
-    return outcomes, time.perf_counter() - started
+            own[k] = _cell_error(z, spec, prior_spec, e)
+    return outcomes
+
+
+def _cell_error(traj, spec, prior_spec, e):
+    return ("error", _error_record(traj.trajectory_id, spec, prior_spec,
+                                   f"{type(e).__name__}: {e}"))
 
 
 def _baseline_task(task):
-    """Baseline metrics of one trajectory; never raises."""
-    traj, grid, spp, gp_cfg = task
-    try:
-        corr = correctness_value(traj, traj, PriorKnowledge.uninformative(),
-                                 gp_cfg)
-        return ("ok", baseline_row(traj, grid, spp, corr))
-    except Exception as e:
-        return ("error", {"trajectory_id": traj.trajectory_id,
-                          "error": f"{type(e).__name__}: {e}"})
+    """Baseline metrics of a chunk of trajectories, whose identity GPs are
+    fit together; never raises."""
+    chunk, grid, spp, gp_cfg = task
+    uninformative = PriorKnowledge.uninformative()
+    fitted = _fit_cells([(traj, uninformative) for traj in chunk], gp_cfg)
+    outcomes = []
+    for traj, fit in zip(chunk, fitted):
+        try:
+            if isinstance(fit, Exception):
+                raise fit
+            corr = correctness_value(traj, traj, uninformative, gp_cfg,
+                                     posterior=fit[1])
+            outcomes.append(("ok", baseline_row(traj, grid, spp, corr)))
+        except Exception as e:
+            outcomes.append(("error", {"trajectory_id": traj.trajectory_id,
+                                       "error": f"{type(e).__name__}: {e}"}))
+    return outcomes
 
 
 _WORKER_DIED = "BrokenProcessPool: the worker process died"
@@ -166,36 +229,45 @@ def _died(f: futures.Future) -> bool:
 
 
 def _map(fn, tasks, jobs: int, dead) -> list:
-    """``fn`` over ``tasks`` in order, over ``jobs`` worker processes when
-    there is more than one of each.
+    """``fn`` over ``tasks``, over ``jobs`` worker processes when there is
+    more than one of each. A task is a chunk of items and the arguments
+    they share; ``fn`` returns a result per item, and so does _map, for
+    every item of every task in order.
 
     A worker that dies (killed by the OS, say) breaks its pool. The results
-    already returned are kept, and each unfinished task runs again alone on
-    a fresh one-worker pool, ``jobs`` such pools at a time. A task that
-    kills that worker as well gets ``dead(task, message)`` as its result."""
+    already returned are kept, and each item of an unfinished task runs
+    again alone on a fresh one-worker pool, ``jobs`` such pools at a time.
+    An item that kills that worker as well gets ``dead(task, message)`` as
+    its result, ``task`` holding that item alone."""
     if jobs <= 1 or len(tasks) < 2:
-        return [fn(t) for t in tasks]
+        return [result for task in tasks for result in fn(task)]
     with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         submitted = [pool.submit(fn, t) for t in tasks]
         futures.wait(submitted)
-    results = [None if _died(f) else f.result() for f in submitted]
-    lost = [i for i, f in enumerate(submitted) if _died(f)]
+    results, lost = [], []
+    for (chunk, *shared), f in zip(tasks, submitted):
+        if not _died(f):
+            results += f.result()
+            continue
+        for item in chunk:
+            lost.append((len(results), ([item], *shared)))
+            results.append(None)
     alone: dict = {}
     try:
         while lost or alone:
             while lost and len(alone) < jobs:
-                i = lost.pop()
+                i, task = lost.pop()
                 pool = futures.ProcessPoolExecutor(max_workers=1)
-                alone[pool.submit(fn, tasks[i])] = (i, pool)
+                alone[pool.submit(fn, task)] = (i, task, pool)
             done, _ = futures.wait(alone,
                                    return_when=futures.FIRST_COMPLETED)
             for f in done:
-                i, pool = alone.pop(f)
+                i, task, pool = alone.pop(f)
                 pool.shutdown()
-                results[i] = (dead(tasks[i], _WORKER_DIED) if _died(f)
-                              else f.result())
+                results[i] = (dead(task, _WORKER_DIED) if _died(f)
+                              else f.result()[0])
     finally:
-        for _, pool in alone.values():
+        for _, _, pool in alone.values():
             pool.shutdown(cancel_futures=True)
     return results
 
@@ -263,23 +335,22 @@ def cmd_voi(cfg: RunConfig) -> int:
     if dropped:
         log.warning("voi: %d duplicate cells in the matrix were dropped",
                     dropped)
-    tasks = [(traj, cells, cfg.gp, cfg.integration) for traj in trajectories]
+    tasks = [(chunk, cells, cfg.gp, cfg.integration)
+             for chunk in _chunks(trajectories, cfg.jobs)]
 
     def dead(task, error):
-        tid = task[0].trajectory_id
-        return ([("error", _error_record(tid, spec, prior, error))
-                 for spec, prior in cells], 0.0)
+        tid = task[0][0].trajectory_id
+        return [("error", _error_record(tid, spec, prior, error))
+                for spec, prior in cells]
 
     started = time.perf_counter()
     outcomes = _map(_voi_task, tasks, cfg.jobs, dead)
 
     rows: List[VoiRow] = []
     errors: List[dict] = []
-    for traj, (cell_outcomes, seconds) in zip(trajectories, outcomes):
+    for cell_outcomes in outcomes:
         for status, payload in cell_outcomes:
             (rows if status == "ok" else errors).append(payload)
-        log.info("voi: trajectory %s: %d cells in %.2fs",
-                 traj.trajectory_id, len(cell_outcomes), seconds)
 
     report = VoiReport(rows=rows).sorted()
     errors.sort(key=lambda e: (e["trajectory_id"], e["prior"], e["kind"],
@@ -300,10 +371,11 @@ def cmd_voi(cfg: RunConfig) -> int:
 
 def cmd_baselines(cfg: RunConfig) -> int:
     trajectories = _load_trajectories(cfg)
-    tasks = [(t, cfg.entropy_grid, cfg.spp, cfg.gp) for t in trajectories]
+    tasks = [(chunk, cfg.entropy_grid, cfg.spp, cfg.gp)
+             for chunk in _chunks(trajectories, cfg.jobs)]
     outcomes = _map(_baseline_task, tasks, cfg.jobs,
                     lambda task, error: ("error", {
-                        "trajectory_id": task[0].trajectory_id,
+                        "trajectory_id": task[0][0].trajectory_id,
                         "error": error}))
     rows = [p for status, p in outcomes if status == "ok"]
     errors = [p for status, p in outcomes if status == "error"]
@@ -403,7 +475,7 @@ def cmd_equivalence(cfg: RunConfig, trajectory_id: str, kind: str,
         if other == kind:
             continue
         equivalents[other] = param_at_ig(other_curve, target_ig)
-        _, full_overlap[other] = match_equivalents(curve, other_curve)
+        full_overlap[other] = match_equivalents(curve, other_curve)
     report = {
         "config_hash": cfg.config_hash(),
         "trajectory_id": trajectory_id,

@@ -145,15 +145,18 @@ def _transition(dt, lam, var):
     u = dt * lam
     e = np.exp(-u)
     e2 = e * e
-    s = np.minimum(u, _SERIES_BELOW)
-    series = 0.0
-    for c in _Q00_SERIES:
-        series = series * s + c
-    q00 = np.where(u < _SERIES_BELOW, series * s ** 3,
-                   -np.expm1(-2.0 * u) - 2.0 * u * (1.0 + u) * e2)
+    em = np.expm1(-2.0 * u)
+    q00 = -em - 2.0 * u * (1.0 + u) * e2
+    small = u < _SERIES_BELOW
+    if small.any():
+        s = u[small]
+        series = 0.0
+        for c in _Q00_SERIES:
+            series = series * s + c
+        q00[small] = series * s ** 3
     A = (e * (1.0 + u), e * dt, -lam * u * e, e * (1.0 - u))
     Q = (var * q00, var * lam * 2.0 * u * u * e2,
-         var * lam * lam * (2.0 * u * (1.0 - u) * e2 - np.expm1(-2.0 * u)))
+         var * lam * lam * (2.0 * u * (1.0 - u) * e2 - em))
     return A, Q
 
 
@@ -176,36 +179,75 @@ def _propagate(P, A, Q):
             (t00, t01, t10, t11))
 
 
-def _rts_step(means, P, A, Q, next_means, next_P):
+def _filter_step(p00, p01, p11, a00, a01, a10, a11, q00, q01, q11, r):
+    """One Kalman step of the covariance (00, 01, 11): predict it over the
+    transition (A, Q), then update it on a fix of noise variance r. Returns
+    the filtered covariance, the innovation variance s and the gain
+    (k0, k1). The arguments are floats, or arrays with a lane per element;
+    every filter pass runs this body. The prediction is _propagate's,
+    written out: on floats a call costs more than its arithmetic."""
+    t00 = a00 * p00 + a01 * p01
+    t01 = a00 * p01 + a01 * p11
+    t10 = a10 * p00 + a11 * p01
+    t11 = a10 * p01 + a11 * p11
+    p00 = t00 * a00 + t01 * a01 + q00
+    p01 = t00 * a10 + t01 * a11 + q01
+    p11 = t10 * a10 + t11 * a11 + q11
+    s = p00 + r
+    k0, k1 = p00 / s, p01 / s
+    return k0 * r, p01 * (r / s), p11 - k1 * p01, s, k0, k1
+
+
+def _mean_step(f, d, a00, a01, a10, a11, k0, k1, y):
+    """The same step for a channel's mean (f, f') and residual y, given the
+    gain: the filtered mean and the innovation. ``f``, ``d`` and ``y`` may
+    stack channels on a leading axis."""
+    f, d = a00 * f + a01 * d, a10 * f + a11 * d
+    v = y - f
+    return f + k0 * v, d + k1 * v, v
+
+
+def _rts_step(means, P, A, Q, next_means, next_P, position_only=False):
     """Condition a state (per-channel means, shared covariance P) on the
     smoothed state one transition (A, Q) later: with Pn = A P A^T + Q and
     G = P A^T Pn^-1, the result is m + G (m_next - A m) and
-    P + G (P_next - Pn) G^T."""
+    P + G (P_next - Pn) G^T. With ``position_only`` just the position
+    entries of each: the means f and the variance (P00,)."""
     # A P read transposed is P A^T
     (n00, n01, n11), (c00, c10, c01, c11) = _propagate(P, A, Q)
     det = n00 * n11 - n01 * n01
     g00 = (c00 * n11 - c01 * n01) / det
     g01 = (c01 * n00 - c00 * n01) / det
-    g10 = (c10 * n11 - c11 * n01) / det
-    g11 = (c11 * n00 - c10 * n01) / det
     d00, d01, d11 = next_P[0] - n00, next_P[1] - n01, next_P[2] - n11
     h00, h01 = g00 * d00 + g01 * d01, g00 * d01 + g01 * d11      # G D
-    h10, h11 = g10 * d00 + g11 * d01, g10 * d01 + g11 * d11
-    smoothed_P = (P[0] + h00 * g00 + h01 * g01,
-                  P[1] + h00 * g10 + h01 * g11,
-                  P[2] + h10 * g10 + h11 * g11)
-    smoothed_means = []
+    p00 = P[0] + h00 * g00 + h01 * g01
+    residuals = []
     for m, m_next in zip(means, next_means):
         pf, pd = _apply(A, m)
-        rf, rd = m_next[0] - pf, m_next[1] - pd
-        smoothed_means.append((m[0] + g00 * rf + g01 * rd,
-                               m[1] + g10 * rf + g11 * rd))
-    return smoothed_means, smoothed_P
+        residuals.append((m, m_next[0] - pf, m_next[1] - pd))
+    if position_only:
+        return [m[0] + g00 * rf + g01 * rd for m, rf, rd in residuals], (p00,)
+    g10 = (c10 * n11 - c11 * n01) / det
+    g11 = (c11 * n00 - c10 * n01) / det
+    h10, h11 = g10 * d00 + g11 * d01, g10 * d01 + g11 * d11
+    smoothed_P = (p00, P[1] + h00 * g10 + h01 * g11,
+                  P[2] + h10 * g10 + h11 * g11)
+    return ([(m[0] + g00 * rf + g01 * rd, m[1] + g10 * rf + g11 * rd)
+             for m, rf, rd in residuals], smoothed_P)
 
 
-def _track_inputs(times, channels, sigmas, mean_fns, sigma_f, trajectory_id):
-    """Gaps in hours before each fix (0 before the first), each fix's noise
-    variance with the floor, and each channel's residuals from its mean."""
+class _Fixes(NamedTuple):
+    """A track's filter inputs: the gap in hours before each fix (0 before
+    the first), each fix's noise variance with the floor, and each
+    channel's residuals from its mean, shaped (channels, fixes)."""
+
+    dt: np.ndarray
+    noise: np.ndarray
+    resids: np.ndarray
+
+
+def _track_inputs(times, channels, sigmas, mean_fns, sigma_f,
+                  trajectory_id) -> _Fixes:
     t = np.asarray(times, dtype=float)
     dt = np.diff(t, prepend=t[:1]) / SECONDS_PER_HOUR
     if np.any(dt < 0):
@@ -217,95 +259,343 @@ def _track_inputs(times, channels, sigmas, mean_fns, sigma_f, trajectory_id):
         raise GpNumericalError(
             f"non-finite measurement noise for trajectory {trajectory_id!r}",
             trajectory_id=trajectory_id)
-    resids = [np.asarray(v, dtype=float) - m(t)
-              for v, m in zip(channels, mean_fns)]
-    return dt, noise, resids
+    resids = np.array([np.asarray(v, dtype=float) - m(t)
+                       for v, m in zip(channels, mean_fns)])
+    return _Fixes(dt, noise, resids.reshape(len(mean_fns), t.size))
 
 
-class _FilterPass(NamedTuple):
-    lml: object        # summed log evidence: a float, or one per lane
-    A: list            # per entry, the transition into each fix
-    Q: list            # per entry, the process noise into each fix
-    covs: list         # filtered covariance at each fix
-    means: list        # per channel, the filtered mean at each fix
+# --- lanes --------------------------------------------------------------------
+#
+# A lane is one filter pass: one track at one length scale. A pass runs many
+# lanes, from any number of tracks, through the step bodies above, and each
+# numpy operation of a step advances every lane at once, with the coordinate
+# channels stacked on one axis. Lanes are sorted longest first, so the lanes
+# still running at a step are a prefix. Every lane sees exactly the
+# arithmetic of a pass of its own, so its results are bitwise those of one;
+# a single track is a batch of one.
+
+# Lane-fixes one wave of an evidence pass may span. A pass runs its lanes in
+# consecutive waves under this budget: the evidence terms of every fix (3
+# floats) must be kept until the end, to be summed pairwise like a lone
+# track's, so the budget bounds a wave's buffers. A smoother pass keeps 14
+# floats per fix, and its waves span a fifth (as lanes x longest lane).
+LANE_FIX_BUDGET = 1 << 16
+# Lanes a wave takes whatever their length, a grid scan's worth: on long
+# tracks, splitting a pass thinner would step far more than it saves.
+_WAVE_LANES = 32
+# Lane-fixes one numpy operation takes at a time outside the step loop:
+# the transitions of a block of steps, or a block of evidence sums.
+_BLOCK = 1 << 11
+# Fewer running lanes than this step one by one on Python floats: a float
+# step costs ~2.2 us per lane, a numpy step ~30 us at up to ~30 lanes
+# (measured crossover).
+FLOAT_LANES_BELOW = 12
 
 
-def _kalman_filter(dt, noise, resids, lam, var) -> _FilterPass:
-    """Kalman filter over the fixes, starting from the stationary prior.
+class _Lanes(NamedTuple):
+    """Lanes over some tracks: lane i runs ``tracks[track[i]]`` at
+    lam = sqrt(3) / length scale ``lam[i]`` and prior variance ``var[i]``."""
 
-    The covariance recursion never looks at the data, so it runs once for
-    all channels; each channel's means then follow from its gains. ``lam``
-    is a float, or an array of lanes (one per length scale) with ``dt``
-    shaped (n, 1) so that every step advances all lanes at once. The loops
-    are the hot path, so _propagate and _apply are written out in them.
-    """
-    A, Q = _transition(dt, lam, var)
-    if np.ndim(lam) == 0:
-        # plain floats step far faster than 0-d arrays
-        A, Q = [a.tolist() for a in A], [q.tolist() for q in Q]
-    p00, p01, p11 = var, 0.0, var * lam * lam
-    S, K0, K1, covs = [], [], [], []
-    for a00, a01, a10, a11, q00, q01, q11, r in zip(*A, *Q, noise.tolist()):
-        t00 = a00 * p00 + a01 * p01
-        t01 = a00 * p01 + a01 * p11
-        t10 = a10 * p00 + a11 * p01
-        t11 = a10 * p01 + a11 * p11
-        p00 = t00 * a00 + t01 * a01 + q00
-        p01 = t00 * a10 + t01 * a11 + q01
-        p11 = t10 * a10 + t11 * a11 + q11
-        s = p00 + r
-        k0, k1 = p00 / s, p01 / s
-        p00, p01, p11 = k0 * r, p01 * (r / s), p11 - k1 * p01
+    tracks: Sequence[_Fixes]
+    track: np.ndarray
+    lam: np.ndarray
+    var: np.ndarray
+
+    @staticmethod
+    def of(tracks, track, lam, var) -> "_Lanes":
+        return _Lanes(tracks, np.asarray(track, dtype=int),
+                      np.asarray(lam, dtype=float), np.asarray(var, dtype=float))
+
+    def take(self, idx) -> "_Lanes":
+        return _Lanes(self.tracks, self.track[idx], self.lam[idx],
+                      self.var[idx])
+
+    def sizes(self) -> np.ndarray:
+        return np.array([t.dt.size for t in self.tracks],
+                        dtype=int)[self.track]
+
+    def channels(self) -> np.ndarray:
+        return np.array([len(t.resids) for t in self.tracks],
+                        dtype=int)[self.track]
+
+
+class _Run(NamedTuple):
+    """A filter pass over a wave of lanes, step-major. The innovations of
+    step k are those of its running lanes, from ``rows[k]`` on; the kept
+    states have a row per step with a column per lane (and padding for
+    lanes with fewer fixes)."""
+
+    active: np.ndarray           # lanes still running at each step
+    rows: np.ndarray             # where each step's innovations start
+    S: Optional[np.ndarray]      # (lane-fixes,) innovation variances
+    V: Optional[np.ndarray]      # (channels, lane-fixes) innovations
+    AQ: Optional[np.ndarray]     # (steps, 7, lanes) transition into a fix
+    P: Optional[np.ndarray]      # (steps, 3, lanes) filtered covariance
+    M: Optional[np.ndarray]      # (steps, 2, channels, lanes) filtered means
+
+
+def _waves(lanes: _Lanes, budget: int, keep: bool = False):
+    """The lanes' indices, longest lane first, in consecutive waves of at
+    most ``budget`` lane-fixes, or with ``keep`` lanes x longest lane, but
+    of at least _WAVE_LANES lanes."""
+    sizes = lanes.sizes()
+    order = np.argsort(-sizes, kind="stable")
+    start = 0
+    while start < order.size:
+        if keep:
+            stop = start + budget // max(int(sizes[order[start]]), 1)
+        else:
+            stop = start + int(np.searchsorted(
+                np.cumsum(sizes[order[start:]]), budget, side="right"))
+        stop = max(stop, start + _WAVE_LANES)
+        yield order[start:stop]
+        start = stop
+
+
+def _kalman_filter(lanes: _Lanes, keep: bool = False) -> _Run:
+    """Kalman filter over every fix of every lane (sorted longest first),
+    from the stationary prior. The run holds the innovations the evidence
+    sums; with ``keep`` it holds instead what the smoother needs: the
+    transitions and the filtered states.
+
+    Numpy steps serve the lanes while at least FLOAT_LANES_BELOW of them
+    run; the lanes left then finish one by one on Python floats."""
+    ns = lanes.sizes()
+    steps, m = int(ns[0]), ns.size
+    channels = int(lanes.channels().max())
+    active = np.searchsorted(-ns, -np.arange(steps))
+    run = _Run(active, np.cumsum(active) - active,
+               *((None, None, np.zeros((steps, 7, m)), np.zeros((steps, 3, m)),
+                  np.zeros((steps, 2, channels, m))) if keep else
+                 (np.empty(ns.sum()), np.zeros((channels, ns.sum())))
+                 + (None,) * 3))
+    switch = _float_switch(run)
+    state = _numpy_lanes(run, lanes, channels, switch) if switch else None
+    for i in range(run.active[switch] if switch < steps else 0):
+        _float_lane(run, i, lanes.tracks[lanes.track[i]], float(lanes.lam[i]),
+                    float(lanes.var[i]), switch,
+                    state and [x[..., i].tolist() for x in state])
+    return run
+
+
+def _float_switch(run: _Run) -> int:
+    """The first step at which fewer than FLOAT_LANES_BELOW lanes run."""
+    return int(np.searchsorted(-run.active, -FLOAT_LANES_BELOW, side="right"))
+
+
+def _float_lane(run: _Run, i: int, fixes: _Fixes, lam: float, var: float,
+                start: int = 0, state=None):
+    """Lane ``i`` of ``run`` from fix ``start`` on, from ``state`` (the
+    covariance and channel means, or None for the stationary prior), on
+    Python floats, which step far faster than numpy arrays of a few
+    elements: the covariance first, then each channel's means."""
+    dt, noise, resids = fixes
+    n, keep, channels = dt.size, run.P is not None, len(resids)
+    A, Q = _transition(dt[start:], lam, var)
+    aq = [x.tolist() for x in A + Q]
+    if state is None:
+        p00, p01, p11 = var, 0.0, var * lam * lam
+        means = [(0.0, 0.0)] * channels
+    else:
+        p00, p01, p11, f, d = state
+        means = list(zip(f, d))[:channels]
+    S, K0, K1, P00, P01, P11 = [], [], [], [], [], []
+    for a00, a01, a10, a11, q00, q01, q11, r in zip(*aq,
+                                                     noise[start:].tolist()):
+        p00, p01, p11, s, k0, k1 = _filter_step(
+            p00, p01, p11, a00, a01, a10, a11, q00, q01, q11, r)
         S.append(s)
         K0.append(k0)
         K1.append(k1)
-        covs.append((p00, p01, p11))
-    V, means = [], []
-    for y in resids:
-        f = d = 0.0
-        vs, fds = [], []
-        for a00, a01, a10, a11, k0, k1, yk in zip(*A, K0, K1, y.tolist()):
-            f, d = a00 * f + a01 * d, a10 * f + a11 * d
-            v = yk - f
-            f, d = f + k0 * v, d + k1 * v
-            vs.append(v)
-            fds.append((f, d))
-        V.append(vs)
-        means.append(fds)
-    # fixes last and contiguous, so lanes and a single scale sum alike
-    S = np.moveaxis(np.array(S), 0, -1).copy()
-    V = np.moveaxis(np.array(V), 1, -1).copy()
-    lml = -0.5 * (len(resids) * np.log(2.0 * math.pi * S).sum(axis=-1)
-                  + (V * V / S).sum(axis=-1).sum(axis=0))
-    return _FilterPass(lml, A, Q, covs, means)
+        if keep:
+            P00.append(p00)
+            P01.append(p01)
+            P11.append(p11)
+    at = run.rows[start:n] + i
+    for c, ((f, d), y) in enumerate(zip(means, resids[:, start:].tolist())):
+        V, F, D = [], [], []
+        for a00, a01, a10, a11, k0, k1, yk in zip(*aq[:4], K0, K1, y):
+            f, d, v = _mean_step(f, d, a00, a01, a10, a11, k0, k1, yk)
+            V.append(v)
+            if keep:
+                F.append(f)
+                D.append(d)
+        if keep:
+            run.M[start:n, 0, c, i], run.M[start:n, 1, c, i] = F, D
+        else:
+            run.V[c, at] = V
+    if keep:
+        run.AQ[start:n, :, i] = np.array(aq).T
+        run.P[start:n, 0, i], run.P[start:n, 1, i], run.P[start:n, 2, i] = \
+            P00, P01, P11
+    else:
+        run.S[at] = S
 
 
-def _rts_smoother(run: _FilterPass):
-    """The filtered and the smoothed (per-channel means, covariance) at each
-    fix, from a filter pass."""
-    filtered = list(zip(zip(*run.means), run.covs))
-    steps = list(zip(zip(*run.A), zip(*run.Q)))
-    state = filtered[-1]
+def _numpy_lanes(run: _Run, lanes: _Lanes, channels: int, stop: int):
+    """Steps 0 to ``stop`` (exclusive) of every lane of ``run`` at once:
+    each numpy operation of a step serves all running lanes, and the
+    transitions of a block of steps come from one _transition call.
+    Returns the state then, as (p00, p01, p11, f, d) arrays of lanes."""
+    lam, var = lanes.lam, lanes.var
+    # the inputs of the lanes' tracks side by side, (2 + channels, fixes):
+    # gaps, noise and residuals; each lane reads its track's
+    used, local = np.unique(lanes.track, return_inverse=True)
+    tracks = [lanes.tracks[t] for t in used]
+    inputs = np.concatenate([np.vstack([dt, noise, resids,
+                                        np.zeros((channels - len(resids),
+                                                  dt.size))])
+                             for dt, noise, resids in tracks], axis=1)
+    starts = np.cumsum([0] + [t.dt.size for t in tracks])
+    first = starts[local]
+    last = starts[local + 1] - 1
+    p00, p01, p11 = var, np.zeros(lam.size), var * lam * lam
+    f, d = np.zeros((channels, lam.size)), np.zeros((channels, lam.size))
+    # Python ints index far faster than numpy scalars in the step loop
+    active, rows = run.active.tolist(), run.rows.tolist()
+    S, V, kept_AQ, P, M = run.S, run.V, run.AQ, run.P, run.M
+    k = 0
+    while k < stop:
+        width = active[k]
+        end = min(stop, k + max(1, _BLOCK // width))
+        # the block's inputs, (steps, 2 + channels, lanes); past its last
+        # fix a lane rereads that fix, and no step uses what it computes
+        at = np.minimum(first[:width] + np.arange(k, end)[:, None],
+                        last[:width])
+        block = inputs[:, at].transpose(1, 0, 2)
+        A, Q = _transition(block[:, 0], lam[:width], var[:width])
+        AQ = np.stack(A + Q, axis=1)
+        for j, step in enumerate(range(k, end)):
+            n = active[step]
+            if n < p00.size:
+                p00, p01, p11, f, d = p00[:n], p01[:n], p11[:n], f[:, :n], d[:, :n]
+            a00, a01, a10, a11, q00, q01, q11 = AQ[j, :, :n]
+            p00, p01, p11, s, k0, k1 = _filter_step(
+                p00, p01, p11, a00, a01, a10, a11, q00, q01, q11,
+                block[j, 1, :n])
+            f, d, v = _mean_step(f, d, a00, a01, a10, a11, k0, k1,
+                                 block[j, 2:, :n])
+            if P is None:
+                S[rows[step]:rows[step] + n] = s
+                V[:, rows[step]:rows[step] + n] = v
+            else:
+                kept_AQ[step, :, :n] = AQ[j, :, :n]
+                P[step, 0, :n], P[step, 1, :n], P[step, 2, :n] = p00, p01, p11
+                M[step, 0, :, :n], M[step, 1, :, :n] = f, d
+        k = end
+    return p00, p01, p11, f, d
+
+
+def _lmls(run: _Run, lanes: _Lanes) -> np.ndarray:
+    """Each lane's log evidence, summed over its fixes and channels."""
+    ns = lanes.sizes()
+    channels = lanes.channels().astype(float)
+    out = np.empty(ns.size)
+    i = 0
+    while i < ns.size:
+        # a block of lanes of one length, each with its fixes last and
+        # contiguous, so that each sums pairwise exactly as a lone track
+        n = ns[i]
+        j = min(int(np.searchsorted(-ns, -n, side="right")),
+                i + max(1, _BLOCK // n))
+        at = run.rows[:n] + np.arange(i, j)[:, None]
+        S = run.S[at]
+        V = np.ascontiguousarray(run.V[:, at])
+        out[i:j] = -0.5 * (channels[i:j] * np.log(2.0 * math.pi * S).sum(axis=-1)
+                           + (V * V / S).sum(axis=-1).sum(axis=0))
+        i = j
+    return out
+
+
+def _lane_lmls(lanes: _Lanes) -> np.ndarray:
+    """The log evidence of every lane, in waves under the budget."""
+    out = np.empty(lanes.track.size)
+    for wave in _waves(lanes, LANE_FIX_BUDGET):
+        wave_lanes = lanes.take(wave)
+        out[wave] = _lmls(_kalman_filter(wave_lanes), wave_lanes)
+    return out
+
+
+def _rts_smoother(run: _Run, lanes: _Lanes):
+    """Smooth a kept filter run in place: its filtered covariances and
+    channel means become the smoothed ones, at every fix of every lane.
+    Where the filter ran lanes on floats, so does the smoother, from each
+    lane's last fix back to that step; numpy steps do the rest."""
+    P, M = run.P, run.M                  # a lane's last fix is smoothed
+    stop = max(_float_switch(run) - 1, 0)
+    for i in range(run.active[stop + 1] if stop + 1 < run.active.size else 0):
+        _float_smooth(run, i, lanes.tracks[lanes.track[i]], stop)
+    for k in range(stop - 1, -1, -1):
+        n = run.active[k + 1]
+        aq = run.AQ[k + 1, :, :n]
+        [(f, d)], (p00, p01, p11) = _rts_step(
+            [tuple(M[k, :, :, :n])], tuple(P[k, :, :n]), aq[:4], aq[4:],
+            [tuple(M[k + 1, :, :, :n])], tuple(P[k + 1, :, :n]))
+        M[k, 0, :, :n], M[k, 1, :, :n] = f, d
+        P[k, 0, :n], P[k, 1, :n], P[k, 2, :n] = p00, p01, p11
+
+
+def _float_smooth(run: _Run, i: int, fixes: _Fixes, stop: int):
+    """Lane ``i`` of the smoother back to fix ``stop``, on Python floats."""
+    n, channels = fixes.dt.size, len(fixes.resids)
+    P = [run.P[stop:n, j, i].tolist() for j in range(3)]
+    F = [run.M[stop:n, 0, c, i].tolist() for c in range(channels)]
+    D = [run.M[stop:n, 1, c, i].tolist() for c in range(channels)]
+    AQ = [run.AQ[stop:n, j, i].tolist() for j in range(7)]
+    means = list(zip(*(zip(f, d) for f, d in zip(F, D))))
+    covs = list(zip(*P))
+    steps = list(zip(zip(*AQ[:4]), zip(*AQ[4:])))
+    state = means[-1], covs[-1]
     smoothed = [state]
-    for k in range(len(steps) - 2, -1, -1):
-        state = _rts_step(*filtered[k], *steps[k + 1], *state)
+    for k in range(n - stop - 2, -1, -1):
+        state = _rts_step(means[k], covs[k], *steps[k + 1], *state)
         smoothed.append(state)
     smoothed.reverse()
-    return filtered, smoothed
+    for j, p in enumerate(zip(*(cov for _, cov in smoothed))):
+        run.P[stop:n, j, i] = p
+    for c, channel in enumerate(zip(*(ms for ms, _ in smoothed))):
+        run.M[stop:n, 0, c, i], run.M[stop:n, 1, c, i] = zip(*channel)
 
 
-def _stack(states):
-    """(per-channel means, covariance) states as arrays along the list:
-    means shaped (states, channels, 2) and covariances (states, 3)."""
-    means, covs = zip(*states)
-    return np.array(means, dtype=float), np.array(covs, dtype=float)
+def _lane_states(run: _Run, col: int, fixes: _Fixes, lam: float, var: float,
+                 first: bool):
+    """Lane ``col``'s state at each fix of a kept run, with the stationary
+    prior added first or last: (means (2, channels, states), covariances
+    (3, states))."""
+    n, channels = fixes.dt.size, len(fixes.resids)
+    parts = [(np.zeros((2, channels, 1)),
+              np.array([[var], [0.0], [var * lam ** 2]])),
+             (run.M[:n, :, :channels, col].transpose(1, 2, 0),
+              run.P[:n, :, col].T)]
+    if not first:
+        parts.reverse()
+    return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
 
 
-def _unstack(stacked, idx):
-    """The states at ``idx`` in the helpers' tuple form, over the queries."""
-    means, covs = stacked
-    return ([tuple(m) for m in means[idx].transpose(1, 2, 0)],
-            tuple(covs[idx].T))
+def _track_states(lanes: _Lanes) -> list:
+    """For each lane (one per track), the states its queries start from:
+    on the left the stationary prior and then the filtered state at each
+    fix, on the right the smoothed state at each fix and then a placeholder
+    prior."""
+    out = [None] * lanes.track.size
+    for wave in _waves(lanes, LANE_FIX_BUDGET // 5, keep=True):
+        wave_lanes = lanes.take(wave)
+        run = _kalman_filter(wave_lanes, keep=True)
+        args = [(lanes.tracks[t], float(lam), float(var)) for t, lam, var
+                in zip(wave_lanes.track, wave_lanes.lam, wave_lanes.var)]
+        left = [_lane_states(run, col, *a, True) for col, a in enumerate(args)]
+        _rts_smoother(run, wave_lanes)
+        for col, (i, a) in enumerate(zip(wave, args)):
+            out[i] = left[col], _lane_states(run, col, *a, False)
+    return out
+
+
+def _states_at(states, idx, means: bool = True):
+    """The states at ``idx`` in the step bodies' form, over the queries:
+    channel means stacked as (channels, queries), or none."""
+    stacked, covs = states
+    return ([tuple(stacked[:, :, idx])] if means else [],
+            tuple(covs[:, idx]))
 
 
 class CoordinateGP:
@@ -313,41 +603,41 @@ class CoordinateGP:
 
     The channels share timestamps and per-point noise, so one filter and
     smoother pass serves all of them; each channel keeps its own mean
-    function and its own state means.
+    function and its own state means. ``states`` (from a batched pass, see
+    :func:`fit_tracks`) skips running that pass here.
     """
 
     def __init__(self, times, channels, sigmas, mean_fns: Sequence[MeanFunction],
-                 sigma_f: float, length_scale: float, trajectory_id: str = ""):
+                 sigma_f: float, length_scale: float, trajectory_id: str = "",
+                 states=None):
         self.mean_fns = tuple(mean_fns)
         self.sigma_f = float(sigma_f)
         self.length_scale = float(length_scale)
-        self._times_s = np.asarray(times, dtype=float)
-        self.n_train = self._times_s.size
+        self.times = np.asarray(times, dtype=float)
+        self.n_train = self.times.size
         self._lam = SQRT3 / self.length_scale
         if not self.n_train:
             return
-        var = self.sigma_f ** 2
-        run = _kalman_filter(
-            *_track_inputs(self._times_s, channels, sigmas, self.mean_fns,
-                           self.sigma_f, trajectory_id), self._lam, var)
-        prior = ([(0.0, 0.0)] * len(self.mean_fns),
-                 (var, 0.0, var * self._lam ** 2))
+        if states is None:
+            (states,) = _track_states(_Lanes.of(
+                [_track_inputs(self.times, channels, sigmas, self.mean_fns,
+                               self.sigma_f, trajectory_id)],
+                [0], [self._lam], [self.sigma_f ** 2]))
         # Indexed by the number of fixes at or before a query time: on the
         # left the filtered state at the last such fix (the stationary prior
         # before the first), on the right the smoothed state at the next fix
         # (a placeholder past the last).
-        filtered, smoothed = _rts_smoother(run)
-        self._left = _stack([prior] + filtered)
-        self._right = _stack(smoothed + [prior])
+        self._left, self._right = states
 
-    def predict(self, times) -> Tuple[List[np.ndarray], np.ndarray]:
-        """Posterior mean of each channel and the variance they share, at
-        each time, for the latent coordinates."""
+    def predict(self, times, means: bool = True
+                ) -> Tuple[Optional[List[np.ndarray]], np.ndarray]:
+        """Posterior mean of each channel (None unless ``means``) and the
+        variance they share, at each time, for the latent coordinates."""
         q = np.atleast_1d(np.asarray(times, dtype=float))
         if self.n_train == 0:
-            return ([m(q) for m in self.mean_fns],
+            return ([m(q) for m in self.mean_fns] if means else None,
                     np.full(q.shape, self.sigma_f ** 2))
-        t, n, var = self._times_s, self.n_train, self.sigma_f ** 2
+        t, n, var = self.times, self.n_train, self.sigma_f ** 2
         idx = np.searchsorted(t, q, side="right")
         # Before the first fix the left state is the stationary prior, which
         # any gap leaves as it is. Past the last fix the right gap is so long
@@ -356,14 +646,17 @@ class CoordinateGP:
         gap_right = np.where(idx < n, t[np.minimum(idx, n - 1)] - q,
                              1e3 / self._lam * SECONDS_PER_HOUR)
         A, Q = _transition(gap_left / SECONDS_PER_HOUR, self._lam, var)
-        means, P = _unstack(self._left, idx)
+        left_means, P = _states_at(self._left, idx, means)
         P, _ = _propagate(P, A, Q)
-        means = [_apply(A, m) for m in means]
-        A, Q = _transition(gap_right / SECONDS_PER_HOUR, self._lam, var)
-        means, P = _rts_step(means, P, A, Q, *_unstack(self._right, idx))
+        A_right, Q_right = _transition(gap_right / SECONDS_PER_HOUR,
+                                       self._lam, var)
+        right_means, right_P = _states_at(self._right, idx, means)
+        f, (P00,) = _rts_step([_apply(A, m) for m in left_means], P, A_right,
+                              Q_right, right_means, right_P,
+                              position_only=True)
         # guard against cancellation rounding; the latent variance is positive
-        return ([mean_fn(q) + f for mean_fn, (f, _) in zip(self.mean_fns, means)],
-                np.maximum(P[0], 1e-12 * var))
+        return ([mean_fn(q) + fc for mean_fn, fc in zip(self.mean_fns, f[0])]
+                if means else None, np.maximum(P00, 1e-12 * var))
 
 
 def log_marginal_likelihood(times, channels, sigmas, mean_fns,
@@ -373,59 +666,55 @@ def log_marginal_likelihood(times, channels, sigmas, mean_fns,
     Kalman filter pass that the channels share."""
     if np.size(times) == 0:
         return 0.0
-    return float(_kalman_filter(
-        *_track_inputs(times, channels, sigmas, mean_fns, sigma_f,
-                       trajectory_id),
-        SQRT3 / length_scale, sigma_f ** 2).lml)
+    fixes = _track_inputs(times, channels, sigmas, mean_fns, sigma_f,
+                          trajectory_id)
+    return float(_lane_lmls(_Lanes.of([fixes], [0], [SQRT3 / length_scale],
+                                      [sigma_f ** 2]))[0])
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def train_length_scale(times, channels, sigmas, mean_fns, sigma_f: float,
-                       bounds: Tuple[float, float] = DEFAULT_LENGTH_SCALE_BOUNDS,
-                       grid_size: int = 32, rel_tol: float = 1e-3,
-                       trajectory_id: str = "") -> float:
-    """Pick the length scale maximizing the summed log evidence.
+class Training(NamedTuple):
+    """What one length-scale training fits: the fix times, one value array
+    per coordinate channel, the per-fix noise, each channel's mean
+    function and the prior scale."""
 
-    A log-spaced grid scan over the bounds, one filter pass with a lane per
-    grid point, finds the best cell, then golden section search refines
-    within the neighboring cells to a relative width of ``rel_tol``. The
-    returned value never scores below any grid point. With fewer than two
-    training points the geometric middle of the bounds is returned (the
-    evidence carries no length-scale information there).
-    """
-    lo, hi = bounds
-    t = np.asarray(times, dtype=float)
-    if t.size < 2:
-        return math.sqrt(lo * hi)
+    times: object
+    channels: Sequence
+    sigmas: object
+    mean_fns: Sequence[MeanFunction]
+    sigma_f: float
+    trajectory_id: str = ""
 
-    def objective(l: float) -> float:
-        return log_marginal_likelihood(t, channels, sigmas, mean_fns,
-                                       sigma_f, l, trajectory_id)
 
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), grid_size))
-    dt, noise, resids = _track_inputs(t, channels, sigmas, mean_fns, sigma_f,
-                                      trajectory_id)
-    scores = _kalman_filter(dt[:, None], noise, resids, SQRT3 / grid,
-                            sigma_f ** 2).lml
-    evaluated = list(zip(scores.tolist(), grid.tolist()))
+def _golden_search(grid, scores, bounds, rel_tol):
+    """Refine the best grid point of a scan by golden-section search on log
+    length scale, within the neighbouring grid cells, to a relative width
+    of ``rel_tol``, keeping the first best score seen anywhere.
 
+    A generator: it yields the length scales it needs scored next (both
+    probes at first, one per step after), is sent their scores, and
+    returns the best length scale within ``bounds``."""
+    best = (-math.inf, None)
+    for f, l in zip(scores.tolist(), grid.tolist()):
+        if f > best[0] or best[1] is None:
+            best = (f, l)
     idx = int(np.argmax(scores))
     a = math.log(grid[max(idx - 1, 0)])
-    b = math.log(grid[min(idx + 1, grid_size - 1)])
-
-    # golden section on log length scale, tracking the best seen anywhere
+    b = math.log(grid[min(idx + 1, len(grid) - 1)])
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc = fd = None
     while (b - a) > rel_tol:
+        wanted = [x for x, fx in ((c, fc), (d, fd)) if fx is None]
+        got = iter((yield [math.exp(x) for x in wanted]))
         if fc is None:
-            fc = objective(math.exp(c))
-            evaluated.append((fc, math.exp(c)))
+            fc = next(got)
+            best = (fc, math.exp(c)) if fc > best[0] else best
         if fd is None:
-            fd = objective(math.exp(d))
-            evaluated.append((fd, math.exp(d)))
+            fd = next(got)
+            best = (fd, math.exp(d)) if fd > best[0] else best
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -434,9 +723,80 @@ def train_length_scale(times, channels, sigmas, mean_fns, sigma_f: float,
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
             fd = None
+    return min(max(best[1], bounds[0]), bounds[1])
 
-    best_l = max(evaluated, key=lambda p: p[0])[1]
-    return min(max(best_l, lo), hi)
+
+def train_length_scales(trainings: Sequence[Training],
+                        bounds: Tuple[float, float] = DEFAULT_LENGTH_SCALE_BOUNDS,
+                        grid_size: int = 32, rel_tol: float = 1e-3) -> list:
+    """Pick, for each training, the length scale maximizing its summed log
+    evidence.
+
+    A log-spaced grid scan over the bounds finds each training's best grid
+    cell, and golden-section search refines within the neighbouring cells
+    to a relative width of ``rel_tol``; the result never scores below any
+    grid point. All trainings advance in lockstep: the scans of the whole
+    batch are one lane pass (a lane per training and grid point), and each
+    round of the searches is one more, over the searches still open, each
+    keeping its own bracket. With fewer than two training points the
+    geometric middle of the bounds is returned (the evidence carries no
+    length-scale information there). A training whose inputs are unusable
+    gets its exception in its place, and the others run on.
+    """
+    lo, hi = bounds
+    results: list = [math.sqrt(lo * hi)] * len(trainings)
+    grid = np.exp(np.linspace(math.log(lo), math.log(hi), grid_size))
+    ready = []
+    for i, tr in enumerate(trainings):
+        if np.size(tr.times) < 2:
+            continue
+        try:
+            fixes = _track_inputs(tr.times, tr.channels, tr.sigmas,
+                                  tr.mean_fns, tr.sigma_f, tr.trajectory_id)
+        except Exception as e:  # the training fails alone
+            results[i] = e
+            continue
+        ready.append((i, fixes, tr.sigma_f ** 2))
+    tracks = [fixes for _, fixes, _ in ready]
+    variances = [var for _, _, var in ready]
+    scores = _lane_lmls(_Lanes.of(
+        tracks, np.repeat(np.arange(len(ready)), grid_size),
+        np.tile(SQRT3 / grid, len(ready)), np.repeat(variances, grid_size)))
+    # (track, training, search, the scores it was sent)
+    searches = [(k, i, _golden_search(grid, scores[k * grid_size:
+                                                   (k + 1) * grid_size],
+                                      bounds, rel_tol), None)
+                for k, (i, _, _) in enumerate(ready)]
+    while searches:
+        still_open = []
+        for k, i, search, got in searches:
+            try:
+                still_open.append((k, i, search, search.send(got)))
+            except StopIteration as done:
+                results[i] = done.value
+        wanted = [(k, l) for k, _, _, ls in still_open for l in ls]
+        scores = _lane_lmls(_Lanes.of(
+            tracks, [k for k, _ in wanted], [SQRT3 / l for _, l in wanted],
+            [variances[k] for k, _ in wanted])).tolist()
+        searches, used = [], 0
+        for k, i, search, ls in still_open:
+            searches.append((k, i, search, scores[used:used + len(ls)]))
+            used += len(ls)
+    return results
+
+
+def train_length_scale(times, channels, sigmas, mean_fns, sigma_f: float,
+                       bounds: Tuple[float, float] = DEFAULT_LENGTH_SCALE_BOUNDS,
+                       grid_size: int = 32, rel_tol: float = 1e-3,
+                       trajectory_id: str = "") -> float:
+    """The length scale maximizing the summed log evidence of one training:
+    :func:`train_length_scales` on a batch of one."""
+    (result,) = train_length_scales(
+        [Training(times, channels, sigmas, mean_fns, sigma_f, trajectory_id)],
+        bounds, grid_size, rel_tol)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 class TrackQuery(NamedTuple):
@@ -452,9 +812,62 @@ class GaussianTrack:
 
     gp: CoordinateGP
 
-    def query(self, times) -> TrackQuery:
-        (mx, my), var = self.gp.predict(times)
-        return TrackQuery(mx, my, var)
+    def query(self, times, means: bool = True) -> TrackQuery:
+        """The reconstruction at each time; without ``means``, only the
+        variance (the mean fields are None)."""
+        mx, var = self.gp.predict(times, means)
+        return TrackQuery(*(mx or (None, None)), var)
+
+
+def point_training(points, mean_fns: Sequence[MeanFunction], sigma_f: float,
+                   trajectory_id: str = "") -> Training:
+    """The training of both coordinates of a measurement list."""
+    points = list(points)
+    return Training(np.array([p.t for p in points], dtype=float),
+                    [np.array([p.x for p in points], dtype=float),
+                     np.array([p.y for p in points], dtype=float)],
+                    np.array([p.sigma for p in points], dtype=float),
+                    list(mean_fns), sigma_f, trajectory_id)
+
+
+def fit_tracks(requests: Sequence[Tuple[Training, Optional[float]]],
+               cfg: GpConfig) -> list:
+    """Fit GPs for many (training, length scale) requests at once.
+
+    The length scales left None are trained first, in one
+    :func:`train_length_scales` call; then every track's filter and
+    smoother run as the lanes of shared passes. A request that fails gets
+    its exception in its place, and the others run on. A training without
+    fixes gives the pure prior: mean function everywhere and variance
+    sigma_f^2.
+    """
+    scales = [l for _, l in requests]
+    untrained = [i for i, l in enumerate(scales) if l is None]
+    for i, l in zip(untrained, train_length_scales(
+            [requests[i][0] for i in untrained], cfg.length_scale_bounds,
+            cfg.grid_size)):
+        scales[i] = l
+    results = list(scales)
+    tracks, slots = [], []
+    for i, (tr, _) in enumerate(requests):
+        if isinstance(scales[i], Exception) or not np.size(tr.times):
+            continue
+        try:
+            tracks.append(_track_inputs(*tr))
+        except Exception as e:  # the track fails alone
+            results[i] = e
+            continue
+        slots.append(i)
+    states = dict(zip(slots, _track_states(_Lanes.of(
+        tracks, range(len(tracks)),
+        [SQRT3 / float(scales[i]) for i in slots],
+        [float(requests[i][0].sigma_f) ** 2 for i in slots]))))
+    for i, (tr, _) in enumerate(requests):
+        if not isinstance(results[i], Exception):
+            results[i] = GaussianTrack(CoordinateGP(
+                tr.times, tr.channels, tr.sigmas, tr.mean_fns, tr.sigma_f,
+                scales[i], tr.trajectory_id, states=states.get(i)))
+    return results
 
 
 def fit_track(points, cfg: GpConfig,
@@ -467,19 +880,12 @@ def fit_track(points, cfg: GpConfig,
     ``points`` may be empty, in which case the track is the pure prior:
     mean function everywhere and variance sigma_f^2. When ``length_scale``
     is not given it is trained jointly on both coordinates (one shared
-    value, summed evidence).
+    value, summed evidence). :func:`fit_tracks` on a batch of one.
     """
-    mean_fns = [mean_x or MeanFunction(), mean_y or MeanFunction()]
-    points = list(points)
-    times = np.array([p.t for p in points], dtype=float)
-    channels = [np.array([p.x for p in points], dtype=float),
-                np.array([p.y for p in points], dtype=float)]
-    sigmas = np.array([p.sigma for p in points], dtype=float)
-
-    if length_scale is None:
-        length_scale = train_length_scale(
-            times, channels, sigmas, mean_fns, cfg.sigma_f,
-            bounds=cfg.length_scale_bounds, grid_size=cfg.grid_size,
-            trajectory_id=trajectory_id)
-    return GaussianTrack(CoordinateGP(times, channels, sigmas, mean_fns,
-                                      cfg.sigma_f, length_scale, trajectory_id))
+    training = point_training(points, [mean_x or MeanFunction(),
+                                       mean_y or MeanFunction()],
+                              cfg.sigma_f, trajectory_id)
+    (track,) = fit_tracks([(training, length_scale)], cfg)
+    if isinstance(track, Exception):
+        raise track
+    return track

@@ -24,13 +24,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .degrade import DegradationSpec
-from .gp import GaussianTrack, GpConfig, MeanFunction, fit_linear_mean, fit_track, train_length_scale
+from .gp import (GaussianTrack, GpConfig, MeanFunction, fit_linear_mean,
+                 fit_track, fit_tracks, point_training, train_length_scales)
+# importable from here by name, where per-layer tracing wraps it
+from .gp import train_length_scale  # noqa: F401
 from .model import Measurement, Trajectory
 
 DAY_SECONDS = 86400.0
@@ -56,24 +59,6 @@ class ReleasedFit:
     length_scale: float
     track: GaussianTrack
     gp_cfg: GpConfig
-
-
-def fit_release(omega: Trajectory, cfg: GpConfig) -> ReleasedFit:
-    """Mean lines and length scale learned from the earlier release, and
-    the prior reconstruction they give."""
-    ts = np.array([p.t for p in omega.points])
-    xs = np.array([p.x for p in omega.points])
-    ys = np.array([p.y for p in omega.points])
-    sigmas = np.array([p.sigma for p in omega.points])
-    mean_x = fit_linear_mean(ts, xs)
-    mean_y = fit_linear_mean(ts, ys)
-    l = train_length_scale(ts, [xs, ys], sigmas, [mean_x, mean_y],
-                           cfg.sigma_f, bounds=cfg.length_scale_bounds,
-                           grid_size=cfg.grid_size,
-                           trajectory_id=omega.trajectory_id)
-    track = fit_track(omega.points, cfg, mean_x, mean_y, length_scale=l,
-                      trajectory_id=omega.trajectory_id)
-    return ReleasedFit(mean_x, mean_y, l, track, cfg)
 
 
 @dataclass(frozen=True)
@@ -120,9 +105,14 @@ class PriorKnowledge:
                      gp_cfg: Optional[GpConfig] = None) -> "PriorKnowledge":
         """A released prior; with ``gp_cfg`` its fit is made now, once,
         instead of in every evaluation against it."""
-        return PriorKnowledge(
-            kind="released", released=released, released_spec=spec,
-            fit=None if gp_cfg is None else fit_release(released, gp_cfg))
+        prior = PriorKnowledge(kind="released", released=released,
+                               released_spec=spec)
+        if gp_cfg is None:
+            return prior
+        (fitted,) = fit_cells([(None, prior)], gp_cfg)
+        if isinstance(fitted, Exception):
+            raise fitted
+        return fitted[0]
 
 
 def combine(z: Trajectory, prior: PriorKnowledge) -> List[Measurement]:
@@ -188,8 +178,8 @@ def ig_at(prior_track: GaussianTrack, posterior_track: GaussianTrack,
           times) -> np.ndarray:
     """Pointwise entropy reduction in bits at each query time, summed over
     the two coordinates: 2 * 0.5 * log2 of the shared variance ratio."""
-    return (np.log2(prior_track.query(times).var)
-            - np.log2(posterior_track.query(times).var))
+    return (np.log2(prior_track.query(times, means=False).var)
+            - np.log2(posterior_track.query(times, means=False).var))
 
 
 def integration_grid(day_start: float, cfg: IntegrationConfig,
@@ -303,8 +293,141 @@ class VoiReport:
         return VoiReport(rows=rows)
 
 
+def _attempt(make):
+    """``make()``, or the exception it raised."""
+    try:
+        return make()
+    except Exception as e:
+        return e
+
+
+def _release_training(omega: Trajectory, cfg: GpConfig):
+    """The length-scale training of a release that serves as a prior: its
+    fixes about their own least-squares mean lines."""
+    training = point_training(omega.points, (), cfg.sigma_f,
+                              omega.trajectory_id)
+    return training._replace(mean_fns=[fit_linear_mean(training.times, v)
+                                       for v in training.channels])
+
+
+def _trajectory_runs(cells):
+    """Runs of consecutive cell indices whose cells come from one
+    trajectory (the release's, or the prior's without a release)."""
+    runs, last = [], None
+    for i, (z, prior) in enumerate(cells):
+        source = z if z is not None else prior.released
+        tid = None if source is None else source.trajectory_id
+        if not runs or tid != last:
+            runs.append([])
+        runs[-1].append(i)
+        last = tid
+    return runs
+
+
+def fit_cells(cells: Sequence[Tuple[Optional[Trajectory], PriorKnowledge]],
+              gp_cfg: GpConfig):
+    """The reconstructions behind many cells, each a release Z (or None)
+    and a prior, fit together.
+
+    A released prior learns its mean lines and length scale from the
+    earlier release (a :class:`ReleasedFit`), once per distinct prior
+    object that does not carry its fit yet. The trainings of those priors
+    and of every release under the uninformative prior go to one
+    :func:`~trajvoi.gp.train_length_scales` call. The tracks then go to
+    one :func:`~trajvoi.gp.fit_tracks` call per trajectory, so that only
+    one trajectory's tracks are held at a time while the caller uses them.
+
+    A generator: per cell, in order, it yields (the prior, carrying its
+    fit; the posterior track, or None without a release), or the exception
+    that stopped the cell: its prior's before its own.
+    """
+    unfit = list({id(prior): prior for _, prior in cells
+                  if prior.kind == "released" and prior.fit is None}.values())
+    uninformed = [i for i, (z, prior) in enumerate(cells)
+                  if z is not None and prior.kind == "uninformative"]
+    trainings = ([_attempt(lambda: _release_training(prior.released, gp_cfg))
+                  for prior in unfit]
+                 + [point_training(cells[i][0].points, [MeanFunction()] * 2,
+                                   gp_cfg.sigma_f, cells[i][0].trajectory_id)
+                    for i in uninformed])
+    scales = list(trainings)
+    valid = [k for k, t in enumerate(trainings)
+             if not isinstance(t, Exception)]
+    for k, l in zip(valid, train_length_scales(
+            [trainings[k] for k in valid], gp_cfg.length_scale_bounds,
+            gp_cfg.grid_size)):
+        scales[k] = l
+    prior_trained = {id(prior): (training, l)
+                     for prior, training, l in zip(unfit, trainings, scales)}
+    cell_trained = dict(zip(uninformed, zip(trainings[len(unfit):],
+                                            scales[len(unfit):])))
+
+    for run in _trajectory_runs(cells):
+        # each slot holds a track request's index, or the exception that
+        # stopped it
+        requests, prior_slots, cell_slots = [], {}, {}
+
+        def request(training, l):
+            if isinstance(l, Exception):
+                return l
+            requests.append((training, l))
+            return len(requests) - 1
+
+        for i in run:
+            z, prior = cells[i]
+            if prior.kind == "released" and prior.fit is None \
+                    and id(prior) not in prior_slots:
+                prior_slots[id(prior)] = (prior, request(
+                    *prior_trained[id(prior)]))
+            if z is None:
+                continue
+            if prior.kind == "uninformative":
+                cell_slots[i] = request(*cell_trained[i])
+                continue
+            if prior.fit is None:
+                training, l = prior_trained[id(prior)]
+                if isinstance(l, Exception):
+                    continue                  # the cell fails with its prior
+                mean_fns = training.mean_fns
+            else:
+                mean_fns = (prior.fit.mean_x, prior.fit.mean_y)
+                l = prior.fit.length_scale
+            evidence = _attempt(lambda: point_training(
+                combine(z, prior), mean_fns, gp_cfg.sigma_f, z.trajectory_id))
+            cell_slots[i] = request(evidence, evidence if isinstance(
+                evidence, Exception) else l)
+        tracks = fit_tracks(requests, gp_cfg)
+
+        def track(slot):
+            return tracks[slot] if isinstance(slot, int) else slot
+
+        fitted_priors = {}
+        for key, (prior, slot) in prior_slots.items():
+            training, l = prior_trained[key]
+            fit = track(slot)
+            fitted_priors[key] = fit if isinstance(fit, Exception) else \
+                replace(prior, fit=ReleasedFit(*training.mean_fns, l, fit,
+                                               gp_cfg))
+        for i in run:
+            z, prior = cells[i]
+            if prior.kind == "released":
+                if prior.fit is None:
+                    prior = fitted_priors[id(prior)]
+                elif prior.fit.gp_cfg != gp_cfg:
+                    prior = ValueError(
+                        "the prior was fit under another GP config")
+                if isinstance(prior, Exception):
+                    yield prior
+                    continue
+            post = track(cell_slots.pop(i, None))
+            yield post if isinstance(post, Exception) else (prior, post)
+        # hold no track of this trajectory while fitting the next
+        tracks = fitted_priors = fit = post = None
+
+
 def reconstruction_tracks(z: Trajectory, prior: PriorKnowledge,
-                          gp_cfg: GpConfig = GpConfig()
+                          gp_cfg: GpConfig = GpConfig(),
+                          posterior: Optional[GaussianTrack] = None
                           ) -> Tuple[GaussianTrack, GaussianTrack, List[float]]:
     """Prior and posterior reconstructions plus the evidence timestamps.
 
@@ -314,34 +437,31 @@ def reconstruction_tracks(z: Trajectory, prior: PriorKnowledge,
     come from the earlier release and are shared by both tracks, so the
     gain isolates what the new data adds rather than what refitting does.
     That fit is the prior's own when it carries one, else it is made here.
+    A ``posterior`` already fit by :func:`fit_cells`, given with the prior
+    it returned, is used as it is.
     """
+    if posterior is None:
+        (fitted,) = fit_cells([(z, prior)], gp_cfg)
+        if isinstance(fitted, Exception):
+            raise fitted
+        prior, posterior = fitted
     if prior.kind == "uninformative":
-        prior_track = fit_track([], gp_cfg)
-        posterior_track = fit_track(z.points, gp_cfg,
-                                    trajectory_id=z.trajectory_id)
-        data_times = [p.t for p in z.points]
-    else:
-        omega = prior.released
-        fit = prior.fit or fit_release(omega, gp_cfg)
-        if fit.gp_cfg != gp_cfg:
-            raise ValueError("the prior was fit under another GP config")
-        prior_track = fit.track
-        evidence = combine(z, prior)
-        posterior_track = fit_track(evidence, gp_cfg, fit.mean_x, fit.mean_y,
-                                    length_scale=fit.length_scale,
-                                    trajectory_id=z.trajectory_id)
-        data_times = sorted({p.t for p in evidence}
-                            | {p.t for p in omega.points})
-    return prior_track, posterior_track, data_times
+        return fit_track([], gp_cfg), posterior, [p.t for p in z.points]
+    # the posterior's fixes are the evidence, combine(z, prior)
+    data_times = sorted(set(posterior.gp.times.tolist())
+                        | {p.t for p in prior.released.points})
+    return prior.fit.track, posterior, data_times
 
 
 def evaluate_voi(z: Trajectory, kind: str, param: float,
                  prior: PriorKnowledge, gp_cfg: GpConfig = GpConfig(),
                  integration: IntegrationConfig = IntegrationConfig(),
-                 keep_trace: bool = False) -> VoiRow:
-    """Score one release against one prior (one report row)."""
+                 keep_trace: bool = False,
+                 posterior: Optional[GaussianTrack] = None) -> VoiRow:
+    """Score one release against one prior (one report row); see
+    :func:`reconstruction_tracks` for ``posterior``."""
     prior_track, posterior_track, data_times = reconstruction_tracks(
-        z, prior, gp_cfg)
+        z, prior, gp_cfg, posterior)
     day_start = covering_day_start(min(data_times),
                                    integration.day_seconds)
     ts = integration_grid(day_start, integration, data_times)
@@ -358,13 +478,6 @@ def evaluate_voi(z: Trajectory, kind: str, param: float,
 
 
 # --- degradation equivalence ------------------------------------------------
-
-@dataclass(frozen=True)
-class EquivalencePoint:
-    param_a: float
-    ig: float
-    param_b: Optional[float]
-
 
 def curves_by_family(rows: Sequence[VoiRow], base_sigma: float
                      ) -> Dict[str, List[Tuple[float, float]]]:
@@ -409,13 +522,8 @@ def param_at_ig(curve: Sequence[Tuple[float, float]],
 
 
 def match_equivalents(curve_a: Sequence[Tuple[float, float]],
-                      curve_b: Sequence[Tuple[float, float]]
-                      ) -> Tuple[List[EquivalencePoint], bool]:
-    """For each point of curve A, the curve-B parameter with equal gain.
-
-    The boolean is True when every A level found a B equivalent, meaning
-    the two degradation families cover fully overlapping value ranges.
-    """
-    points = [EquivalencePoint(param_a=p, ig=g, param_b=param_at_ig(curve_b, g))
-              for p, g in curve_a]
-    return points, all(pt.param_b is not None for pt in points)
+                      curve_b: Sequence[Tuple[float, float]]) -> bool:
+    """True when every point of curve A has a curve-B parameter of equal
+    gain, meaning the two degradation families cover fully overlapping
+    value ranges."""
+    return all(param_at_ig(curve_b, g) is not None for _, g in curve_a)

@@ -64,9 +64,6 @@ class Trajectory:
     def __iter__(self):
         return iter(self.points)
 
-    def times(self):
-        return [p.t for p in self.points]
-
 
 @dataclass(frozen=True)
 class ProjectionConfig:

@@ -225,30 +225,112 @@ def reference_matrix_config(tmp, trajectories):
 def test_voi_fits_each_prior_and_applies_each_spec_once(suite, tmp_path,
                                                         monkeypatch):
     # the 55-cell matrix: 17 releases trained under the uninformative prior
-    # and 6 released priors trained once each; 17 release specs and 2
-    # prior-only specs (the perturbation priors' seed differs). The
-    # uninformative prior's own track has no fixes, so nothing to train.
+    # and 6 released priors trained once each, all in one batched call; 17
+    # release specs and 2 prior-only specs (the perturbation priors' seed
+    # differs). The uninformative prior's own track has no fixes, so
+    # nothing to train.
     config, _ = reference_matrix_config(tmp_path, suite[1:2])
-    counts = {"trainings": 0, "apply_spec": 0}
+    counts = {"trainings": 0, "training calls": 0, "apply_spec": 0}
 
-    def counted(module, name, counter, when=lambda *a: True):
-        real = getattr(module, name)
+    def counted_trainings(module):
+        real = module.train_length_scales
 
-        def wrapper(*args, **kwargs):
-            if when(*args):
-                counts[counter] += 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
+        def wrapper(trainings, *args, **kwargs):
+            trained = [t for t in trainings if np.asarray(t.times).size > 0]
+            counts["trainings"] += len(trained)
+            counts["training calls"] += bool(trained)
+            return real(trainings, *args, **kwargs)
+        monkeypatch.setattr(module, "train_length_scales", wrapper)
 
-    def has_fixes(times, *rest):
-        return np.asarray(times).size > 0
+    counted_trainings(gp)
+    counted_trainings(infogain)
+    real_apply = cli.apply_spec
 
-    counted(gp, "train_length_scale", "trainings", has_fixes)
-    counted(infogain, "train_length_scale", "trainings", has_fixes)
-    counted(cli, "apply_spec", "apply_spec")
+    def counted_apply(*args, **kwargs):
+        counts["apply_spec"] += 1
+        return real_apply(*args, **kwargs)
+    monkeypatch.setattr(cli, "apply_spec", counted_apply)
     assert cli.entrypoint(["voi", "--config", str(config)]) == 0
     assert counts["trainings"] == 23
+    assert counts["training calls"] == 1
     assert counts["apply_spec"] <= 19
+
+
+def test_outputs_do_not_depend_on_chunking(suite, tmp_path, monkeypatch):
+    # the whole fleet in one chunk, whose lanes run together, or one
+    # trajectory per chunk
+    outputs = {}
+    for chunk_fixes in (10 ** 9, 1):
+        monkeypatch.setattr(cli, "CHUNK_FIXES", chunk_fixes)
+        (tmp_path / str(chunk_fixes)).mkdir()
+        config, out = reference_matrix_config(tmp_path / str(chunk_fixes),
+                                              suite[:6])
+        assert cli.entrypoint(["voi", "--config", str(config)]) == 0
+        assert cli.entrypoint(["baselines", "--config", str(config)]) == 0
+        outputs[chunk_fixes] = {name: (out / name).read_bytes() for name in (
+            "voi_report.jsonl", "voi_report.csv", "voi_errors.jsonl",
+            "baselines.csv")}
+    assert outputs[1] == outputs[10 ** 9]
+
+
+def test_voi_bad_trajectory_fails_only_its_cells(tmp_path):
+    # a fix whose noise variance overflows fails the trainings and tracks
+    # that hold it; the other lanes of the chunk run on, and every cell
+    # comes out as it does when its trajectory runs alone
+    fleet = small_fleet()
+    bad = synth.make_trajectory([0.0, 10.0, 20.0],
+                                [DAY + 3 * H + 60.0 * k for k in range(3)],
+                                sigmas=[3.0, 1e200, 3.0], trajectory_id="bad")
+    runs = {}
+    for name, trajectories in (("all", fleet + [bad]), ("good", fleet),
+                               ("bad", [bad])):
+        (tmp_path / name).mkdir()
+        config, traj_csv, out = write_config(tmp_path / name)
+        write_trajectory_csv(trajectories, traj_csv)
+        code = cli.entrypoint(["voi", "--config", str(config)])
+        runs[name] = (code, VoiReport.from_jsonl(
+            (out / "voi_report.jsonl").read_text()).rows,
+            [json.loads(line) for line in
+             (out / "voi_errors.jsonl").read_text().splitlines()])
+    assert [r[0] for r in runs.values()] == [2, 0, 2]
+    assert runs["all"][1] == sorted(runs["good"][1] + runs["bad"][1],
+                                    key=VoiReport.sort_key)
+    assert runs["all"][2] == runs["bad"][2]
+    errors = runs["bad"][2]
+    assert errors and {e["trajectory_id"] for e in errors} == {"bad"}
+    # its identity release fails to fit under three priors; perturbation
+    # specs refuse its noise before any fit
+    assert sum(e["error"].startswith("GpNumericalError") for e in errors) == 3
+    assert len(errors) + len(runs["bad"][1]) == 10
+
+
+def test_voi_batch_failing_as_a_whole_falls_back_to_single_cells(
+        tmp_path, monkeypatch):
+    # should a shared pass raise, the chunk's cells are fit one by one, and
+    # only the cell at fault fails
+    config, traj_csv, out = write_config(tmp_path)
+    write_trajectory_csv(small_fleet(), traj_csv)
+    assert cli.entrypoint(["voi", "--config", str(config)]) == 0
+    expected = (out / "voi_report.jsonl").read_text()
+    real = cli.fit_cells
+
+    def fragile(cells, gp_cfg):
+        if any(z is not None and z.trajectory_id == "b"
+               and z.points[-1].sigma == 100.0 for z, _ in cells):
+            raise OverflowError("boom")
+        return real(cells, gp_cfg)
+
+    monkeypatch.setattr(cli, "fit_cells", fragile)
+    assert cli.entrypoint(["voi", "--config", str(config)]) == 2
+    errors = [json.loads(line) for line in
+              (out / "voi_errors.jsonl").read_text().splitlines()]
+    assert [(e["trajectory_id"], e["kind"], e["param"], e["error"])
+            for e in errors] == [("b", "perturbation", 100.0,
+                                  "OverflowError: boom")] * 2
+    rows = [line for line in expected.splitlines()
+            if not ('"trajectory_id": "b"' in line
+                    and '"kind": "perturbation"' in line)]
+    assert (out / "voi_report.jsonl").read_text().splitlines() == rows
 
 
 def test_voi_rows_equal_per_cell_evaluation(suite, tmp_path):
@@ -276,14 +358,18 @@ def test_voi_rows_equal_per_cell_evaluation(suite, tmp_path):
 def test_voi_failed_prior_fit_fails_only_its_cells(suite, tmp_path,
                                                    monkeypatch):
     config, out = reference_matrix_config(tmp_path, suite[:1])
-    real = infogain.train_length_scale
+    real = infogain.train_length_scales
 
-    def fail_on_300m_prior(times, channels, sigmas, *args, **kwargs):
-        if np.all(np.asarray(sigmas) == 300.0):
-            raise RuntimeError("no fit")
-        return real(times, channels, sigmas, *args, **kwargs)
+    def fail_on_300m_prior(trainings, *args, **kwargs):
+        # a released prior trains about its own mean lines; the 300 m
+        # release under the uninformative prior trains about zero
+        return [RuntimeError("no fit")
+                if np.all(np.asarray(t.sigmas) == 300.0)
+                and t.mean_fns[0] != gp.MeanFunction() else result
+                for t, result in zip(trainings,
+                                     real(trainings, *args, **kwargs))]
 
-    monkeypatch.setattr(infogain, "train_length_scale", fail_on_300m_prior)
+    monkeypatch.setattr(infogain, "train_length_scales", fail_on_300m_prior)
     assert cli.entrypoint(["voi", "--config", str(config)]) == 2
     errors = [json.loads(line) for line in
               (out / "voi_errors.jsonl").read_text().splitlines()]

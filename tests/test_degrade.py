@@ -73,7 +73,7 @@ def test_perturb_preserves_timestamps_and_size():
     s = walk()
     z = perturb(s, 50.0, seed=3)
     assert len(z) == len(s)
-    assert z.times() == s.times()
+    assert [p.t for p in z] == [p.t for p in s]
 
 
 def test_perturb_streams_differ_by_trajectory_id():

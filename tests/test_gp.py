@@ -5,13 +5,15 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trajvoi.gp as gp
 from synth import make_trajectory
 from trajvoi.gp import (DEFAULT_LENGTH_SCALE_BOUNDS, GaussianTrack, GpConfig,
-                        GpNumericalError, MeanFunction, fit_linear_mean,
-                        fit_track, log_marginal_likelihood, matern32,
-                        train_length_scale)
+                        GpNumericalError, MeanFunction, Training,
+                        fit_linear_mean, fit_track, fit_tracks,
+                        log_marginal_likelihood, matern32, point_training,
+                        train_length_scale, train_length_scales)
 from trajvoi.infogain import (IntegrationConfig, covering_day_start,
                              integration_grid)
 
@@ -376,14 +378,140 @@ def test_grid_scan_lanes_match_single_scale_calls():
     sig = rng.uniform(2.0, 8.0, 150)
     mean_fns = [fit_linear_mean(ts, xs), fit_linear_mean(ts, ys)]
     grid = np.exp(np.linspace(math.log(0.01), math.log(10.0), 32))
-    dt, noise, resids = gp._track_inputs(ts, [xs, ys], sig, mean_fns, 300.0,
-                                         "")
-    lanes = gp._kalman_filter(dt[:, None], noise, resids, gp.SQRT3 / grid,
-                              300.0 ** 2).lml
+    fixes = gp._track_inputs(ts, [xs, ys], sig, mean_fns, 300.0, "")
+    lanes = gp._lane_lmls(gp._Lanes.of([fixes], np.zeros(32), gp.SQRT3 / grid,
+                                       np.full(32, 300.0 ** 2)))
     for l, got in zip(grid, lanes):
         want = log_marginal_likelihood(ts, [xs, ys], sig, mean_fns, 300.0,
                                        float(l))
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == want
+
+
+@st.composite
+def ragged_trainings(draw):
+    """A batch of trainings of 0 to 60 fixes, with repeated timestamps,
+    zero-noise fixes, one or two channels and affine or zero means."""
+    batch = []
+    for _ in range(draw(st.integers(1, 24))):
+        n = draw(st.integers(0, 60))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        ts = 3 * HOUR + np.cumsum(rng.exponential(900.0, n)
+                                  * (rng.random(n) > 0.25))
+        values = [np.cumsum(rng.normal(0.0, 40.0, n))
+                  for _ in range(draw(st.sampled_from([1, 2])))]
+        sigmas = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0, 20, n))
+        means = [fit_linear_mean(ts, v) if n and draw(st.booleans())
+                 else MeanFunction() for v in values]
+        batch.append(Training(ts, values, sigmas, means,
+                              draw(st.sampled_from([60.0, 7500.0]))))
+    return batch
+
+
+@settings(max_examples=30, deadline=None)
+@given(ragged_trainings())
+def test_batched_trainings_equal_each_training_alone(batch):
+    # a batch mixes its trainings' lanes in shared passes, numpy and float
+    # alike; no lane may see another's arithmetic
+    for training, got in zip(batch, train_length_scales(batch)):
+        assert got == train_length_scale(*training[:5])
+
+
+def test_a_failing_training_fails_alone():
+    rng = np.random.default_rng(12)
+    ts = np.sort(rng.uniform(0, 6 * HOUR, 40))
+    good = [Training(ts, [rng.normal(0, 50, 40)], np.full(40, 3.0),
+                     [MeanFunction()], 300.0) for _ in range(20)]
+    huge = Training(ts, [ts], np.full(40, 1e200), [MeanFunction()], 300.0,
+                    "doomed")
+    backwards = Training(ts[::-1], [ts], np.full(40, 3.0), [MeanFunction()],
+                         300.0)
+    got = train_length_scales(good[:10] + [huge] + good[10:] + [backwards])
+    assert isinstance(got[10], GpNumericalError)
+    assert got[10].trajectory_id == "doomed"
+    assert isinstance(got[-1], ValueError)
+    for training, l in zip(good, got[:10] + got[11:-1]):
+        assert l == train_length_scale(*training[:5])
+
+
+def lone_track_lml(fixes, lam, var):
+    """The log evidence of one track at one scale, its filter written out
+    on floats, each channel's terms summed over one contiguous array."""
+    dt, noise, resids = fixes
+    A, Q = gp._transition(dt, lam, var)
+    p00, p01, p11 = var, 0.0, var * lam * lam
+    S, K0, K1 = [], [], []
+    for a00, a01, a10, a11, q00, q01, q11, r in zip(
+            *[x.tolist() for x in A + Q], noise.tolist()):
+        t00, t01 = a00 * p00 + a01 * p01, a00 * p01 + a01 * p11
+        t10, t11 = a10 * p00 + a11 * p01, a10 * p01 + a11 * p11
+        p00 = t00 * a00 + t01 * a01 + q00
+        p01 = t00 * a10 + t01 * a11 + q01
+        p11 = t10 * a10 + t11 * a11 + q11
+        s = p00 + r
+        k0, k1 = p00 / s, p01 / s
+        p00, p01, p11 = k0 * r, p01 * (r / s), p11 - k1 * p01
+        S.append(s)
+        K0.append(k0)
+        K1.append(k1)
+    V = []
+    for y in resids.tolist():
+        f = d = 0.0
+        V.append([])
+        for a00, a01, a10, a11, k0, k1, yk in zip(
+                *[x.tolist() for x in A], K0, K1, y):
+            f, d = a00 * f + a01 * d, a10 * f + a11 * d
+            V[-1].append(yk - f)
+            f, d = f + k0 * V[-1][-1], d + k1 * V[-1][-1]
+    S, V = np.array(S), np.array(V)
+    return -0.5 * (len(resids) * np.log(2.0 * math.pi * S).sum()
+                   + (V * V / S).sum(axis=-1).sum(axis=0))
+
+
+def test_lanes_match_a_lone_float_filter():
+    # ragged lanes over many tracks, numpy steps and a float tail, each
+    # summed pairwise over its own fixes exactly as a lone track is
+    rng = np.random.default_rng(5)
+    tracks, track, lams = [], [], []
+    for k, n in enumerate([1, 2, 7, 8, 9, 100, 128, 129, 300] * 3):
+        ts = np.sort(rng.uniform(0, 9 * HOUR, n))
+        ts[n // 3:n // 3 + 3] = ts[n // 3]
+        values = [np.cumsum(rng.normal(0, 40, n)) for _ in range(1 + k % 2)]
+        tracks.append(gp._track_inputs(ts, values, rng.uniform(0, 9, n),
+                                       [MeanFunction()] * len(values),
+                                       800.0, ""))
+        for l in rng.uniform(0.02, 8.0, 4):
+            track.append(k)
+            lams.append(gp.SQRT3 / l)
+    got = gp._lane_lmls(gp._Lanes.of(tracks, track, lams,
+                                     np.full(len(lams), 800.0 ** 2)))
+    for k, lam, lml in zip(track, lams, got):
+        assert lml == lone_track_lml(tracks[k], lam, 800.0 ** 2)
+
+
+def test_batched_tracks_predict_like_lone_tracks():
+    # enough tracks that the batch filters and smooths them with numpy
+    # steps, where a lone track runs on floats
+    rng = np.random.default_rng(33)
+    requests, q = [], np.linspace(-HOUR, 9 * HOUR, 700)
+    for n in [1, 2, 3, 5, 8, 13, 21, 34, 55, 80] * 2:
+        ts = np.sort(rng.uniform(0, 8 * HOUR, n))
+        ts[n // 2:n // 2 + 2] = ts[n // 2]
+        s = make_trajectory(rng.normal(0, 100, n), ts,
+                            sigmas=rng.uniform(0, 10, n),
+                            ys=rng.normal(0, 100, n))
+        means = [fit_linear_mean(ts, [p.x for p in s]), MeanFunction()]
+        requests.append((point_training(s.points, means, 500.0),
+                         float(rng.uniform(0.05, 5.0))))
+    tracks = fit_tracks(requests, GpConfig(sigma_f=500.0))
+    for (training, l), track in zip(requests, tracks):
+        alone = gp.CoordinateGP(training.times, training.channels,
+                                training.sigmas, training.mean_fns, 500.0, l)
+        (mx, my), var = alone.predict(q)
+        got = track.query(q)
+        assert np.array_equal(got.mean_x, mx)
+        assert np.array_equal(got.mean_y, my)
+        assert np.array_equal(got.var, var)
+        assert np.array_equal(track.query(q, means=False).var, var)
 
 
 def sample_matern_path(rng, n, l, sigma_f, noise):

@@ -313,18 +313,16 @@ def test_param_at_ig_linear_interpolation():
 
 def test_match_equivalents_identical_curves():
     curve = [(0.2, 2.0), (0.5, 5.0), (0.8, 10.0)]
-    points, full = match_equivalents(curve, curve)
-    assert full
-    for pt in points:
-        assert pt.param_b == pytest.approx(pt.param_a)
+    assert match_equivalents(curve, curve)
+    for p, g in curve:
+        assert param_at_ig(curve, g) == pytest.approx(p)
 
 
 def test_match_equivalents_disjoint_ranges():
     a = [(0.2, 100.0), (0.8, 200.0)]
     b = [(10.0, 1.0), (400.0, 2.0)]
-    points, full = match_equivalents(a, b)
-    assert not full
-    assert all(pt.param_b is None for pt in points)
+    assert not match_equivalents(a, b)
+    assert all(param_at_ig(b, g) is None for _, g in a)
 
 
 def test_equivalence_curve_runs_specs():

@@ -89,7 +89,7 @@ def test_trajectory_requires_sorted_nonempty():
         Trajectory(points=(p0, p1), trajectory_id="u")
     t = Trajectory(points=(p1, p0), trajectory_id="ok")
     assert len(t) == 2
-    assert t.times() == [5.0, 10.0]
+    assert [p.t for p in t] == [5.0, 10.0]
 
 
 def test_region_contains():
