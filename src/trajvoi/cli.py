@@ -129,7 +129,7 @@ def _chunks(trajectories: Sequence[Trajectory], jobs: int) -> list:
     of them when there are that many trajectories."""
     fixes = sum(len(t) for t in trajectories)
     count = max(-(-fixes // CHUNK_FIXES), min(jobs, len(trajectories)), 1)
-    size = -(-len(trajectories) // count)
+    size = max(-(-len(trajectories) // count), 1)
     return [list(trajectories[i:i + size])
             for i in range(0, len(trajectories), size)]
 

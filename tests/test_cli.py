@@ -142,6 +142,16 @@ def test_voi_limit_restricts_trajectories(tmp_path):
     assert {r.trajectory_id for r in report.rows} == {"a"}
 
 
+def test_limit_zero_writes_empty_outputs(tmp_path):
+    config, traj_csv, out = write_config(tmp_path)
+    write_trajectory_csv(small_fleet(), traj_csv)
+    for command in ("voi", "baselines"):
+        assert cli.entrypoint([command, "--config", str(config),
+                               "--limit", "0", "--jobs", "2"]) == 0
+    assert (out / "voi_report.jsonl").read_text() == ""
+    assert (out / "baselines.csv").read_text().count("\n") == 1
+
+
 def test_voi_reruns_byte_identical(tmp_path):
     first = tmp_path / "one"
     second = tmp_path / "two"
