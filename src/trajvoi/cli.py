@@ -161,7 +161,7 @@ def _voi_task(task):
     depends on it, each with its own error record. Returns each
     trajectory's (status, payload) outcomes, one per cell in order."""
     chunk, cells, gp_cfg, integration = task
-    outcomes, pending = [], []
+    outcomes, pending, to_fit = [], [], []
     for traj in chunk:
         releases: dict = {}
         priors: dict = {None: PriorKnowledge.uninformative()}
@@ -176,14 +176,14 @@ def _voi_task(task):
                 prior = _once(priors, prior_spec,
                               lambda: PriorKnowledge.from_release(
                                   release(prior_spec), prior_spec))
-                pending.append((own, len(own), z, spec, prior_spec, prior))
+                pending.append((own, len(own), z, spec, prior_spec))
+                to_fit.append((z, prior))
                 own.append(None)
             except Exception as e:
                 own.append(_cell_error(traj, spec, prior_spec, e))
         outcomes.append(own)
-    fitted = _fit_cells([(z, prior) for *_, z, _, _, prior in pending],
-                        gp_cfg)
-    for (own, k, z, spec, prior_spec, _), fit in zip(pending, fitted):
+    for (own, k, z, spec, prior_spec), fit in zip(pending,
+                                                  _fit_cells(to_fit, gp_cfg)):
         try:
             if isinstance(fit, Exception):
                 raise fit
