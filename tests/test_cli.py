@@ -283,6 +283,7 @@ def test_outputs_do_not_depend_on_chunking(suite, tmp_path, monkeypatch):
     assert outputs[1] == outputs[10 ** 9]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_voi_bad_trajectory_fails_only_its_cells(tmp_path):
     # a fix whose noise variance overflows fails the trainings and tracks
     # that hold it; the other lanes of the chunk run on, and every cell

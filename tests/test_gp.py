@@ -416,6 +416,7 @@ def test_batched_trainings_equal_each_training_alone(batch):
         assert got == train_length_scale(*training[:5])
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_a_failing_training_fails_alone():
     rng = np.random.default_rng(12)
     ts = np.sort(rng.uniform(0, 6 * HOUR, 40))
