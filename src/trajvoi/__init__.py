@@ -12,7 +12,7 @@ from .degrade import DegradationSpec, apply_spec, perturb, subsample, truncate
 from .gp import GaussianTrack, GpConfig, fit_track
 from .infogain import (IntegrationConfig, PriorKnowledge, VoiReport, VoiRow,
                        combine, evaluate_voi, gaussian_entropy, ig_at)
-from .model import Measurement, ProjectionConfig, Region, Trajectory, project, unproject
+from .model import ProjectionConfig, Region, Trajectory, project, unproject
 
 __version__ = "0.1.0"
 
@@ -21,7 +21,7 @@ __all__ = [
     "GaussianTrack", "GpConfig", "fit_track",
     "IntegrationConfig", "PriorKnowledge", "VoiReport", "VoiRow",
     "combine", "evaluate_voi", "gaussian_entropy", "ig_at",
-    "Measurement", "ProjectionConfig", "Region", "Trajectory",
+    "ProjectionConfig", "Region", "Trajectory",
     "project", "unproject",
     "__version__",
 ]

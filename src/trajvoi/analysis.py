@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from .infogain import VoiRow
 
@@ -30,7 +29,18 @@ def spearman(xs, ys) -> float:
         raise ValueError("spearman needs at least two observations")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ConstantInputError("rank correlation undefined for constant input")
-    return float(stats.spearmanr(x, y).statistic)
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[1, 0])
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of the ranks they span."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
 
 
 @dataclass(frozen=True)

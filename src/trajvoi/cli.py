@@ -157,9 +157,10 @@ def _voi_task(task):
     Each distinct spec is applied once per trajectory. Then the released
     priors and the posterior reconstructions of the whole chunk are fit
     together (one training call for the chunk, one batch of tracks per
-    trajectory; see infogain.fit_cells), and evaluate_voi scores each cell. A failure in a shared step fails every cell that
-    depends on it, each with its own error record. Returns each
-    trajectory's (status, payload) outcomes, one per cell in order."""
+    trajectory; see infogain.fit_cells), and evaluate_voi scores each
+    cell. A failure in a shared step fails every cell that depends on it,
+    each with its own error record. Returns each trajectory's (status,
+    payload) outcomes, one per cell in order."""
     chunk, cells, gp_cfg, integration = task
     outcomes, pending, to_fit = [], [], []
     for traj in chunk:

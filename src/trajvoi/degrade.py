@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .model import Measurement, Trajectory
+from .model import Trajectory
 
 KINDS = ("perturbation", "truncation", "subsampling", "identity")
 
@@ -81,7 +81,7 @@ def perturb(S: Trajectory, total_noise: float, seed: int) -> Trajectory:
     independently for x and y (x first, point by point). Timestamps and size
     are preserved; every output sigma equals total_noise.
     """
-    sigmas = np.array([p.sigma for p in S.points])
+    sigmas = S.sigma
     if np.any(sigmas > total_noise):
         raise ValueError(
             f"perturb: total_noise {total_noise} is below an existing "
@@ -89,21 +89,16 @@ def perturb(S: Trajectory, total_noise: float, seed: int) -> Trajectory:
         )
     added_std = np.sqrt(np.maximum(total_noise ** 2 - sigmas ** 2, 0.0))
     rng = _stream(seed, S.trajectory_id)
-    offsets = rng.standard_normal((len(S.points), 2)) * added_std[:, None]
-    points = tuple(
-        Measurement(x=p.x + offsets[i, 0], y=p.y + offsets[i, 1],
-                    t=p.t, sigma=float(total_noise))
-        for i, p in enumerate(S.points)
-    )
-    return Trajectory(points, S.owner_id, S.trajectory_id)
+    offsets = rng.standard_normal((len(S), 2)) * added_std[:, None]
+    return replace(S, x=S.x + offsets[:, 0], y=S.y + offsets[:, 1],
+                   sigma=np.full(len(S), float(total_noise)))
 
 
 def truncate(S: Trajectory, ratio: float) -> Trajectory:
     """Keep the temporally first floor(ratio * |S|) points, at least one."""
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"truncate: ratio must be in (0, 1], got {ratio}")
-    count = max(1, math.floor(ratio * len(S.points)))
-    return Trajectory(S.points[:count], S.owner_id, S.trajectory_id)
+    return S.take(slice(0, max(1, math.floor(ratio * len(S)))))
 
 
 def subsample(S: Trajectory, ratio: float, seed: int) -> Trajectory:
@@ -116,12 +111,11 @@ def subsample(S: Trajectory, ratio: float, seed: int) -> Trajectory:
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"subsample: ratio must be in (0, 1], got {ratio}")
     rng = _stream(seed, S.trajectory_id)
-    u = rng.random(len(S.points))
+    u = rng.random(len(S))
     keep = u < ratio
     if not keep.any():
         keep[int(np.argmin(u))] = True
-    points = tuple(p for p, k in zip(S.points, keep) if k)
-    return Trajectory(points, S.owner_id, S.trajectory_id)
+    return S.take(keep)
 
 
 def apply_spec(S: Trajectory, spec: DegradationSpec) -> Trajectory:

@@ -39,6 +39,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .model import Trajectory
+
 SECONDS_PER_HOUR = 3600.0
 SQRT3 = math.sqrt(3.0)
 
@@ -819,15 +821,13 @@ class GaussianTrack:
         return TrackQuery(*(mx or (None, None)), var)
 
 
-def point_training(points, mean_fns: Sequence[MeanFunction], sigma_f: float,
-                   trajectory_id: str = "") -> Training:
-    """The training of both coordinates of a measurement list."""
-    points = list(points)
-    return Training(np.array([p.t for p in points], dtype=float),
-                    [np.array([p.x for p in points], dtype=float),
-                     np.array([p.y for p in points], dtype=float)],
-                    np.array([p.sigma for p in points], dtype=float),
-                    list(mean_fns), sigma_f, trajectory_id)
+def point_training(trajectory: Trajectory,
+                   mean_fns: Sequence[MeanFunction],
+                   sigma_f: float) -> Training:
+    """The training of both coordinates of a trajectory's fixes."""
+    return Training(trajectory.t, [trajectory.x, trajectory.y],
+                    trajectory.sigma, list(mean_fns), sigma_f,
+                    trajectory.trajectory_id)
 
 
 def fit_tracks(requests: Sequence[Tuple[Training, Optional[float]]],
@@ -870,21 +870,24 @@ def fit_tracks(requests: Sequence[Tuple[Training, Optional[float]]],
     return results
 
 
-def fit_track(points, cfg: GpConfig,
+def fit_track(trajectory: Optional[Trajectory], cfg: GpConfig,
               mean_x: Optional[MeanFunction] = None,
               mean_y: Optional[MeanFunction] = None,
-              length_scale: Optional[float] = None,
-              trajectory_id: str = "") -> GaussianTrack:
-    """Fit the GP of both coordinates on a shared measurement list.
+              length_scale: Optional[float] = None) -> GaussianTrack:
+    """Fit the GP of both coordinates on a trajectory's fixes.
 
-    ``points`` may be empty, in which case the track is the pure prior:
-    mean function everywhere and variance sigma_f^2. When ``length_scale``
-    is not given it is trained jointly on both coordinates (one shared
-    value, summed evidence). :func:`fit_tracks` on a batch of one.
+    Without a trajectory (None) the track is the pure prior: mean function
+    everywhere and variance sigma_f^2. When ``length_scale`` is not given
+    it is trained jointly on both coordinates (one shared value, summed
+    evidence). :func:`fit_tracks` on a batch of one.
     """
-    training = point_training(points, [mean_x or MeanFunction(),
-                                       mean_y or MeanFunction()],
-                              cfg.sigma_f, trajectory_id)
+    mean_fns = [mean_x or MeanFunction(), mean_y or MeanFunction()]
+    if trajectory is None:
+        none = np.empty(0)
+        training = Training(none, [none, none], none, mean_fns, cfg.sigma_f,
+                            "")
+    else:
+        training = point_training(trajectory, mean_fns, cfg.sigma_f)
     (track,) = fit_tracks([(training, length_scale)], cfg)
     if isinstance(track, Exception):
         raise track

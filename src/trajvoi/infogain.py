@@ -34,7 +34,7 @@ from .gp import (GaussianTrack, GpConfig, MeanFunction, fit_linear_mean,
                  fit_track, fit_tracks, point_training, train_length_scales)
 # importable from here by name, where per-layer tracing wraps it
 from .gp import train_length_scale  # noqa: F401
-from .model import Measurement, Trajectory
+from .model import Trajectory
 
 DAY_SECONDS = 86400.0
 
@@ -115,7 +115,7 @@ class PriorKnowledge:
         return fitted[0]
 
 
-def combine(z: Trajectory, prior: PriorKnowledge) -> List[Measurement]:
+def combine(z: Trajectory, prior: PriorKnowledge) -> Trajectory:
     """Merge the release Z with the prior's data into one evidence set.
 
     A perturbation prior is the same trajectory under other noise, with the
@@ -127,29 +127,27 @@ def combine(z: Trajectory, prior: PriorKnowledge) -> List[Measurement]:
     a subset of its prior thus adds no evidence and scores 0.
     """
     if prior.kind == "uninformative":
-        return list(z.points)
+        return z
     omega = prior.released
     if omega.trajectory_id != z.trajectory_id:
         raise ValueError(
             f"prior release is from trajectory "
             f"{omega.trajectory_id!r}, not {z.trajectory_id!r}")
     if prior.released_spec.kind != "perturbation":
-        return list(max(z.points, omega.points, key=len))
-    if [p.t for p in z.points] != [q.t for q in omega.points]:
+        return max(z, omega, key=len)
+    if not np.array_equal(z.t, omega.t):
         raise ValueError(
             f"perturbation prior and release of {z.trajectory_id!r} differ "
             f"in their timestamps")
-    merged: List[Measurement] = []
-    for p, q in zip(z.points, omega.points):
-        wp = 1.0 / p.sigma ** 2
-        wq = 1.0 / q.sigma ** 2
-        merged.append(Measurement(
-            x=(p.x * wp + q.x * wq) / (wp + wq),
-            y=(p.y * wp + q.y * wq) / (wp + wq),
-            t=p.t,
-            sigma=(wp + wq) ** -0.5,
-        ))
-    return merged
+    # Powers go fix by fix on Python floats: their ** is C's pow, which
+    # numpy's power does not match in the last bit, and a sigma whose
+    # square overflows or vanishes raises here as it always has.
+    wp, wq = np.array([(1.0 / p ** 2, 1.0 / q ** 2) for p, q in zip(
+        z.sigma.tolist(), omega.sigma.tolist())]).T
+    total = wp + wq
+    return replace(z, x=(z.x * wp + omega.x * wq) / total,
+                   y=(z.y * wp + omega.y * wq) / total,
+                   sigma=[w ** -0.5 for w in total.tolist()])
 
 
 @dataclass(frozen=True)
@@ -304,8 +302,7 @@ def _attempt(make):
 def _release_training(omega: Trajectory, cfg: GpConfig):
     """The length-scale training of a release that serves as a prior: its
     fixes about their own least-squares mean lines."""
-    training = point_training(omega.points, (), cfg.sigma_f,
-                              omega.trajectory_id)
+    training = point_training(omega, (), cfg.sigma_f)
     return training._replace(mean_fns=[fit_linear_mean(training.times, v)
                                        for v in training.channels])
 
@@ -347,8 +344,8 @@ def fit_cells(cells: Sequence[Tuple[Optional[Trajectory], PriorKnowledge]],
                   if z is not None and prior.kind == "uninformative"]
     trainings = ([_attempt(lambda: _release_training(prior.released, gp_cfg))
                   for prior in unfit]
-                 + [point_training(cells[i][0].points, [MeanFunction()] * 2,
-                                   gp_cfg.sigma_f, cells[i][0].trajectory_id)
+                 + [point_training(cells[i][0], [MeanFunction()] * 2,
+                                   gp_cfg.sigma_f)
                     for i in uninformed])
     scales = list(trainings)
     valid = [k for k, t in enumerate(trainings)
@@ -393,7 +390,7 @@ def fit_cells(cells: Sequence[Tuple[Optional[Trajectory], PriorKnowledge]],
                 mean_fns = (prior.fit.mean_x, prior.fit.mean_y)
                 l = prior.fit.length_scale
             evidence = _attempt(lambda: point_training(
-                combine(z, prior), mean_fns, gp_cfg.sigma_f, z.trajectory_id))
+                combine(z, prior), mean_fns, gp_cfg.sigma_f))
             cell_slots[i] = request(evidence, evidence if isinstance(
                 evidence, Exception) else l)
         tracks = fit_tracks(requests, gp_cfg)
@@ -446,10 +443,10 @@ def reconstruction_tracks(z: Trajectory, prior: PriorKnowledge,
             raise fitted
         prior, posterior = fitted
     if prior.kind == "uninformative":
-        return fit_track([], gp_cfg), posterior, [p.t for p in z.points]
+        return fit_track(None, gp_cfg), posterior, z.t.tolist()
     # the posterior's fixes are the evidence, combine(z, prior)
     data_times = sorted(set(posterior.gp.times.tolist())
-                        | {p.t for p in prior.released.points})
+                        | set(prior.released.t.tolist()))
     return prior.fit.track, posterior, data_times
 
 

@@ -13,15 +13,18 @@ the run, since large dumps routinely contain stray lines.
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .model import Measurement, ProjectionConfig, Region, Trajectory, project
+import numpy as np
+
+from .model import ProjectionConfig, Region, Trajectory, project
 
 PLT_HEADER_LINES = 6
 
@@ -70,7 +73,10 @@ class IngestManifest:
 
 @dataclass
 class PltParseResult:
-    records: List[Tuple[float, float, float]] = field(default_factory=list)
+    """Parsed fixes as an (n, 3) float64 array of (lon, lat, t) rows, in
+    file order, and the count of data lines that failed to parse."""
+
+    records: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
     lines_skipped: int = 0
 
 
@@ -88,12 +94,51 @@ def _parse_plt_line(line: str) -> Tuple[float, float, float]:
     return lon, lat, t
 
 
+_UNSEEN = object()   # not in a memo yet; None is a remembered answer
+
+
+def _strict_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
+def _day_start(date: str) -> Optional[int]:
+    """Epoch seconds of a strict ``YYYY-MM-DD`` date's UTC midnight; None
+    for any other text or an impossible date."""
+    date = date.strip()
+    if not (len(date) == 10 and date[4] == date[7] == "-"
+            and _strict_digits(date[:4] + date[5:7] + date[8:])):
+        return None
+    try:
+        stamp = datetime.strptime(date, "%Y-%m-%d")
+    except ValueError:
+        return None
+    return int(stamp.replace(tzinfo=timezone.utc).timestamp())
+
+
+def _clock_seconds(clock: str) -> Optional[int]:
+    """Seconds into the day of a strict ``HH:MM:SS`` clock (hour < 24,
+    minute and second < 60); None for any other text."""
+    clock = clock.strip()
+    if not (len(clock) == 8 and clock[2] == clock[5] == ":"
+            and _strict_digits(clock[:2] + clock[3:5] + clock[6:])):
+        return None
+    h, m, s = int(clock[:2]), int(clock[3:5]), int(clock[6:])
+    if h > 23 or m > 59 or s > 59:
+        return None
+    return 3600 * h + 60 * m + s
+
+
 def parse_plt(file_bytes: bytes) -> PltParseResult:
     """Parse PLT content into (lon, lat, t) records in file order.
 
     Files shorter than the fixed 6-line header are rejected; a file with
-    exactly the header and no data lines yields an empty record list.
+    exactly the header and no data lines yields an empty record array.
     Any data line that fails to parse is counted in ``lines_skipped``.
+
+    Each distinct date is parsed once and each distinct clock once, in
+    their strict forms (``YYYY-MM-DD``, ``HH:MM:SS``); a line whose date or
+    clock is in any other form takes the general ``strptime`` route, so
+    either way a line parses exactly as that route alone would parse it.
     """
     text = file_bytes.decode("utf-8", errors="replace")
     lines = text.splitlines()
@@ -102,70 +147,90 @@ def parse_plt(file_bytes: bytes) -> PltParseResult:
             f"PLT file has {len(lines)} lines, shorter than the "
             f"{PLT_HEADER_LINES}-line header"
         )
-    result = PltParseResult()
+    days: Dict[str, Optional[int]] = {}
+    clocks: Dict[str, Optional[int]] = {}
+    lons: List[float] = []
+    lats: List[float] = []
+    times: List[float] = []
+    skipped = 0
     for line in lines[PLT_HEADER_LINES:]:
         if not line.strip():
             continue
+        parts = line.split(",")
         try:
-            result.records.append(_parse_plt_line(line))
+            if len(parts) < 7:
+                raise ValueError("short line")
+            day = days.get(parts[5], _UNSEEN)
+            if day is _UNSEEN:
+                day = days[parts[5]] = _day_start(parts[5])
+            clock = clocks.get(parts[6], _UNSEEN)
+            if clock is _UNSEEN:
+                clock = clocks[parts[6]] = _clock_seconds(parts[6])
+            if day is None or clock is None:
+                lon, lat, t = _parse_plt_line(line)
+            else:
+                lat = float(parts[0])
+                lon = float(parts[1])
+                t = float(day + clock)
+                if not (math.isfinite(lat) and math.isfinite(lon)):
+                    raise ValueError("non-finite coordinate")
         except (ValueError, IndexError):
-            result.lines_skipped += 1
-    return result
+            skipped += 1
+            continue
+        lons.append(lon)
+        lats.append(lat)
+        times.append(t)
+    records = np.column_stack((lons, lats, times)) if times \
+        else np.empty((0, 3))
+    return PltParseResult(records, skipped)
 
 
-def filter_region(records: Iterable[Tuple[float, float, float]],
-                  region: Region) -> List[Tuple[float, float, float]]:
-    """Keep records inside the bounding box (inclusive), preserving order."""
-    return [r for r in records if region.contains(r[0], r[1])]
+def _records(records) -> np.ndarray:
+    return np.asarray(records, dtype=float).reshape(-1, 3)
 
 
-def segment(records: Sequence[Tuple[float, float, float]],
+def filter_region(records, region: Region) -> np.ndarray:
+    """Keep (lon, lat, t) records inside the bounding box (inclusive),
+    preserving order."""
+    records = _records(records)
+    lon, lat = records[:, 0], records[:, 1]
+    return records[(region.min_lon <= lon) & (lon <= region.max_lon)
+                   & (region.min_lat <= lat) & (lat <= region.max_lat)]
+
+
+def segment(records,
             cfg: SegmentationConfig,
             projection: ProjectionConfig,
             owner_id: str = "",
             id_prefix: str | None = None) -> List[Trajectory]:
-    """Split a time-sorted record stream into trajectories at large time gaps.
+    """Split a time-sorted (lon, lat, t) record array into trajectories at
+    large time gaps.
 
     A new trajectory starts whenever the gap to the next record is strictly
     greater than ``cfg.max_gap``. Every measurement is projected to local
     meters and assigned ``cfg.default_sigma``. The concatenation of the
     output reproduces the input records exactly.
     """
-    records = list(records)
-    for a, b in zip(records, records[1:]):
-        if b[2] < a[2]:
-            raise ValueError(
-                f"segment: records must be sorted by time ({a[2]} then {b[2]})"
-            )
-    if not records:
+    lon, lat, t = _records(records).T
+    gaps = np.diff(t)
+    if (gaps < 0).any():
+        i = int(np.argmax(gaps < 0))
+        raise ValueError(f"segment: records must be sorted by time "
+                         f"({float(t[i])} then {float(t[i + 1])})")
+    if not t.size:
         return []
     prefix = id_prefix if id_prefix is not None else (owner_id or "traj")
-
-    groups: List[List[Tuple[float, float, float]]] = [[records[0]]]
-    for prev, cur in zip(records, records[1:]):
-        if cur[2] - prev[2] > cfg.max_gap:
-            groups.append([cur])
-        else:
-            groups[-1].append(cur)
-
-    trajectories = []
-    for k, group in enumerate(groups):
-        points = []
-        for lon, lat, t in group:
-            x, y = project(lon, lat, projection)
-            points.append(Measurement(x=x, y=y, t=t, sigma=cfg.default_sigma))
-        trajectories.append(Trajectory(points=tuple(points),
-                                       owner_id=owner_id,
-                                       trajectory_id=f"{prefix}_{k:05d}"))
-    return trajectories
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".9g")
+    x, y = project(lon, lat, projection)
+    sigma = np.full(t.size, cfg.default_sigma)
+    bounds = [0, *(np.flatnonzero(gaps > cfg.max_gap) + 1).tolist(), t.size]
+    return [Trajectory(t[a:b], x[a:b], y[a:b], sigma[a:b], owner_id,
+                       f"{prefix}_{k:05d}")
+            for k, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
 
 def write_trajectory_csv(trajectories: Iterable[Trajectory], path) -> None:
-    """Write trajectories to the flat CSV interchange format.
+    """Write trajectories to the flat CSV interchange format, one
+    trajectory's rows at a time.
 
     Deterministic formatting: x, y and sigma use 9 significant digits;
     t keeps millisecond fixed-point precision because epoch-scale values
@@ -174,35 +239,51 @@ def write_trajectory_csv(trajectories: Iterable[Trajectory], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(TRAJECTORY_CSV_FIELDS) + "\n")
         for traj in trajectories:
-            for p in traj.points:
-                fh.write(
-                    f"{traj.trajectory_id},{traj.owner_id},"
-                    f"{p.t:.3f},{_fmt(p.x)},{_fmt(p.y)},{_fmt(p.sigma)}\n"
-                )
+            # %-formatting writes a float as format() does, and faster
+            row = (f"{traj.trajectory_id},{traj.owner_id},".replace("%", "%%")
+                   + "%.3f,%.9g,%.9g,%.9g\n")
+            fh.write("".join(map(row.__mod__, zip(
+                traj.t.tolist(), traj.x.tolist(), traj.y.tolist(),
+                traj.sigma.tolist()))))
 
 
 def read_trajectory_csv(path) -> List[Trajectory]:
-    """Read the flat CSV format back into trajectories (file order)."""
+    """Read the flat CSV format back into trajectories (file order).
+
+    Columns are found by header name. The rows of one trajectory must be
+    contiguous and share one owner_id; otherwise a ValueError names the
+    trajectory. Rows are read one trajectory at a time, so only that
+    trajectory's text is held besides the trajectories already read.
+    """
     trajectories: List[Trajectory] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(TRAJECTORY_CSV_FIELDS) - set(reader.fieldnames or ())
+        reader = csv.reader(fh)
+        column = {name: i for i, name in enumerate(next(reader, []))}
+        missing = set(TRAJECTORY_CSV_FIELDS) - set(column)
         if missing:
             raise ValueError(f"trajectory CSV missing columns: {sorted(missing)}")
-        cur_id = None
-        cur_owner = ""
-        points: List[Measurement] = []
-        for row in reader:
-            tid = row["trajectory_id"]
-            if tid != cur_id and cur_id is not None:
-                trajectories.append(Trajectory(tuple(points), cur_owner, cur_id))
-                points = []
-            cur_id = tid
-            cur_owner = row["owner_id"]
-            points.append(Measurement(x=float(row["x"]), y=float(row["y"]),
-                                      t=float(row["t"]), sigma=float(row["sigma"])))
-        if cur_id is not None:
-            trajectories.append(Trajectory(tuple(points), cur_owner, cur_id))
+        tid, owner, *values = (column[name] for name in TRAJECTORY_CSV_FIELDS)
+        width = max(tid, owner, *values) + 1
+        seen = set()
+        for trajectory_id, group in itertools.groupby(
+                filter(None, reader), key=itemgetter(tid)):
+            rows = list(group)
+            if trajectory_id in seen:
+                raise ValueError(f"trajectory {trajectory_id!r}: its rows "
+                                 f"are not contiguous in {path}")
+            seen.add(trajectory_id)
+            if min(map(len, rows)) < width:
+                raise ValueError(f"trajectory {trajectory_id!r}: a row has "
+                                 f"fewer than {width} fields in {path}")
+            owners = {row[owner] for row in rows}
+            if len(owners) > 1:
+                raise ValueError(f"trajectory {trajectory_id!r}: rows with "
+                                 f"owner_ids {sorted(owners)} in {path}")
+            columns = list(zip(*rows))
+            t, x, y, sigma = (np.array(list(map(float, columns[i])))
+                              for i in values)
+            trajectories.append(Trajectory(t, x, y, sigma, owners.pop(),
+                                           trajectory_id))
     return trajectories
 
 
@@ -217,7 +298,7 @@ def ingest_plt_tree(root, region: Region, projection: ProjectionConfig,
     """
     root = Path(root)
     manifest = IngestManifest()
-    by_owner: dict[str, List[Tuple[float, float, float]]] = {}
+    by_owner: Dict[str, List[np.ndarray]] = {}
     for plt_path in sorted(root.rglob("*.plt")):
         owner = plt_path.parent.name
         if owner.lower() == "trajectory":
@@ -225,12 +306,12 @@ def ingest_plt_tree(root, region: Region, projection: ProjectionConfig,
         result = parse_plt(plt_path.read_bytes())
         manifest.files_read += 1
         manifest.lines_skipped += result.lines_skipped
-        by_owner.setdefault(owner, []).extend(result.records)
+        by_owner.setdefault(owner, []).append(result.records)
 
     trajectories: List[Trajectory] = []
     for owner in sorted(by_owner):
-        records = filter_region(by_owner[owner], region)
-        records.sort(key=lambda r: r[2])
+        records = filter_region(np.concatenate(by_owner.pop(owner)), region)
+        records = records[np.argsort(records[:, 2], kind="stable")]
         manifest.measurements_retained += len(records)
         trajectories.extend(segment(records, cfg, projection, owner_id=owner))
     manifest.trajectories = len(trajectories)

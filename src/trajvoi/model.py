@@ -12,57 +12,83 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 EARTH_RADIUS_M = 6_371_000.0  # mean Earth radius
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """One timestamped planar location fix.
+# a fix's values, in the order they are checked
+_FIX_FIELDS = ("x", "y", "t", "sigma")
 
-    x, y are meters east/north of the projection origin, t is continuous
-    seconds since the epoch, and sigma is the standard deviation (meters) of
-    independent Gaussian noise applied identically to x and y.
+
+def _column(values) -> np.ndarray:
+    """A read-only contiguous float64 copy of ``values``, owning its data:
+    no caller can change it, and it keeps no larger array alive."""
+    column = np.array(values, dtype=float, order="C")
+    column.flags.writeable = False
+    return column
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """A time-ordered sequence of fixes with provenance, held as columns.
+
+    Fix i is at ``x[i]``, ``y[i]`` (meters east/north of the projection
+    origin) at ``t[i]`` (continuous seconds since the epoch), with
+    ``sigma[i]`` the standard deviation (meters) of independent Gaussian
+    noise applied identically to x and y. The four columns are read-only
+    float64 arrays of one length, at least 1; every value is finite, every
+    sigma >= 0 and t is non-decreasing. A violation names the first fix
+    (the measurement) at fault. Trajectories compare by identity.
     """
 
-    x: float
-    y: float
-    t: float
-    sigma: float
-
-    def __post_init__(self):
-        for name in ("x", "y", "t", "sigma"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"Measurement.{name} must be finite, got {v!r}")
-        if self.sigma < 0:
-            raise ValueError(f"Measurement.sigma must be >= 0, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A time-ordered sequence of measurements with provenance."""
-
-    points: Tuple[Measurement, ...]
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    sigma: np.ndarray
     owner_id: str = ""
     trajectory_id: str = ""
 
     def __post_init__(self):
-        points = tuple(self.points)
-        object.__setattr__(self, "points", points)
-        if len(points) < 1:
+        for name in _FIX_FIELDS:
+            object.__setattr__(self, name, _column(getattr(self, name)))
+        if not (self.x.ndim == 1
+                and self.x.shape == self.y.shape == self.t.shape
+                == self.sigma.shape):
+            raise ValueError(
+                f"Trajectory {self.trajectory_id!r}: t, x, y and sigma must "
+                f"be 1-d and of one length")
+        bad = ~np.isfinite(self.x) | ~np.isfinite(self.y) \
+            | ~np.isfinite(self.t) | ~(self.sigma >= 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            for name in _FIX_FIELDS:
+                v = float(getattr(self, name)[i])
+                if not math.isfinite(v):
+                    raise ValueError(
+                        f"Measurement.{name} must be finite, got {v!r}")
+            raise ValueError(
+                f"Measurement.sigma must be >= 0, got {float(self.sigma[i])}")
+        if len(self) < 1:
             raise ValueError("Trajectory must contain at least one measurement")
-        for a, b in zip(points, points[1:]):
-            if b.t < a.t:
-                raise ValueError(
-                    f"Trajectory {self.trajectory_id!r}: timestamps must be "
-                    f"non-decreasing ({a.t} followed by {b.t})"
-                )
+        back = np.diff(self.t) < 0
+        if back.any():
+            i = int(np.argmax(back))
+            raise ValueError(
+                f"Trajectory {self.trajectory_id!r}: timestamps must be "
+                f"non-decreasing ({float(self.t[i])} followed by "
+                f"{float(self.t[i + 1])})"
+            )
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.t.size
 
-    def __iter__(self):
-        return iter(self.points)
+    def take(self, index) -> "Trajectory":
+        """The fixes at ``index`` (a slice or a boolean mask), in order,
+        with the same provenance."""
+        return Trajectory(self.t[index], self.x[index], self.y[index],
+                          self.sigma[index], self.owner_id,
+                          self.trajectory_id)
 
 
 @dataclass(frozen=True)
@@ -104,7 +130,7 @@ class Region:
                 0.5 * (self.min_lat + self.max_lat))
 
 
-def project(lon: float, lat: float, cfg: ProjectionConfig) -> Tuple[float, float]:
+def project(lon, lat, cfg: ProjectionConfig):
     """Convert degrees to local meters east/north of the origin.
 
     Equirectangular about (lon0, lat0):
@@ -112,13 +138,19 @@ def project(lon: float, lat: float, cfg: ProjectionConfig) -> Tuple[float, float
         y = R * (lat - lat0)               [radians]
 
     The map is exactly linear in (lon, lat), so it is exactly invertible.
+    ``lon`` and ``lat`` are numbers or equal-length arrays; each fix of an
+    array maps exactly as it would alone.
     """
-    if not (math.isfinite(lon) and math.isfinite(lat)):
+    lon = np.asarray(lon, dtype=float)
+    lat = np.asarray(lat, dtype=float)
+    if not (np.isfinite(lon).all() and np.isfinite(lat).all()):
         raise ValueError("project: lon/lat must be finite")
-    if abs(lat) >= 89.0:
-        raise ValueError(f"project: |lat| must be < 89 degrees, got {lat}")
-    x = EARTH_RADIUS_M * math.cos(math.radians(cfg.lat0)) * math.radians(lon - cfg.lon0)
-    y = EARTH_RADIUS_M * math.radians(lat - cfg.lat0)
+    polar = np.abs(lat) >= 89.0
+    if polar.any():
+        raise ValueError(f"project: |lat| must be < 89 degrees, got "
+                         f"{float(lat.flat[np.argmax(polar)])}")
+    x = EARTH_RADIUS_M * math.cos(math.radians(cfg.lat0)) * np.radians(lon - cfg.lon0)
+    y = EARTH_RADIUS_M * np.radians(lat - cfg.lat0)
     return x, y
 
 

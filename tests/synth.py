@@ -7,7 +7,7 @@ expected orderings and medians stay stable across runs and machines.
 
 import numpy as np
 
-from trajvoi.model import Measurement, Trajectory
+from trajvoi.model import Trajectory
 
 # Midnight UTC of 2008-10-24, the covering day used by all fixtures.
 DAY_START = 1224806400.0
@@ -36,11 +36,14 @@ def make_trajectory(xs, ts, sigmas=None, ys=None, trajectory_id="t0", owner_id="
         sigmas = np.full_like(xs, float(sigmas))
     else:
         sigmas = np.asarray(sigmas, dtype=float)
-    points = tuple(
-        Measurement(x=float(x), y=float(y), t=float(t), sigma=float(s))
-        for x, y, t, s in zip(xs, ys, ts, sigmas)
-    )
-    return Trajectory(points=points, owner_id=owner_id, trajectory_id=trajectory_id)
+    return Trajectory(t=ts, x=xs, y=ys, sigma=sigmas, owner_id=owner_id,
+                      trajectory_id=trajectory_id)
+
+
+def fixes(s):
+    """A trajectory's fixes as (t, x, y, sigma) tuples, for comparisons."""
+    return list(zip(s.t.tolist(), s.x.tolist(), s.y.tolist(),
+                    s.sigma.tolist()))
 
 
 def random_walk_suite(n=SUITE_SIZE, seed=SUITE_SEED, speed_range=SUITE_SPEED_RANGE):

@@ -136,7 +136,7 @@ def test_criterion_4_oracle_equivalence():
         ys = rng.normal(0.0, 200.0, n)
         sig = rng.uniform(1.0, 30.0, n)
         l = float(rng.uniform(0.05, 9.0))
-        track = fit_track(synth.make_trajectory(xs, ts, sigmas=sig, ys=ys).points,
+        track = fit_track(synth.make_trajectory(xs, ts, sigmas=sig, ys=ys),
                           cfg, length_scale=l)
         q_ts = rng.uniform(-synth.HOUR, 7 * synth.HOUR, 9)
         q = track.query(q_ts)
@@ -203,17 +203,17 @@ def test_criterion_6_exact_fixtures():
     ts = [0.0, 60.0, 120.0]
     z345 = perturb(synth.make_trajectory([0.0] * 3, ts, sigmas=3.0), 5.0, seed=7)
     z4 = perturb(synth.make_trajectory([0.0] * 3, ts, sigmas=0.0), 4.0, seed=7)
-    if any(p.sigma != 5.0 for p in z345.points):
+    if np.any(z345.sigma != 5.0):
         failures.append("3-4-5 total sigma")
-    d345 = np.array([(p.x, p.y) for p in z345.points])
-    d4 = np.array([(p.x, p.y) for p in z4.points])
+    d345 = np.column_stack((z345.x, z345.y))
+    d4 = np.column_stack((z4.x, z4.y))
     if not (np.array_equal(d345, d4) and np.all(d345 != 0.0)):
         failures.append("3-4-5 added draw")
 
     # subsampling nesting, 100 seeds x 5 ratios
     big = synth.make_trajectory(np.arange(200.0), np.arange(200.0) * 10.0)
     for seed in range(100):
-        kept = [frozenset(p.t for p in subsample(big, r, seed).points)
+        kept = [frozenset(subsample(big, r, seed).t.tolist())
                 for r in sorted(RATIOS)]
         if not all(a <= b for a, b in zip(kept, kept[1:])):
             failures.append(f"nesting seed {seed}")

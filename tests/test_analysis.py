@@ -30,6 +30,21 @@ def test_spearman_pinned_value():
     assert spearman([1, 2, 3, 4, 5], [2, 1, 4, 3, 5]) == pytest.approx(0.8)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 40))
+def test_spearman_matches_scipy(data, n):
+    # values drawn from a small pool, so that ties are common
+    stats = pytest.importorskip("scipy.stats")
+    pool = st.sampled_from([-2.5, -1.0, 0.0, 0.5, 3.0, 1e6]) | st.floats(
+        -1e6, 1e6)
+    xs = data.draw(st.lists(pool, min_size=n, max_size=n))
+    ys = data.draw(st.lists(pool, min_size=n, max_size=n))
+    if len(set(xs)) < 2 or len(set(ys)) < 2:
+        return
+    assert spearman(xs, ys) == pytest.approx(
+        stats.spearmanr(xs, ys).statistic, rel=1e-12, abs=1e-12)
+
+
 def test_spearman_errors():
     with pytest.raises(ConstantInputError):
         spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])

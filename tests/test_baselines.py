@@ -144,8 +144,7 @@ def test_correctness_half_trajectory_scores_worse():
     rng = np.random.default_rng(7)
     ts = DAY_START + np.sort(rng.uniform(0, 2 * HOUR, 40))
     s = make_trajectory(np.cumsum(rng.normal(0, 5, 40)), ts, sigmas=3.0)
-    half = make_trajectory([p.x for p in s.points[:20]],
-                           [p.t for p in s.points[:20]], sigmas=3.0,
+    half = make_trajectory(s.x[:20], s.t[:20], sigmas=3.0,
                            trajectory_id=s.trajectory_id)
     full = correctness_value(s, s, PriorKnowledge.uninformative())
     part = correctness_value(half, s, PriorKnowledge.uninformative())

@@ -327,7 +327,7 @@ def test_voi_batch_failing_as_a_whole_falls_back_to_single_cells(
 
     def fragile(cells, gp_cfg):
         if any(z is not None and z.trajectory_id == "b"
-               and z.points[-1].sigma == 100.0 for z, _ in cells):
+               and z.sigma[-1] == 100.0 for z, _ in cells):
             raise OverflowError("boom")
         return real(cells, gp_cfg)
 

@@ -85,7 +85,7 @@ def test_mean_function_evaluates_at_seconds():
 
 def test_empty_fit_is_the_prior():
     cfg = GpConfig(sigma_f=7500.0)
-    track = fit_track([], cfg)
+    track = fit_track(None, cfg)
     q = track.query(np.array([0.0, 40000.0]))
     assert np.allclose(q.mean_x, 0.0)
     assert np.allclose(q.var, 7500.0 ** 2)
@@ -94,7 +94,7 @@ def test_empty_fit_is_the_prior():
 
 def test_single_point_shrinkage():
     s = make_trajectory([100.0], [0.0], sigmas=3.0)
-    track = fit_track(s.points, GpConfig(sigma_f=7500.0), length_scale=1.0)
+    track = fit_track(s, GpConfig(sigma_f=7500.0), length_scale=1.0)
     q = track.query(np.array([0.0]))
     assert 97.0 <= float(q.mean_x[0]) <= 103.0
     assert float(q.var[0]) < 3.1 ** 2
@@ -103,7 +103,7 @@ def test_single_point_shrinkage():
 
 def test_far_query_reverts_to_prior():
     s = make_trajectory([100.0], [0.0], sigmas=3.0)
-    track = fit_track(s.points, GpConfig(sigma_f=7500.0), length_scale=0.5)
+    track = fit_track(s, GpConfig(sigma_f=7500.0), length_scale=0.5)
     q = track.query(np.array([50 * 0.5 * HOUR]))
     assert float(q.var[0]) == pytest.approx(7500.0 ** 2, rel=0.01)
     assert float(q.mean_x[0]) == pytest.approx(0.0, abs=1.0)
@@ -116,7 +116,7 @@ def test_posterior_variance_never_exceeds_prior():
         ts = np.sort(rng.uniform(0, 6 * HOUR, n))
         xs = rng.normal(0, 500, n)
         s = make_trajectory(xs, ts, sigmas=rng.uniform(1, 30))
-        track = fit_track(s.points, GpConfig(sigma_f=7500.0),
+        track = fit_track(s, GpConfig(sigma_f=7500.0),
                           length_scale=float(rng.uniform(0.05, 9.0)))
         q = track.query(np.linspace(-HOUR, 25 * HOUR, 200))
         assert np.all(q.var <= 7500.0 ** 2 * (1 + 1e-6))
@@ -133,7 +133,7 @@ def test_oracle_direct_inverse_small_instances():
         sig = rng.uniform(0.5, 10, n)
         l = float(rng.uniform(0.05, 8.0))
         s = make_trajectory(xs, ts, sigmas=sig)
-        track = fit_track(s.points, cfg, length_scale=l)
+        track = fit_track(s, cfg, length_scale=l)
         q_ts = rng.uniform(0, 4 * HOUR, 7)
         q = track.query(q_ts)
 
@@ -156,8 +156,8 @@ def test_time_reversal_symmetry():
     pivot = 6000.0
     s_rev = make_trajectory(xs[::-1], (pivot - ts)[::-1], sigmas=3.0)
     cfg = GpConfig(sigma_f=500.0)
-    fwd = fit_track(s.points, cfg, length_scale=1.0)
-    rev = fit_track(s_rev.points, cfg, length_scale=1.0)
+    fwd = fit_track(s, cfg, length_scale=1.0)
+    rev = fit_track(s_rev, cfg, length_scale=1.0)
     q = np.linspace(-1000.0, 7000.0, 50)
     qf = fwd.query(q)
     qr = rev.query(pivot - q)
@@ -173,8 +173,8 @@ def test_channel_swap_symmetry():
     s = make_trajectory(xs, ts, sigmas=5.0, ys=ys)
     swapped = make_trajectory(ys, ts, sigmas=5.0, ys=xs)
     cfg = GpConfig(sigma_f=800.0)
-    a = fit_track(s.points, cfg, length_scale=0.7)
-    b = fit_track(swapped.points, cfg, length_scale=0.7)
+    a = fit_track(s, cfg, length_scale=0.7)
+    b = fit_track(swapped, cfg, length_scale=0.7)
     q = np.linspace(0, HOUR, 30)
     qa, qb = a.query(q), b.query(q)
     assert np.array_equal(qa.mean_x, qb.mean_y)
@@ -185,7 +185,7 @@ def test_channel_swap_symmetry():
 def test_duplicate_timestamps_are_fine():
     # white noise keeps the Gram matrix well conditioned at repeated inputs
     s = make_trajectory([10.0, 12.0, 11.0], [500.0, 500.0, 500.0], sigmas=3.0)
-    track = fit_track(s.points, GpConfig(sigma_f=100.0), length_scale=1.0)
+    track = fit_track(s, GpConfig(sigma_f=100.0), length_scale=1.0)
     q = track.query(np.array([500.0]))
     assert 9.0 <= float(q.mean_x[0]) <= 13.0
 
@@ -207,7 +207,7 @@ def test_fit_track_runs_one_filter_and_smoother_pass(monkeypatch):
                         counting("smoother", gp._rts_smoother))
     s = make_trajectory([1.0, 2.0, 4.0], [0.0, 60.0, 600.0], sigmas=3.0,
                         ys=[5.0, 3.0, 0.0])
-    track = fit_track(s.points, GpConfig(sigma_f=100.0), length_scale=1.0)
+    track = fit_track(s, GpConfig(sigma_f=100.0), length_scale=1.0)
     track.query(np.linspace(-600.0, 1200.0, 40))
     assert calls == ["filter", "smoother"]
 
@@ -262,7 +262,7 @@ def test_decreasing_times_raise():
 def test_variance_floor():
     # near-duplicate ultra-precise points push the variance to the floor
     s = make_trajectory([0.0] * 5, [0.0] * 5, sigmas=1e-9)
-    track = fit_track(s.points, GpConfig(sigma_f=10.0), length_scale=10.0)
+    track = fit_track(s, GpConfig(sigma_f=10.0), length_scale=10.0)
     q = track.query(np.array([0.0]))
     assert float(q.var[0]) >= 1e-12 * 10.0 ** 2
 
@@ -500,8 +500,8 @@ def test_batched_tracks_predict_like_lone_tracks():
         s = make_trajectory(rng.normal(0, 100, n), ts,
                             sigmas=rng.uniform(0, 10, n),
                             ys=rng.normal(0, 100, n))
-        means = [fit_linear_mean(ts, [p.x for p in s]), MeanFunction()]
-        requests.append((point_training(s.points, means, 500.0),
+        means = [fit_linear_mean(ts, s.x), MeanFunction()]
+        requests.append((point_training(s, means, 500.0),
                          float(rng.uniform(0.05, 5.0))))
     tracks = fit_tracks(requests, GpConfig(sigma_f=500.0))
     for (training, l), track in zip(requests, tracks):
@@ -571,7 +571,7 @@ def test_fit_track_trains_jointly_when_scale_unset():
     _, ys = sample_matern_path(np.random.default_rng(9), 80, l=1.0,
                                sigma_f=100.0, noise=1.0)
     s = make_trajectory(xs, ts, sigmas=1.0, ys=ys[:80])
-    track = fit_track(s.points, GpConfig(sigma_f=100.0))
+    track = fit_track(s, GpConfig(sigma_f=100.0))
     joint = train_length_scale(ts, [xs, ys], np.full(80, 1.0),
                                [MeanFunction(), MeanFunction()], 100.0)
     assert track.gp.length_scale == joint

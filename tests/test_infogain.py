@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from synth import DAY_START, HOUR, make_trajectory
+from synth import DAY_START, HOUR, fixes, make_trajectory
 from trajvoi.degrade import DegradationSpec, apply_spec
 from trajvoi.gp import GpConfig, fit_track
 from trajvoi.infogain import (IntegrationConfig, PriorKnowledge, VoiReport,
@@ -48,7 +48,7 @@ def test_gaussian_entropy_can_be_negative():
 # --- pointwise gain ----------------------------------------------------------
 
 def constant_track(sigma):
-    return fit_track([], GpConfig(sigma_f=sigma))
+    return fit_track(None, GpConfig(sigma_f=sigma))
 
 
 def test_ig_at_identical_tracks_is_zero():
@@ -121,7 +121,7 @@ def test_prior_validation():
 
 def test_combine_uninformative_returns_z():
     s = make_trajectory([0.0, 1.0], [DAY_START, DAY_START + 60], sigmas=3.0)
-    assert combine(s, PriorKnowledge.uninformative()) == list(s.points)
+    assert combine(s, PriorKnowledge.uninformative()) is s
 
 
 def test_combine_rejects_foreign_release():
@@ -140,14 +140,15 @@ def test_combine_perturbation_inverse_variance_weighting():
                                       seed=6))
     merged = combine(z, PriorKnowledge.from_release(omega, spec))
     assert len(merged) == 2
-    for m, zp, op in zip(merged, z.points, omega.points):
-        wz, wo = 1 / zp.sigma ** 2, 1 / op.sigma ** 2
-        assert m.t == zp.t
-        assert m.sigma == pytest.approx((wz + wo) ** -0.5, rel=1e-12)
-        assert m.x == pytest.approx((zp.x * wz + op.x * wo) / (wz + wo),
-                                    rel=1e-12)
+    assert merged.trajectory_id == z.trajectory_id
+    for m, zp, op in zip(fixes(merged), fixes(z), fixes(omega)):
+        wz, wo = 1 / zp[3] ** 2, 1 / op[3] ** 2
+        assert m[0] == zp[0]
+        assert m[3] == pytest.approx((wz + wo) ** -0.5, rel=1e-12)
+        assert m[1] == pytest.approx((zp[1] * wz + op[1] * wo) / (wz + wo),
+                                     rel=1e-12)
     # merged points are strictly more precise than either source
-    assert all(m.sigma < 100.0 for m in merged)
+    assert np.all(merged.sigma < 100.0)
 
 
 def test_combine_perturbation_pairs_repeated_timestamps_by_position():
@@ -157,10 +158,21 @@ def test_combine_perturbation_pairs_repeated_timestamps_by_position():
     z = apply_spec(s, DegradationSpec(kind="perturbation", total_noise=10.0,
                                       seed=6))
     merged = combine(z, PriorKnowledge.from_release(apply_spec(s, spec), spec))
-    assert [m.t for m in merged] == [p.t for p in s.points]
-    assert [m.sigma for m in merged] \
+    assert np.array_equal(merged.t, s.t)
+    assert merged.sigma.tolist() \
         == pytest.approx([(10.0 ** -2 + 400.0 ** -2) ** -0.5] * 3, rel=1e-12)
-    assert merged[0].sigma == pytest.approx(9.997, abs=5e-4)
+    assert merged.sigma[0] == pytest.approx(9.997, abs=5e-4)
+
+
+def test_combine_perturbation_fails_on_an_exact_fix_as_floats_do():
+    # the inverse variance of an exact (sigma 0) identity fix divides by
+    # zero, and the cell fails with the error Python floats raise
+    s = make_trajectory([0.0, 5.0], [DAY_START, DAY_START + 60],
+                        sigmas=[3.0, 0.0])
+    spec = DegradationSpec(kind="perturbation", total_noise=400.0, seed=5)
+    prior = PriorKnowledge.from_release(apply_spec(s, spec), spec)
+    with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+        combine(s, prior)
 
 
 def test_combine_perturbation_rejects_other_timestamps():
@@ -180,10 +192,9 @@ def test_combine_superset_releases_use_z_alone():
     z_spec = DegradationSpec(kind="subsampling", ratio=0.8, seed=4)
     z = apply_spec(s, z_spec)
     merged = combine(z, PriorKnowledge.from_release(omega, spec))
-    assert merged == list(z.points)
+    assert merged is z
     # the other way round the prior already holds the whole release
-    assert combine(omega, PriorKnowledge.from_release(z, z_spec)) \
-        == list(z.points)
+    assert combine(omega, PriorKnowledge.from_release(z, z_spec)) is z
 
 
 @pytest.mark.parametrize("kind", ["truncation", "subsampling"])

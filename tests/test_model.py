@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trajvoi.model import (EARTH_RADIUS_M, Measurement, ProjectionConfig,
-                           Region, Trajectory, project, unproject)
+from trajvoi.model import (EARTH_RADIUS_M, ProjectionConfig, Region,
+                           Trajectory, project, unproject)
 
 BEIJING = ProjectionConfig(lon0=116.375, lat0=39.93)
 
@@ -73,23 +74,53 @@ def test_high_latitude_rejected():
         project(10.0, -89.0, BEIJING)
 
 
+def fix(**values):
+    """A one-fix trajectory, the fix at the origin unless told otherwise."""
+    return Trajectory(**{name: [values.get(name, 0.0)]
+                         for name in ("t", "x", "y", "sigma")})
+
+
 def test_measurement_validation():
-    with pytest.raises(ValueError):
-        Measurement(x=float("nan"), y=0.0, t=0.0, sigma=3.0)
-    with pytest.raises(ValueError):
-        Measurement(x=0.0, y=0.0, t=0.0, sigma=-1.0)
+    with pytest.raises(ValueError, match=r"^Measurement\.x must be finite, got nan$"):
+        fix(x=float("nan"))
+    with pytest.raises(ValueError, match=r"^Measurement\.t must be finite, got inf$"):
+        fix(t=float("inf"))
+    with pytest.raises(ValueError, match=r"^Measurement\.sigma must be >= 0, got -1\.0$"):
+        fix(sigma=-1.0)
+    # the first fix at fault is named, and a fix's fields in x, y, t,
+    # sigma order
+    with pytest.raises(ValueError, match=r"^Measurement\.y must be finite, got -inf$"):
+        Trajectory(t=[0.0, 1.0, 2.0], x=[0.0, 0.0, np.nan],
+                   y=[0.0, -np.inf, 0.0], sigma=[3.0, np.nan, -1.0])
 
 
 def test_trajectory_requires_sorted_nonempty():
-    p0 = Measurement(x=0.0, y=0.0, t=10.0, sigma=3.0)
-    p1 = Measurement(x=1.0, y=0.0, t=5.0, sigma=3.0)
-    with pytest.raises(ValueError):
-        Trajectory(points=(), trajectory_id="e")
-    with pytest.raises(ValueError):
-        Trajectory(points=(p0, p1), trajectory_id="u")
-    t = Trajectory(points=(p1, p0), trajectory_id="ok")
-    assert len(t) == 2
-    assert [p.t for p in t] == [5.0, 10.0]
+    with pytest.raises(ValueError, match="at least one measurement"):
+        Trajectory(t=[], x=[], y=[], sigma=[], trajectory_id="e")
+    with pytest.raises(ValueError, match=r"'u': timestamps must be "
+                                         r"non-decreasing \(10\.0 followed by 5\.0\)"):
+        Trajectory(t=[10.0, 5.0], x=[0.0, 1.0], y=[0.0, 0.0],
+                   sigma=[3.0, 3.0], trajectory_id="u")
+    t = Trajectory(t=[5.0, 5.0, 10.0], x=[1.0, 2.0, 0.0], y=[0.0] * 3,
+                   sigma=[3.0] * 3, trajectory_id="ok")
+    assert len(t) == 3
+    assert t.t.tolist() == [5.0, 5.0, 10.0]
+
+
+def test_trajectory_columns_are_equal_length_read_only_float64():
+    with pytest.raises(ValueError, match="of one length"):
+        Trajectory(t=[0.0, 1.0], x=[0.0], y=[0.0, 0.0], sigma=[3.0, 3.0])
+    xs = np.array([1, 2, 3])
+    s = Trajectory(t=[0, 1, 2], x=xs, y=np.zeros(3), sigma=np.full(3, 3.0))
+    for column in (s.t, s.x, s.y, s.sigma):
+        assert column.dtype == np.float64 and column.flags.c_contiguous
+        with pytest.raises(ValueError):
+            column[0] = 7.0
+    xs[0] = 9          # a copy was taken: the int input is not the column
+    assert s.x[0] == 1.0
+    kept = s.take(np.array([True, False, True]))
+    assert kept.x.tolist() == [1.0, 3.0]
+    assert (kept.owner_id, kept.trajectory_id) == (s.owner_id, s.trajectory_id)
 
 
 def test_region_contains():

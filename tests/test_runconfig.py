@@ -129,9 +129,9 @@ def test_config_hash_ignores_run_placement():
 
 
 def test_setup_path_loads_no_scipy():
-    # importing the package and loading a config stays clear of scipy,
-    # which only the analysis stage needs
-    code = ("import sys, trajvoi\n"
+    # importing the package and its CLI, and loading a config, stays clear
+    # of scipy, which only the tests need
+    code = ("import sys, trajvoi, trajvoi.cli\n"
             "from trajvoi.runconfig import load_config\n"
             "load_config(None)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
