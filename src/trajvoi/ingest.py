@@ -94,7 +94,7 @@ def _parse_plt_line(line: str) -> Tuple[float, float, float]:
     return lon, lat, t
 
 
-_UNSEEN = object()   # not in a memo yet; None is a remembered answer
+_UNSEEN = object()   # not in the memo yet; None is a remembered answer
 
 
 def _strict_digits(text: str) -> bool:
@@ -135,8 +135,8 @@ def parse_plt(file_bytes: bytes) -> PltParseResult:
     exactly the header and no data lines yields an empty record array.
     Any data line that fails to parse is counted in ``lines_skipped``.
 
-    Each distinct date is parsed once and each distinct clock once, in
-    their strict forms (``YYYY-MM-DD``, ``HH:MM:SS``); a line whose date or
+    Each distinct date is parsed once, in its strict ``YYYY-MM-DD`` form,
+    and each clock by a strict ``HH:MM:SS`` parse; a line whose date or
     clock is in any other form takes the general ``strptime`` route, so
     either way a line parses exactly as that route alone would parse it.
     """
@@ -148,7 +148,6 @@ def parse_plt(file_bytes: bytes) -> PltParseResult:
             f"{PLT_HEADER_LINES}-line header"
         )
     days: Dict[str, Optional[int]] = {}
-    clocks: Dict[str, Optional[int]] = {}
     lons: List[float] = []
     lats: List[float] = []
     times: List[float] = []
@@ -163,9 +162,7 @@ def parse_plt(file_bytes: bytes) -> PltParseResult:
             day = days.get(parts[5], _UNSEEN)
             if day is _UNSEEN:
                 day = days[parts[5]] = _day_start(parts[5])
-            clock = clocks.get(parts[6], _UNSEEN)
-            if clock is _UNSEEN:
-                clock = clocks[parts[6]] = _clock_seconds(parts[6])
+            clock = _clock_seconds(parts[6])
             if day is None or clock is None:
                 lon, lat, t = _parse_plt_line(line)
             else:
@@ -193,9 +190,7 @@ def filter_region(records, region: Region) -> np.ndarray:
     """Keep (lon, lat, t) records inside the bounding box (inclusive),
     preserving order."""
     records = _records(records)
-    lon, lat = records[:, 0], records[:, 1]
-    return records[(region.min_lon <= lon) & (lon <= region.max_lon)
-                   & (region.min_lat <= lat) & (lat <= region.max_lat)]
+    return records[region.contains(records[:, 0], records[:, 1])]
 
 
 def segment(records,
@@ -247,6 +242,17 @@ def write_trajectory_csv(trajectories: Iterable[Trajectory], path) -> None:
                 traj.sigma.tolist()))))
 
 
+def _full_rows(reader, width: int, path) -> Iterable[List[str]]:
+    """The non-empty rows of a ``csv.reader``; a row with fewer than
+    ``width`` fields is a ValueError naming its line."""
+    for row in reader:
+        if len(row) >= width:
+            yield row
+        elif row:
+            raise ValueError(f"line {reader.line_num}: {len(row)} fields, "
+                             f"fewer than {width}, in {path}")
+
+
 def read_trajectory_csv(path) -> List[Trajectory]:
     """Read the flat CSV format back into trajectories (file order).
 
@@ -266,15 +272,12 @@ def read_trajectory_csv(path) -> List[Trajectory]:
         width = max(tid, owner, *values) + 1
         seen = set()
         for trajectory_id, group in itertools.groupby(
-                filter(None, reader), key=itemgetter(tid)):
+                _full_rows(reader, width, path), key=itemgetter(tid)):
             rows = list(group)
             if trajectory_id in seen:
                 raise ValueError(f"trajectory {trajectory_id!r}: its rows "
                                  f"are not contiguous in {path}")
             seen.add(trajectory_id)
-            if min(map(len, rows)) < width:
-                raise ValueError(f"trajectory {trajectory_id!r}: a row has "
-                                 f"fewer than {width} fields in {path}")
             owners = {row[owner] for row in rows}
             if len(owners) > 1:
                 raise ValueError(f"trajectory {trajectory_id!r}: rows with "

@@ -121,9 +121,11 @@ class Region:
         if not (self.min_lat < self.max_lat):
             raise ValueError("Region requires min_lat < max_lat")
 
-    def contains(self, lon: float, lat: float) -> bool:
-        return (self.min_lon <= lon <= self.max_lon
-                and self.min_lat <= lat <= self.max_lat)
+    def contains(self, lon, lat):
+        """Whether (lon, lat) is inside the box, boundary included; numbers
+        give a bool, equal-length arrays a boolean array."""
+        return ((self.min_lon <= lon) & (lon <= self.max_lon)
+                & (self.min_lat <= lat) & (lat <= self.max_lat))
 
     def center(self) -> Tuple[float, float]:
         return (0.5 * (self.min_lon + self.max_lon),

@@ -332,6 +332,17 @@ def test_read_trajectory_csv_finds_columns_by_name(tmp_path):
     assert b.x.tolist() == [12.0]
 
 
+@pytest.mark.parametrize("bad_row", ["3,20,n,10", "   "])
+def test_read_trajectory_csv_rejects_a_short_row_by_line(tmp_path, bad_row):
+    # the id column is last, so a short row lacks it as well
+    path = tmp_path / "short.csv"
+    path.write_text("sigma,y,note,x,t,owner_id,trajectory_id\n"
+                    "3,20,n,10,0.5,o,a\n"
+                    f"{bad_row}\n")
+    with pytest.raises(ValueError, match="line 3: .*fewer than 7"):
+        read_trajectory_csv(path)
+
+
 def test_trajectory_csv_rewrite_is_byte_identical(tmp_path):
     # awkward values: signed zero, tiny and huge magnitudes, repeated
     # timestamps and exact (sigma 0) fixes
