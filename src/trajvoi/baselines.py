@@ -102,16 +102,10 @@ def spp_value(s: Trajectory, cfg: SppConfig = SppConfig()) -> float:
     return sum(cfg.v0 * math.exp(v) for v in (-s.sigma / cfg.sigma_ref).tolist())
 
 
-@dataclass(frozen=True)
-class CorrectnessResult:
-    expected_error_m: float
-
-
 def correctness_value(z: Trajectory, s_raw: Trajectory,
                       prior: PriorKnowledge = PriorKnowledge.uninformative(),
                       gp_cfg: GpConfig = GpConfig(),
-                      posterior: Optional[GaussianTrack] = None
-                      ) -> CorrectnessResult:
+                      posterior: Optional[GaussianTrack] = None) -> float:
     """Prediction-error score of a release against the raw trajectory.
 
     Reconstructs from combine(Z, prior) and measures, at each raw
@@ -129,13 +123,12 @@ def correctness_value(z: Trajectory, s_raw: Trajectory,
     dy = q.mean_y - s_raw.y
     # one variance term per coordinate, added term by term: 2.0 * var
     # rounds differently in the last bit and would shift reported scores
-    err = float(np.mean(np.sqrt(dx ** 2 + dy ** 2 + q.var + q.var)))
-    return CorrectnessResult(expected_error_m=err)
+    return float(np.mean(np.sqrt(dx ** 2 + dy ** 2 + q.var + q.var)))
 
 
 def baseline_row(s: Trajectory, grid: EntropyGridConfig = EntropyGridConfig(),
                  spp: SppConfig = SppConfig(),
-                 correctness: CorrectnessResult = None) -> dict:
+                 correctness: Optional[float] = None) -> dict:
     """All scalar baselines for one trajectory, keyed like the CSV header."""
     row = {
         "trajectory_id": s.trajectory_id,
@@ -145,6 +138,6 @@ def baseline_row(s: Trajectory, grid: EntropyGridConfig = EntropyGridConfig(),
         "h_spatial_bits": spatial_entropy(s, grid),
         "h_temporal_bits": temporal_entropy(s, grid),
         "spp": spp_value(s, spp),
-        "correctness_err_m": correctness.expected_error_m if correctness else "",
+        "correctness_err_m": "" if correctness is None else correctness,
     }
     return row

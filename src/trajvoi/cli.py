@@ -536,15 +536,12 @@ def entrypoint(argv: Optional[Sequence[str]] = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        overrides = {key: value for key, value in
+                     (("limit", args.limit), ("jobs", args.jobs))
+                     if value is not None}
         if args.seed is not None:
-            cfg.seed = args.seed
-        if args.limit is not None:
-            cfg.limit = args.limit
-        if args.jobs is not None:
-            if args.jobs < 1:
-                raise ConfigError("--jobs must be >= 1")
-            cfg.jobs = args.jobs
+            overrides["degradation"] = {"seed": args.seed}
+        cfg = load_config(args.config, overrides)
         if args.command == "ingest":
             return cmd_ingest(cfg)
         if args.command == "degrade":

@@ -13,6 +13,7 @@ the run, since large dumps routinely contain stray lines.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -234,8 +235,12 @@ def write_trajectory_csv(trajectories: Iterable[Trajectory], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(TRAJECTORY_CSV_FIELDS) + "\n")
         for traj in trajectories:
+            # csv quotes an id only where it must (a comma, a quote or a
+            # line break), once per trajectory; "\r\n" ends its row
+            ids = io.StringIO()
+            csv.writer(ids).writerow((traj.trajectory_id, traj.owner_id))
             # %-formatting writes a float as format() does, and faster
-            row = (f"{traj.trajectory_id},{traj.owner_id},".replace("%", "%%")
+            row = ((ids.getvalue()[:-2] + ",").replace("%", "%%")
                    + "%.3f,%.9g,%.9g,%.9g\n")
             fh.write("".join(map(row.__mod__, zip(
                 traj.t.tolist(), traj.x.tolist(), traj.y.tolist(),

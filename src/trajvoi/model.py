@@ -97,7 +97,6 @@ class ProjectionConfig:
 
     lon0: float
     lat0: float
-    name: str = ""
 
     def __post_init__(self):
         if not (-180.0 <= self.lon0 <= 180.0):

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import yaml
 
@@ -28,11 +29,6 @@ from .model import ProjectionConfig, Region
 # seed on purpose: nesting makes the release a superset of the prior)
 PRIOR_SEED_OFFSET = 1_000_003
 
-DEFAULT_NOISE_LEVELS_M = (3.0, 10.0, 100.0, 200.0, 300.0, 400.0)
-DEFAULT_RATIOS = (0.8, 0.6, 0.4, 0.2, 0.05)
-DEFAULT_PRIOR_NOISE_M = (400.0, 300.0)
-DEFAULT_PRIOR_RATIOS = (0.05, 0.2)
-
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration (CLI exit code 1)."""
@@ -46,27 +42,26 @@ class RunConfig:
 
     region: Region = field(default_factory=lambda: Region(
         min_lon=116.20, max_lon=116.55, min_lat=39.80, max_lat=40.06))
-    projection: ProjectionConfig = field(default_factory=lambda: ProjectionConfig(
-        lon0=116.375, lat0=39.93))
+    projection: ProjectionConfig = field(
+        default_factory=lambda: ProjectionConfig(lon0=116.375, lat0=39.93))
     segmentation: SegmentationConfig = field(default_factory=SegmentationConfig)
 
     noise_levels_m: List[float] = field(
-        default_factory=lambda: list(DEFAULT_NOISE_LEVELS_M))
+        default_factory=lambda: [3.0, 10.0, 100.0, 200.0, 300.0, 400.0])
     truncation_ratios: List[float] = field(
-        default_factory=lambda: list(DEFAULT_RATIOS))
+        default_factory=lambda: [0.8, 0.6, 0.4, 0.2, 0.05])
     subsampling_ratios: List[float] = field(
-        default_factory=lambda: list(DEFAULT_RATIOS))
+        default_factory=lambda: [0.8, 0.6, 0.4, 0.2, 0.05])
     include_identity: bool = True
     seed: int = 0
     prior_seed: Optional[int] = None  # derived from seed when unset
 
     prior_uninformative: bool = True
-    prior_noise_m: List[float] = field(
-        default_factory=lambda: list(DEFAULT_PRIOR_NOISE_M))
+    prior_noise_m: List[float] = field(default_factory=lambda: [400.0, 300.0])
     prior_truncation_ratios: List[float] = field(
-        default_factory=lambda: list(DEFAULT_PRIOR_RATIOS))
+        default_factory=lambda: [0.05, 0.2])
     prior_subsampling_ratios: List[float] = field(
-        default_factory=lambda: list(DEFAULT_PRIOR_RATIOS))
+        default_factory=lambda: [0.05, 0.2])
 
     gp: GpConfig = field(default_factory=GpConfig)
     integration: IntegrationConfig = field(default_factory=IntegrationConfig)
@@ -77,46 +72,17 @@ class RunConfig:
     limit: Optional[int] = None
 
     def effective_prior_seed(self) -> int:
-        if self.prior_seed is not None:
-            return self.prior_seed
-        return self.seed + PRIOR_SEED_OFFSET
+        return (self.seed + PRIOR_SEED_OFFSET if self.prior_seed is None
+                else self.prior_seed)
 
     def to_dict(self) -> dict:
-        return {
-            "plt_root": self.plt_root,
-            "trajectories_csv": self.trajectories_csv,
-            "output_dir": self.output_dir,
-            "region": {"min_lon": self.region.min_lon,
-                       "max_lon": self.region.max_lon,
-                       "min_lat": self.region.min_lat,
-                       "max_lat": self.region.max_lat},
-            "projection": {"lon0": self.projection.lon0,
-                           "lat0": self.projection.lat0},
-            "segmentation": {"max_gap_s": self.segmentation.max_gap,
-                             "default_sigma_m": self.segmentation.default_sigma},
-            "degradation": {"noise_levels_m": self.noise_levels_m,
-                            "truncation_ratios": self.truncation_ratios,
-                            "subsampling_ratios": self.subsampling_ratios,
-                            "include_identity": self.include_identity,
-                            "seed": self.seed,
-                            "prior_seed": self.effective_prior_seed()},
-            "priors": {"uninformative": self.prior_uninformative,
-                       "perturbation_noise_m": self.prior_noise_m,
-                       "truncation_ratios": self.prior_truncation_ratios,
-                       "subsampling_ratios": self.prior_subsampling_ratios},
-            "gp": {"sigma0_m": self.gp.sigma_f,
-                   "length_scale_bounds_h": list(self.gp.length_scale_bounds),
-                   "grid_size": self.gp.grid_size},
-            "integration": {"grid_step_s": self.integration.grid_step,
-                            "day_seconds": self.integration.day_seconds,
-                            "include_measurement_times":
-                                self.integration.include_measurement_times},
-            "entropy_grid": {"cell_size_m": self.entropy_grid.cell_size,
-                             "bin_length_s": self.entropy_grid.bin_length},
-            "spp": {"v0": self.spp.v0, "sigma_ref_m": self.spp.sigma_ref},
-            "jobs": self.jobs,
-            "limit": self.limit,
-        }
+        """The settings in the YAML layout, the prior seed spelled out."""
+        out: dict = {}
+        for section, key, attr, *_ in SETTINGS:
+            part = out.setdefault(section, {}) if section else out
+            part[key] = attrgetter(attr)(self)
+        out["degradation"]["prior_seed"] = self.effective_prior_seed()
+        return out
 
     def config_hash(self) -> str:
         """Digest of the settings that shape the results: where a run
@@ -127,152 +93,153 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _take(section: dict, key: str, default):
-    return section.pop(key) if key in section else default
+# --- the schema -------------------------------------------------------------
+# A coercion turns a YAML value into a field's value or raises ValueError:
+# a bool, str or list must be written as one, a number never as a bool.
+
+def _exactly(kind: type) -> Callable:
+    """A coercion that takes a value of type ``kind`` as it is."""
+    def coerce(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"must be a {kind.__name__}, got {value!r}")
+        return value
+    return coerce
 
 
-def _done(name: str, section: dict):
-    if section:
-        raise ConfigError(f"unknown keys in {name!r}: {sorted(section)}")
+def _optional(coerce: Callable) -> Callable:
+    return lambda value: None if value is None else coerce(value)
 
 
-def _section(raw: dict, name: str) -> dict:
-    value = raw.pop(name, {}) or {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"section {name!r} must be a mapping")
-    return dict(value)
+def _float(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
 
 
-def load_config(path: Optional[str] = None) -> RunConfig:
-    """Build a RunConfig from a YAML file; every key is optional."""
-    raw = {}
+def _int(value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _floats(value) -> List[float]:
+    return [_float(v) for v in _exactly(list)(value)]
+
+
+def _bounds(value) -> Tuple[float, float]:
+    lo, hi = _floats(value)             # a ValueError unless exactly two
+    return lo, hi
+
+
+def _positive(values) -> bool:
+    return all(v > 0 for v in values)
+
+
+def _ratios(values) -> bool:
+    return all(0 < v <= 1 for v in values)
+
+
+_bool, _text = _exactly(bool), _exactly(str)
+
+# One row per setting, in the order of to_dict: YAML section (None at the
+# top level), YAML key, RunConfig attribute ("gp.sigma_f" for a field of a
+# section), coercion, and any (test, message) check on the coerced value
+# that the field's own dataclass does not make. Defaults stay on the fields.
+SETTINGS = (
+    (None, "plt_root", "plt_root", _optional(_text)),
+    (None, "trajectories_csv", "trajectories_csv", _text),
+    (None, "output_dir", "output_dir", _text),
+    ("region", "min_lon", "region.min_lon", _float),
+    ("region", "max_lon", "region.max_lon", _float),
+    ("region", "min_lat", "region.min_lat", _float),
+    ("region", "max_lat", "region.max_lat", _float),
+    ("projection", "lon0", "projection.lon0", _float),
+    ("projection", "lat0", "projection.lat0", _float),
+    ("segmentation", "max_gap_s", "segmentation.max_gap", _float),
+    ("segmentation", "default_sigma_m", "segmentation.default_sigma", _float),
+    ("degradation", "noise_levels_m", "noise_levels_m", _floats,
+     (_positive, "noise_levels_m entries must be > 0")),
+    ("degradation", "truncation_ratios", "truncation_ratios", _floats,
+     (_ratios, "truncation_ratios entries must be in (0, 1]")),
+    ("degradation", "subsampling_ratios", "subsampling_ratios", _floats,
+     (_ratios, "subsampling_ratios entries must be in (0, 1]")),
+    ("degradation", "include_identity", "include_identity", _bool),
+    ("degradation", "seed", "seed", _int),
+    ("degradation", "prior_seed", "prior_seed", _optional(_int)),
+    ("priors", "uninformative", "prior_uninformative", _bool),
+    ("priors", "perturbation_noise_m", "prior_noise_m", _floats,
+     (_positive, "perturbation prior noise entries must be > 0")),
+    ("priors", "truncation_ratios", "prior_truncation_ratios", _floats,
+     (_ratios, "prior truncation ratios entries must be in (0, 1]")),
+    ("priors", "subsampling_ratios", "prior_subsampling_ratios", _floats,
+     (_ratios, "prior subsampling ratios entries must be in (0, 1]")),
+    ("gp", "sigma0_m", "gp.sigma_f", _float),
+    ("gp", "length_scale_bounds_h", "gp.length_scale_bounds", _bounds),
+    ("gp", "grid_size", "gp.grid_size", _int),
+    ("integration", "grid_step_s", "integration.grid_step", _float),
+    ("integration", "day_seconds", "integration.day_seconds", _float),
+    ("integration", "include_measurement_times",
+     "integration.include_measurement_times", _bool),
+    ("entropy_grid", "cell_size_m", "entropy_grid.cell_size", _float),
+    ("entropy_grid", "bin_length_s", "entropy_grid.bin_length", _float),
+    ("spp", "v0", "spp.v0", _float),
+    ("spp", "sigma_ref_m", "spp.sigma_ref", _float),
+    (None, "jobs", "jobs", _int, (lambda n: n >= 1, "jobs must be >= 1")),
+    (None, "limit", "limit", _optional(_int),
+     (lambda n: n is None or n >= 0, "limit must be >= 0")),
+)
+
+
+def load_config(path: Optional[str] = None,
+                overrides: Optional[dict] = None) -> RunConfig:
+    """Build a RunConfig from a YAML file, every key optional, then apply
+    ``overrides``, a mapping laid out like the file (the CLI options)."""
+    text = ""
     if path is not None:
         try:
             text = Path(path).read_text()
         except OSError as e:
             raise ConfigError(f"cannot read config {path!r}: {e}")
-        loaded = yaml.safe_load(text)
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config root must be a mapping, got "
-                              f"{type(loaded).__name__}")
-        raw = dict(loaded)
+    raw = yaml.safe_load(text)              # None for an empty file
+    if not isinstance(raw, (dict, type(None))):
+        raise ConfigError(f"config root must be a mapping, got "
+                          f"{type(raw).__name__}")
     try:
-        return _from_raw(raw)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e))
+        return _apply(_apply(RunConfig(), raw or {}), overrides or {})
+    except (TypeError, ValueError) as e:    # a section's own checks too
+        raise ConfigError(str(e)) from e
 
 
-def _from_raw(raw: dict) -> RunConfig:
-    cfg = RunConfig()
-    cfg.plt_root = _take(raw, "plt_root", cfg.plt_root)
-    cfg.trajectories_csv = _take(raw, "trajectories_csv", cfg.trajectories_csv)
-    cfg.output_dir = _take(raw, "output_dir", cfg.output_dir)
-
-    sec = _section(raw, "region")
-    cfg.region = Region(
-        min_lon=float(_take(sec, "min_lon", cfg.region.min_lon)),
-        max_lon=float(_take(sec, "max_lon", cfg.region.max_lon)),
-        min_lat=float(_take(sec, "min_lat", cfg.region.min_lat)),
-        max_lat=float(_take(sec, "max_lat", cfg.region.max_lat)))
-    _done("region", sec)
-
-    sec = _section(raw, "projection")
-    cfg.projection = ProjectionConfig(
-        lon0=float(_take(sec, "lon0", cfg.projection.lon0)),
-        lat0=float(_take(sec, "lat0", cfg.projection.lat0)))
-    _done("projection", sec)
-
-    sec = _section(raw, "segmentation")
-    cfg.segmentation = SegmentationConfig(
-        max_gap=float(_take(sec, "max_gap_s", cfg.segmentation.max_gap)),
-        default_sigma=float(_take(sec, "default_sigma_m",
-                                  cfg.segmentation.default_sigma)))
-    _done("segmentation", sec)
-
-    sec = _section(raw, "degradation")
-    cfg.noise_levels_m = [float(v) for v in
-                          _take(sec, "noise_levels_m", cfg.noise_levels_m)]
-    cfg.truncation_ratios = [float(v) for v in
-                             _take(sec, "truncation_ratios",
-                                   cfg.truncation_ratios)]
-    cfg.subsampling_ratios = [float(v) for v in
-                              _take(sec, "subsampling_ratios",
-                                    cfg.subsampling_ratios)]
-    cfg.include_identity = bool(_take(sec, "include_identity",
-                                      cfg.include_identity))
-    cfg.seed = int(_take(sec, "seed", cfg.seed))
-    prior_seed = _take(sec, "prior_seed", None)
-    cfg.prior_seed = None if prior_seed is None else int(prior_seed)
-    _done("degradation", sec)
-
-    sec = _section(raw, "priors")
-    cfg.prior_uninformative = bool(_take(sec, "uninformative",
-                                         cfg.prior_uninformative))
-    cfg.prior_noise_m = [float(v) for v in
-                         _take(sec, "perturbation_noise_m", cfg.prior_noise_m)]
-    cfg.prior_truncation_ratios = [float(v) for v in
-                                   _take(sec, "truncation_ratios",
-                                         cfg.prior_truncation_ratios)]
-    cfg.prior_subsampling_ratios = [float(v) for v in
-                                    _take(sec, "subsampling_ratios",
-                                          cfg.prior_subsampling_ratios)]
-    _done("priors", sec)
-
-    sec = _section(raw, "gp")
-    bounds = _take(sec, "length_scale_bounds_h",
-                   list(GpConfig().length_scale_bounds))
-    cfg.gp = GpConfig(
-        sigma_f=float(_take(sec, "sigma0_m", GpConfig().sigma_f)),
-        length_scale_bounds=(float(bounds[0]), float(bounds[1])),
-        grid_size=int(_take(sec, "grid_size", GpConfig().grid_size)))
-    _done("gp", sec)
-
-    sec = _section(raw, "integration")
-    cfg.integration = IntegrationConfig(
-        grid_step=float(_take(sec, "grid_step_s",
-                              IntegrationConfig().grid_step)),
-        day_seconds=float(_take(sec, "day_seconds",
-                                IntegrationConfig().day_seconds)),
-        include_measurement_times=bool(
-            _take(sec, "include_measurement_times",
-                  IntegrationConfig().include_measurement_times)))
-    _done("integration", sec)
-
-    sec = _section(raw, "entropy_grid")
-    cfg.entropy_grid = EntropyGridConfig(
-        cell_size=float(_take(sec, "cell_size_m",
-                              EntropyGridConfig().cell_size)),
-        bin_length=float(_take(sec, "bin_length_s",
-                               EntropyGridConfig().bin_length)))
-    _done("entropy_grid", sec)
-
-    sec = _section(raw, "spp")
-    cfg.spp = SppConfig(
-        v0=float(_take(sec, "v0", SppConfig().v0)),
-        sigma_ref=float(_take(sec, "sigma_ref_m", SppConfig().sigma_ref)))
-    _done("spp", sec)
-
-    cfg.jobs = int(_take(raw, "jobs", cfg.jobs))
-    limit = _take(raw, "limit", None)
-    cfg.limit = None if limit is None else int(limit)
-    _done("top level", raw)
-
-    if cfg.jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-    if cfg.limit is not None and cfg.limit < 0:
-        raise ConfigError("limit must be >= 0")
-    for name, values in (("noise_levels_m", cfg.noise_levels_m),
-                         ("perturbation prior noise", cfg.prior_noise_m)):
-        if any(v <= 0 for v in values):
-            raise ConfigError(f"{name} entries must be > 0")
-    for name, values in (("truncation_ratios", cfg.truncation_ratios),
-                         ("subsampling_ratios", cfg.subsampling_ratios),
-                         ("prior truncation ratios", cfg.prior_truncation_ratios),
-                         ("prior subsampling ratios", cfg.prior_subsampling_ratios)):
-        if any(not 0 < v <= 1 for v in values):
-            raise ConfigError(f"{name} entries must be in (0, 1]")
-    return cfg
+def _apply(cfg: RunConfig, raw: dict) -> RunConfig:
+    """``cfg`` with the settings of the YAML mapping ``raw``; each section
+    dataclass is rebuilt, so it checks its own fields."""
+    changes: dict = {}
+    sections = dict.fromkeys(section for section, *_ in SETTINGS if section)
+    for name in (None, *sections):          # None: the top level
+        given = raw if name is None else raw.get(name) or {}
+        if not isinstance(given, dict):
+            raise ConfigError(f"section {name!r} must be a mapping")
+        rows = [row for row in SETTINGS if row[0] == name]
+        known = {key for _, key, *_ in rows}
+        if name is None:
+            known |= set(sections)
+        if set(given) - known:
+            raise ConfigError(f"unknown keys in {name or 'top level'!r}: "
+                              f"{sorted(set(given) - known)}")
+        for _, key, attr, coerce, *check in rows:
+            if key not in given:
+                continue
+            try:
+                value = coerce(given[key])
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"{name + '.' if name else ''}{key}: {e}")
+            for test, message in check:         # none or one
+                if not test(value):
+                    raise ConfigError(message)
+            owner, _, field_name = attr.rpartition(".")
+            changes.setdefault(owner, {})[field_name] = value
+    top = changes.pop("", {})
+    for owner, fields in changes.items():
+        top[owner] = replace(getattr(cfg, owner), **fields)
+    return replace(cfg, **top)

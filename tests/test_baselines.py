@@ -137,7 +137,7 @@ def test_correctness_degenerate_self_reconstruction():
     ts = DAY_START + np.sort(rng.uniform(0, HOUR, 20))
     s = make_trajectory(rng.normal(0, 10, 20), ts, sigmas=3.0)
     res = correctness_value(s, s, PriorKnowledge.uninformative())
-    assert 0.0 <= res.expected_error_m < 30.0
+    assert 0.0 <= res < 30.0
 
 
 def test_correctness_half_trajectory_scores_worse():
@@ -148,7 +148,7 @@ def test_correctness_half_trajectory_scores_worse():
                            trajectory_id=s.trajectory_id)
     full = correctness_value(s, s, PriorKnowledge.uninformative())
     part = correctness_value(half, s, PriorKnowledge.uninformative())
-    assert part.expected_error_m > full.expected_error_m
+    assert part > full
 
 
 def test_correctness_far_data_dominated_by_prior_distance():
@@ -160,7 +160,7 @@ def test_correctness_far_data_dominated_by_prior_distance():
                           sigmas=3.0, trajectory_id="far")
     z = make_trajectory([0.0], [DAY_START], sigmas=3.0, trajectory_id="far")
     res = correctness_value(z, raw, PriorKnowledge.uninformative())
-    assert res.expected_error_m > 5000.0
+    assert res > 5000.0
 
 
 # --- row assembly ------------------------------------------------------------

@@ -152,6 +152,18 @@ def test_limit_zero_writes_empty_outputs(tmp_path):
     assert (out / "baselines.csv").read_text().count("\n") == 1
 
 
+@pytest.mark.parametrize("option,message", [
+    (["--limit", "-1"], "limit must be >= 0"),
+    (["--jobs", "0"], "jobs must be >= 1"),
+])
+def test_overrides_pass_the_config_checks(tmp_path, capsys, option, message):
+    config, traj_csv, out = write_config(tmp_path)
+    write_trajectory_csv(small_fleet(), traj_csv)
+    assert cli.entrypoint(["voi", "--config", str(config), *option]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_voi_reruns_byte_identical(tmp_path):
     first = tmp_path / "one"
     second = tmp_path / "two"

@@ -343,6 +343,22 @@ def test_read_trajectory_csv_rejects_a_short_row_by_line(tmp_path, bad_row):
         read_trajectory_csv(path)
 
 
+def test_trajectory_csv_round_trips_ids_that_need_quoting(tmp_path):
+    odd = synth.make_trajectory([1.0, 2.0], [10.0, 20.0],
+                                trajectory_id="a,b", owner_id='say "o"')
+    plain = synth.make_trajectory([3.0], [30.0], trajectory_id="plain",
+                                  owner_id="o")
+    path = tmp_path / "t.csv"
+    write_trajectory_csv([odd, plain], path)
+    back = read_trajectory_csv(path)
+    assert [(s.trajectory_id, s.owner_id) for s in back] \
+        == [("a,b", 'say "o"'), ("plain", "o")]
+    assert [len(s) for s in back] == [2, 1]
+    lines = path.read_text().splitlines()
+    assert lines[1].startswith('"a,b","say ""o""",10.000,')
+    assert lines[3].startswith("plain,o,30.000,")
+
+
 def test_trajectory_csv_rewrite_is_byte_identical(tmp_path):
     # awkward values: signed zero, tiny and huge magnitudes, repeated
     # timestamps and exact (sigma 0) fixes

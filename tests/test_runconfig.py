@@ -3,13 +3,15 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
+import yaml
 
 import trajvoi
-from trajvoi.runconfig import (PRIOR_SEED_OFFSET, ConfigError, RunConfig,
-                               load_config)
+from trajvoi.runconfig import (PRIOR_SEED_OFFSET, SETTINGS, ConfigError,
+                               RunConfig, load_config)
 
 
 def write(tmp_path, text):
@@ -99,6 +101,19 @@ segmentation:
     ("priors:\n  subsampling_ratios: [0]\n", "(0, 1]"),
     ("gp:\n  sigma0_m: -1\n", "sigma"),
     ("jobs: [1, 2]\n", ""),
+    # YAML types are taken strictly: no string for a list or a boolean,
+    # no boolean or fraction for an integer, exactly two bounds
+    ("degradation:\n  noise_levels_m: \"34\"\n", "noise_levels_m"),
+    ("degradation:\n  include_identity: \"false\"\n", "include_identity"),
+    ("priors:\n  uninformative: \"no\"\n", "uninformative"),
+    ("integration:\n  include_measurement_times: \"false\"\n",
+     "include_measurement_times"),
+    ("gp:\n  length_scale_bounds_h: [0.1, 2, 5]\n", "length_scale_bounds_h"),
+    ("degradation:\n  seed: 1.9\n", "seed"),
+    ("degradation:\n  seed: true\n", "seed"),
+    ("jobs: 2.7\n", "jobs"),
+    ("gp:\n  grid_size: 32.9\n", "grid_size"),
+    ("trajectories_csv: [a]\n", "trajectories_csv"),
 ])
 def test_load_config_rejects(tmp_path, text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -147,3 +162,59 @@ def test_config_hash_backs_out_derived_prior_seed():
     implicit = RunConfig(seed=2)
     explicit = RunConfig(seed=2, prior_seed=2 + PRIOR_SEED_OFFSET)
     assert implicit.config_hash() == explicit.config_hash()
+
+
+def test_settings_table_reaches_every_field_once():
+    # a field no row names would drop out of loading, to_dict and
+    # config_hash without a word
+    expected = []
+    for f in fields(RunConfig):
+        default = getattr(RunConfig(), f.name)
+        expected += ([f"{f.name}.{g.name}" for g in fields(default)]
+                     if is_dataclass(default) else [f.name])
+    attrs = [attr for _, _, attr, *_ in SETTINGS]
+    assert sorted(attrs) == sorted(expected)
+
+
+def test_readme_lists_every_key(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("All keys:", 1)[1].split("```yaml\n", 1)[1]
+    block = block.split("```", 1)[0]
+    load_config(write(tmp_path, block))
+    documented = set()
+    for key, value in yaml.safe_load(block).items():
+        documented |= ({(key, k) for k in value} if isinstance(value, dict)
+                       else {(None, key)})
+    assert documented == {(section, key) for section, key, *_ in SETTINGS}
+
+
+# config_hash of each configuration, recorded before the settings table
+# replaced the hand-written loader; bench/run.py writes the last four
+# shapes (its paths fixed here)
+BENCH_BASE = ("plt_root: plt\ntrajectories_csv: out/trajectories.csv\n"
+              "output_dir: out\njobs: 1\n")
+
+
+@pytest.mark.parametrize("text,digest", [
+    ("", "4852f2ac36c8af0987e6cef85cf53577f932dd9e1e5de4d38de28db735507bab"),
+    ("degradation: {seed: 3}\n",
+     "1d72df96adffd3a7971d35d7c2e170c8ad5bbd6a6582e43ca6c1204ff01b78f9"),
+    (BENCH_BASE,
+     "6a6a4dbba2c20672a0e032c9f8e0ebd2aa40b7b6f73e8732164e79f90da33307"),
+    (BENCH_BASE + "segmentation: {max_gap_s: 86400}\n",
+     "3c73b849eb9a58729e9a438ccde30bfcc247beb3f667974d311ee12a3a16bf4e"),
+    (BENCH_BASE + "segmentation: {max_gap_s: 86400}\n"
+     "degradation: {noise_levels_m: [], truncation_ratios: [], "
+     "subsampling_ratios: [], include_identity: true}\n"
+     "priors: {perturbation_noise_m: [], truncation_ratios: [], "
+     "subsampling_ratios: [], uninformative: true}\n",
+     "4453ccb0f019b190b6905037172467c7d8e4df5cf5c9a9862b52b0ac90c09cdb"),
+    (BENCH_BASE + "limit: 1\n"
+     "degradation: {noise_levels_m: [10.0], truncation_ratios: [], "
+     "subsampling_ratios: [], include_identity: true}\n"
+     "priors: {perturbation_noise_m: [400.0], truncation_ratios: [], "
+     "subsampling_ratios: []}\n",
+     "9c2081f835fcac543d7544a2a5733b1ce0a2b4444cd56813a8b020fcd78554b1"),
+])
+def test_config_hash_is_pinned(tmp_path, text, digest):
+    assert load_config(write(tmp_path, text)).config_hash() == digest
