@@ -271,6 +271,45 @@ def test_gain_bounded_by_entropy_range():
     assert row.ig_bit_seconds <= bound
 
 
+def pinned_walk():
+    """A 40-fix walk whose fixes 10-12 share one timestamp."""
+    rng = np.random.default_rng(9)
+    ts = DAY_START + 8 * HOUR + np.sort(rng.uniform(0, 3 * HOUR, 40)).round(-1)
+    ts[10:13] = ts[10]
+    xs, ys = np.cumsum(rng.normal(0, 20, (2, 40)), axis=1)
+    return make_trajectory(xs, ts, sigmas=3.0, ys=ys, trajectory_id="pin")
+
+
+def pinned_cell(case):
+    s = pinned_walk()
+    if case in ("uninformative", "uninformative-grid-only"):
+        return evaluate_voi(s, "identity", 1.0, PriorKnowledge.uninformative(),
+                            integration=IntegrationConfig(
+                                include_measurement_times=case
+                                == "uninformative"))
+    if case == "subsampling-prior":
+        spec = DegradationSpec(kind="subsampling", ratio=0.4, seed=2)
+        return evaluate_voi(s, "identity", 1.0, PriorKnowledge.from_release(
+            apply_spec(s, spec), spec))
+    spec = DegradationSpec(kind="perturbation", total_noise=200.0, seed=4)
+    z = apply_spec(s, DegradationSpec(kind="perturbation", total_noise=50.0,
+                                      seed=5))
+    return evaluate_voi(z, "perturbation", 50.0, PriorKnowledge.from_release(
+        apply_spec(s, spec), spec))
+
+
+@pytest.mark.parametrize("case, ig", [
+    ("uninformative", 241463.23647028636),
+    ("uninformative-grid-only", 240122.866784226),
+    ("subsampling-prior", 33931.38286760516),
+    ("perturbation-prior", 47911.46321538456),
+])
+def test_gain_pinned_to_its_last_bit(case, ig):
+    # guards how the evidence times and both tracks of a cell are derived
+    assert len(set(pinned_walk().t.tolist())) == 38
+    assert repr(pinned_cell(case).ig_bit_seconds) == repr(ig)
+
+
 # --- report rows -------------------------------------------------------------
 
 def make_row(**kw):
