@@ -6,7 +6,6 @@ produces either scalars or small CSV strings; no plotting."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -108,15 +107,11 @@ STUDY_PAIRS = (("size", "size"),
                ("spatial_entropy", "h_spatial_bits"))
 
 
-def correlation_study(voi_rows: Sequence[VoiRow],
-                      baseline_rows: Sequence[dict],
-                      ) -> Tuple[List[CorrelationResult], Dict[str, HuberFit]]:
-    """Rank correlations of integrated gain against each characteristic.
-
-    Joins on trajectory_id (one gain row per trajectory expected) and
-    returns the four correlations plus a Huber line per characteristic
-    for plotting. Ids missing from either side raise, listing them.
-    """
+def join_gains(voi_rows: Sequence[VoiRow], baseline_rows: Sequence[dict]
+               ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """The integrated gains and each studied baseline column, joined on
+    trajectory_id (one gain row per trajectory expected) and in id order.
+    Ids missing from either side raise, listing them."""
     gains: Dict[str, float] = {}
     for r in voi_rows:
         if r.trajectory_id in gains:
@@ -132,13 +127,22 @@ def correlation_study(voi_rows: Sequence[VoiRow],
         raise ValueError("empty join: no trajectories to correlate")
 
     ids = sorted(gains)
-    ig = np.array([gains[i] for i in ids])
+    return (np.array([gains[i] for i in ids]),
+            {column: np.array([float(by_id[i][column]) for i in ids])
+             for _, column in STUDY_PAIRS})
+
+
+def correlation_study(ig: np.ndarray, columns: Dict[str, np.ndarray],
+                      ) -> Tuple[List[CorrelationResult], Dict[str, HuberFit]]:
+    """Rank correlations of integrated gain against each characteristic,
+    from the columns :func:`join_gains` makes, plus a Huber line per
+    characteristic for plotting."""
     results = []
     lines: Dict[str, HuberFit] = {}
     for name, column in STUDY_PAIRS:
-        vals = np.array([float(by_id[i][column]) for i in ids])
+        vals = columns[column]
         results.append(CorrelationResult(
-            x_name="ig", y_name=name, rho=spearman(ig, vals), n=len(ids)))
+            x_name="ig", y_name=name, rho=spearman(ig, vals), n=len(ig)))
         lines[name] = huber_fit(vals, ig)
     return results, lines
 

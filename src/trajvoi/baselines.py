@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .gp import GaussianTrack, GpConfig
-from .infogain import PriorKnowledge, reconstruction_tracks
+from .infogain import PriorKnowledge, fit_cell
 from .model import Trajectory
 
 BASELINE_CSV_FIELDS = ("trajectory_id", "size", "duration_s", "distance_m",
@@ -112,13 +112,14 @@ def correctness_value(z: Trajectory, s_raw: Trajectory,
     measurement time, the expected Euclidean distance between the
     reconstruction and the raw point, approximated by
     sqrt(||mean - point||^2 + 2 var), with var the variance both
-    coordinates share. A ``posterior`` already fit is used as it is (see
-    :func:`~trajvoi.infogain.reconstruction_tracks`).
+    coordinates share. A ``posterior`` already fit (see
+    :func:`~trajvoi.infogain.fit_cells`) is used as it is.
     """
     if len(s_raw) == 0:
         raise ValueError("correctness_value needs a non-empty raw trajectory")
-    _, posterior_track, _ = reconstruction_tracks(z, prior, gp_cfg, posterior)
-    q = posterior_track.query(s_raw.t)
+    if posterior is None:
+        _, posterior = fit_cell(z, prior, gp_cfg)
+    q = posterior.query(s_raw.t)
     dx = q.mean_x - s_raw.x
     dy = q.mean_y - s_raw.y
     # one variance term per coordinate, added term by term: 2.0 * var

@@ -154,18 +154,17 @@ def _fit_cells(cells, gp_cfg):
 def _voi_task(task):
     """Evaluate every cell of a chunk of trajectories; never raises.
 
-    Each distinct spec is applied once per trajectory. Then the released
-    priors and the posterior reconstructions of the whole chunk are fit
-    together (one training call for the chunk, one batch of tracks per
-    trajectory; see infogain.fit_cells), and evaluate_voi scores each
-    cell. A failure in a shared step fails every cell that depends on it,
-    each with its own error record. Returns each trajectory's (status,
-    payload) outcomes, one per cell in order."""
+    Each distinct spec is applied once per trajectory. Then the
+    reconstructions of the whole chunk are fit together (one training call
+    for the chunk, one batch of tracks per trajectory; see
+    infogain.fit_cells), and evaluate_voi scores each cell. A failure in a
+    shared step fails every cell that depends on it, each with its own
+    error record. Returns each trajectory's (status, payload) outcomes, one
+    per cell in order."""
     chunk, cells, gp_cfg, integration = task
     outcomes, pending, to_fit = [], [], []
     for traj in chunk:
         releases: dict = {}
-        priors: dict = {None: PriorKnowledge.uninformative()}
 
         def release(spec):
             return _once(releases, spec, lambda: apply_spec(traj, spec))
@@ -174,24 +173,22 @@ def _voi_task(task):
         for spec, prior_spec in cells:
             try:
                 z = release(spec)
-                prior = _once(priors, prior_spec,
-                              lambda: PriorKnowledge.from_release(
-                                  release(prior_spec), prior_spec))
-                pending.append((own, len(own), z, spec, prior_spec))
+                prior = PriorKnowledge.uninformative() if prior_spec is None \
+                    else PriorKnowledge.from_release(release(prior_spec),
+                                                     prior_spec)
+                pending.append((own, len(own), spec, prior_spec))
                 to_fit.append((z, prior))
                 own.append(None)
             except Exception as e:
                 own.append(_cell_error(traj, spec, prior_spec, e))
         outcomes.append(own)
-    for (own, k, z, spec, prior_spec), fit in zip(pending,
-                                                  _fit_cells(to_fit, gp_cfg)):
+    for (own, k, spec, prior_spec), (z, prior), tracks in zip(
+            pending, to_fit, _fit_cells(to_fit, gp_cfg)):
         try:
-            if isinstance(fit, Exception):
-                raise fit
-            prior, posterior = fit
+            if isinstance(tracks, Exception):
+                raise tracks
             own[k] = ("ok", evaluate_voi(z, spec.kind, spec.param, prior,
-                                         gp_cfg, integration,
-                                         posterior=posterior))
+                                         gp_cfg, integration, tracks=tracks))
         except Exception as e:  # isolation: one bad cell must not sink the batch
             own[k] = _cell_error(z, spec, prior_spec, e)
     return outcomes
@@ -414,16 +411,11 @@ def cmd_analyze(cfg: RunConfig) -> int:
     with open(baseline_path, newline="") as fh:
         baseline_rows = list(csv.DictReader(fh))
     try:
-        results, lines = analysis.correlation_study(raw_rows, baseline_rows)
+        ig, columns = analysis.join_gains(raw_rows, baseline_rows)
+        results, lines = analysis.correlation_study(ig, columns)
     except ValueError as e:
         raise ConfigError(str(e))
-
-    by_id = {r["trajectory_id"]: r for r in baseline_rows}
-    ids = sorted(r.trajectory_id for r in raw_rows)
-    ig = np.array([r.ig_bit_seconds
-                   for r in sorted(raw_rows, key=lambda r: r.trajectory_id)])
-    for name, column in analysis.STUDY_PAIRS:
-        vals = np.array([float(by_id[i][column]) for i in ids])
+    for column, vals in columns.items():
         _write_text(out / f"hist2d_{column}.csv",
                     analysis.histogram2d_csv(vals, ig))
     _write_text(out / "correlations.csv", analysis.correlations_csv(results))

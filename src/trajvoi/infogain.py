@@ -16,8 +16,9 @@ as the posterior's evidence contains the prior's.
 
 The prior is either uninformative (location anywhere in the region,
 standard deviation ``gp.sigma0_m`` per coordinate) or an earlier, more
-degraded release of the same trajectory. :func:`evaluate_voi` is the one
-path that fits both reconstructions and integrates the gain.
+degraded release of the same trajectory. :func:`fit_cells` is the one
+place that fits a cell's two reconstructions, and :func:`evaluate_voi`
+integrates the gain between them.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,19 +51,6 @@ def gaussian_entropy(variance: float) -> float:
 
 
 @dataclass(frozen=True)
-class ReleasedFit:
-    """What an earlier release fixes for every gain measured against it:
-    the mean trend of each coordinate, the trained length scale and the
-    prior reconstruction, all under ``gp_cfg``."""
-
-    mean_x: MeanFunction
-    mean_y: MeanFunction
-    length_scale: float
-    track: GaussianTrack
-    gp_cfg: GpConfig
-
-
-@dataclass(frozen=True)
 class PriorKnowledge:
     """What the recipient already knows before seeing Z.
 
@@ -69,15 +58,13 @@ class PriorKnowledge:
     an N(0, sigma_f^2) location per coordinate at every time, with sigma_f
     from the GP config), or an earlier, more degraded release of the same
     trajectory (``released``, carrying the released data and the spec that
-    produced it). A released prior may also carry its :class:`ReleasedFit`,
-    so that the gains of many releases against it share one fit.
+    produced it). Priors compare by value: equal priors hold one release
+    object under one spec.
     """
 
     kind: str = "uninformative"
     released: Optional[Trajectory] = None
     released_spec: Optional[DegradationSpec] = None
-    fit: Optional[ReleasedFit] = field(default=None, compare=False,
-                                       repr=False)
 
     def __post_init__(self):
         if self.kind == "uninformative":
@@ -101,18 +88,10 @@ class PriorKnowledge:
         return PriorKnowledge(kind="uninformative")
 
     @staticmethod
-    def from_release(released: Trajectory, spec: DegradationSpec,
-                     gp_cfg: Optional[GpConfig] = None) -> "PriorKnowledge":
-        """A released prior; with ``gp_cfg`` its fit is made now, once,
-        instead of in every evaluation against it."""
-        prior = PriorKnowledge(kind="released", released=released,
-                               released_spec=spec)
-        if gp_cfg is None:
-            return prior
-        (fitted,) = fit_cells([(None, prior)], gp_cfg)
-        if isinstance(fitted, Exception):
-            raise fitted
-        return fitted[0]
+    def from_release(released: Trajectory,
+                     spec: DegradationSpec) -> "PriorKnowledge":
+        return PriorKnowledge(kind="released", released=released,
+                              released_spec=spec)
 
 
 def combine(z: Trajectory, prior: PriorKnowledge) -> Trajectory:
@@ -307,43 +286,34 @@ def _release_training(omega: Trajectory, cfg: GpConfig):
                                        for v in training.channels])
 
 
-def _trajectory_runs(cells):
-    """Runs of consecutive cell indices whose cells come from one
-    trajectory (the release's, or the prior's without a release)."""
-    runs, last = [], None
-    for i, (z, prior) in enumerate(cells):
-        source = z if z is not None else prior.released
-        tid = None if source is None else source.trajectory_id
-        if not runs or tid != last:
-            runs.append([])
-        runs[-1].append(i)
-        last = tid
-    return runs
-
-
-def fit_cells(cells: Sequence[Tuple[Optional[Trajectory], PriorKnowledge]],
+def fit_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge]],
               gp_cfg: GpConfig):
-    """The reconstructions behind many cells, each a release Z (or None)
-    and a prior, fit together.
+    """The prior and posterior reconstructions of many cells, each a
+    release Z and a prior, fit together.
 
-    A released prior learns its mean lines and length scale from the
-    earlier release (a :class:`ReleasedFit`), once per distinct prior
-    object that does not carry its fit yet. The trainings of those priors
-    and of every release under the uninformative prior go to one
-    :func:`~trajvoi.gp.train_length_scales` call. The tracks then go to
-    one :func:`~trajvoi.gp.fit_tracks` call per trajectory, so that only
-    one trajectory's tracks are held at a time while the caller uses them.
+    Under the uninformative prior the posterior is fit to Z alone (zero
+    mean, length scale trained on Z), and the prior is a constant-variance
+    track, made once per call. A released prior learns its mean lines and
+    length scale from the earlier release, once per distinct prior, and
+    both tracks of each of its cells share them, so the gain isolates what
+    the new data adds rather than what refitting does. The trainings of
+    those priors and of every release under the uninformative prior go to
+    one :func:`~trajvoi.gp.train_length_scales` call. The tracks then go to
+    one :func:`~trajvoi.gp.fit_tracks` call per run of cells from one
+    trajectory, so that only one trajectory's tracks are held at a time
+    while the caller uses them.
 
-    A generator: per cell, in order, it yields (the prior, carrying its
-    fit; the posterior track, or None without a release), or the exception
-    that stopped the cell: its prior's before its own.
+    A generator: per cell, in order, it yields (prior track, posterior
+    track), or the exception that stopped the cell: its prior's before its
+    own.
     """
-    unfit = list({id(prior): prior for _, prior in cells
-                  if prior.kind == "released" and prior.fit is None}.values())
-    uninformed = [i for i, (z, prior) in enumerate(cells)
-                  if z is not None and prior.kind == "uninformative"]
+    flat = fit_track(None, gp_cfg)
+    priors = list(dict.fromkeys(prior for _, prior in cells
+                                if prior.kind == "released"))
+    uninformed = [i for i, (_, prior) in enumerate(cells)
+                  if prior.kind == "uninformative"]
     trainings = ([_attempt(lambda: _release_training(prior.released, gp_cfg))
-                  for prior in unfit]
+                  for prior in priors]
                  + [point_training(cells[i][0], [MeanFunction()] * 2,
                                    gp_cfg.sigma_f)
                     for i in uninformed])
@@ -354,12 +324,13 @@ def fit_cells(cells: Sequence[Tuple[Optional[Trajectory], PriorKnowledge]],
             [trainings[k] for k in valid], gp_cfg.length_scale_bounds,
             gp_cfg.grid_size)):
         scales[k] = l
-    prior_trained = {id(prior): (training, l)
-                     for prior, training, l in zip(unfit, trainings, scales)}
-    cell_trained = dict(zip(uninformed, zip(trainings[len(unfit):],
-                                            scales[len(unfit):])))
+    prior_trained = dict(zip(priors, zip(trainings, scales)))
+    cell_trained = dict(zip(uninformed, zip(trainings[len(priors):],
+                                            scales[len(priors):])))
 
-    for run in _trajectory_runs(cells):
+    for _, run in groupby(range(len(cells)),
+                          key=lambda i: cells[i][0].trajectory_id):
+        run = list(run)
         # each slot holds a track request's index, or the exception that
         # stopped it
         requests, prior_slots, cell_slots = [], {}, {}
@@ -372,25 +343,16 @@ def fit_cells(cells: Sequence[Tuple[Optional[Trajectory], PriorKnowledge]],
 
         for i in run:
             z, prior = cells[i]
-            if prior.kind == "released" and prior.fit is None \
-                    and id(prior) not in prior_slots:
-                prior_slots[id(prior)] = (prior, request(
-                    *prior_trained[id(prior)]))
-            if z is None:
-                continue
             if prior.kind == "uninformative":
                 cell_slots[i] = request(*cell_trained[i])
                 continue
-            if prior.fit is None:
-                training, l = prior_trained[id(prior)]
-                if isinstance(l, Exception):
-                    continue                  # the cell fails with its prior
-                mean_fns = training.mean_fns
-            else:
-                mean_fns = (prior.fit.mean_x, prior.fit.mean_y)
-                l = prior.fit.length_scale
+            training, l = prior_trained[prior]
+            if prior not in prior_slots:
+                prior_slots[prior] = request(training, l)
+            if isinstance(l, Exception):
+                continue                      # the cell fails with its prior
             evidence = _attempt(lambda: point_training(
-                combine(z, prior), mean_fns, gp_cfg.sigma_f))
+                combine(z, prior), training.mean_fns, gp_cfg.sigma_f))
             cell_slots[i] = request(evidence, evidence if isinstance(
                 evidence, Exception) else l)
         tracks = fit_tracks(requests, gp_cfg)
@@ -398,67 +360,43 @@ def fit_cells(cells: Sequence[Tuple[Optional[Trajectory], PriorKnowledge]],
         def track(slot):
             return tracks[slot] if isinstance(slot, int) else slot
 
-        fitted_priors = {}
-        for key, (prior, slot) in prior_slots.items():
-            training, l = prior_trained[key]
-            fit = track(slot)
-            fitted_priors[key] = fit if isinstance(fit, Exception) else \
-                replace(prior, fit=ReleasedFit(*training.mean_fns, l, fit,
-                                               gp_cfg))
         for i in run:
-            z, prior = cells[i]
-            if prior.kind == "released":
-                if prior.fit is None:
-                    prior = fitted_priors[id(prior)]
-                elif prior.fit.gp_cfg != gp_cfg:
-                    prior = ValueError(
-                        "the prior was fit under another GP config")
-                if isinstance(prior, Exception):
-                    yield prior
-                    continue
-            post = track(cell_slots.pop(i, None))
-            yield post if isinstance(post, Exception) else (prior, post)
+            prior = cells[i][1]
+            prior_track = flat if prior.kind == "uninformative" \
+                else track(prior_slots[prior])
+            post = prior_track if isinstance(prior_track, Exception) \
+                else track(cell_slots[i])
+            yield post if isinstance(post, Exception) else (prior_track, post)
         # hold no track of this trajectory while fitting the next
-        tracks = fitted_priors = fit = post = None
+        tracks = prior_track = post = None
 
 
-def reconstruction_tracks(z: Trajectory, prior: PriorKnowledge,
-                          gp_cfg: GpConfig = GpConfig(),
-                          posterior: Optional[GaussianTrack] = None
-                          ) -> Tuple[GaussianTrack, GaussianTrack, List[float]]:
-    """Prior and posterior reconstructions plus the evidence timestamps.
-
-    With an uninformative prior the baseline is a constant-variance track
-    and the reconstruction is fit to Z alone (zero mean, length scale
-    trained on Z). With a released prior, the mean trend and length scale
-    come from the earlier release and are shared by both tracks, so the
-    gain isolates what the new data adds rather than what refitting does.
-    That fit is the prior's own when it carries one, else it is made here.
-    A ``posterior`` already fit by :func:`fit_cells`, given with the prior
-    it returned, is used as it is.
-    """
-    if posterior is None:
-        (fitted,) = fit_cells([(z, prior)], gp_cfg)
-        if isinstance(fitted, Exception):
-            raise fitted
-        prior, posterior = fitted
-    if prior.kind == "uninformative":
-        return fit_track(None, gp_cfg), posterior, z.t.tolist()
-    # the posterior's fixes are the evidence, combine(z, prior)
-    data_times = sorted(set(posterior.gp.times.tolist())
-                        | set(prior.released.t.tolist()))
-    return prior.fit.track, posterior, data_times
+def fit_cell(z: Trajectory, prior: PriorKnowledge,
+             gp_cfg: GpConfig = GpConfig()
+             ) -> Tuple[GaussianTrack, GaussianTrack]:
+    """One cell's (prior, posterior) tracks: :func:`fit_cells` on a batch
+    of one."""
+    (tracks,) = fit_cells([(z, prior)], gp_cfg)
+    if isinstance(tracks, Exception):
+        raise tracks
+    return tracks
 
 
 def evaluate_voi(z: Trajectory, kind: str, param: float,
                  prior: PriorKnowledge, gp_cfg: GpConfig = GpConfig(),
                  integration: IntegrationConfig = IntegrationConfig(),
                  keep_trace: bool = False,
-                 posterior: Optional[GaussianTrack] = None) -> VoiRow:
-    """Score one release against one prior (one report row); see
-    :func:`reconstruction_tracks` for ``posterior``."""
-    prior_track, posterior_track, data_times = reconstruction_tracks(
-        z, prior, gp_cfg, posterior)
+                 tracks: Optional[Tuple[GaussianTrack, GaussianTrack]] = None
+                 ) -> VoiRow:
+    """Score one release against one prior (one report row). The cell's
+    (prior, posterior) ``tracks``, as :func:`fit_cells` yields them, are
+    used as they are; without them they are fit here."""
+    prior_track, posterior_track = tracks or fit_cell(z, prior, gp_cfg)
+    # the evidence is the posterior's fixes, combine(z, prior), and the
+    # prior release's
+    released = () if prior.released is None else prior.released.t.tolist()
+    data_times = sorted(set(posterior_track.gp.times.tolist())
+                        | set(released))
     day_start = covering_day_start(min(data_times),
                                    integration.day_seconds)
     ts = integration_grid(day_start, integration, data_times)

@@ -191,6 +191,22 @@ SETTINGS = (
 )
 
 
+class _Loader(yaml.SafeLoader):
+    """The safe loader, refusing a key given twice in one mapping (of which
+    ``yaml.safe_load`` keeps the last value without a word)."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key, _ in node.value:
+            if isinstance(key, yaml.ScalarNode):
+                if (key.tag, key.value) in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"duplicate key {key.value!r}",
+                        key.start_mark)
+                seen.add((key.tag, key.value))
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path: Optional[str] = None,
                 overrides: Optional[dict] = None) -> RunConfig:
     """Build a RunConfig from a YAML file, every key optional, then apply
@@ -201,7 +217,10 @@ def load_config(path: Optional[str] = None,
             text = Path(path).read_text()
         except OSError as e:
             raise ConfigError(f"cannot read config {path!r}: {e}")
-    raw = yaml.safe_load(text)              # None for an empty file
+    try:
+        raw = yaml.load(text, Loader=_Loader)   # None for an empty file
+    except yaml.YAMLError as e:
+        raise ConfigError(f"cannot parse config {path!r}: {e}")
     if not isinstance(raw, (dict, type(None))):
         raise ConfigError(f"config root must be a mapping, got "
                           f"{type(raw).__name__}")

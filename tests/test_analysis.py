@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from trajvoi.analysis import (ConstantInputError, box_quartiles_csv,
                               correlation_study, correlations_csv,
-                              histogram2d_csv, huber_fit,
+                              histogram2d_csv, huber_fit, join_gains,
                               regression_lines_csv, spearman)
 from trajvoi.infogain import VoiRow
 
@@ -142,7 +142,7 @@ def study_inputs(n=12, seed=17):
 
 def test_correlation_study_perfect_monotone_pairs():
     rows, base = study_inputs()
-    results, lines = correlation_study(rows, base)
+    results, lines = correlation_study(*join_gains(rows, base))
     by_pair = {r.y_name: r.rho for r in results}
     # size, duration and temporal entropy are monotone in gain by
     # construction, so their rank correlations are exactly 1
@@ -157,19 +157,19 @@ def test_correlation_study_perfect_monotone_pairs():
 def test_correlation_study_missing_ids_listed():
     rows, base = study_inputs()
     with pytest.raises(ValueError) as err:
-        correlation_study(rows, base[:-2])
+        join_gains(rows, base[:-2])
     assert "t10" in str(err.value) and "t11" in str(err.value)
 
 
 def test_correlation_study_duplicate_gain_rows():
     rows, base = study_inputs()
     with pytest.raises(ValueError):
-        correlation_study(rows + [rows[0]], base)
+        join_gains(rows + [rows[0]], base)
 
 
 def test_correlation_study_empty():
     with pytest.raises(ValueError):
-        correlation_study([], [])
+        join_gains([], [])
 
 
 # --- plot data ----------------------------------------------------------------
@@ -189,7 +189,7 @@ def test_histogram2d_csv_counts():
 
 def test_csv_emitters_are_deterministic():
     rows, base = study_inputs()
-    results, lines = correlation_study(rows, base)
+    results, lines = correlation_study(*join_gains(rows, base))
     assert correlations_csv(results) == correlations_csv(results)
     assert regression_lines_csv(lines).startswith(
         "characteristic,slope,intercept,converged,iterations\n")

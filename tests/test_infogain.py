@@ -1,7 +1,6 @@
 """Entropy, pointwise and integrated gain, priors, report serialization."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -13,9 +12,9 @@ from trajvoi.gp import GpConfig, fit_track
 from trajvoi.infogain import (IntegrationConfig, PriorKnowledge, VoiReport,
                               VoiRow, VOI_CSV_FIELDS, combine,
                               covering_day_start, curves_by_family,
-                              evaluate_voi, gaussian_entropy, ig_at,
-                              integration_grid, match_equivalents,
-                              param_at_ig, reconstruction_tracks)
+                              evaluate_voi, fit_cell, gaussian_entropy,
+                              ig_at, integration_grid, match_equivalents,
+                              param_at_ig)
 
 
 # --- entropy -----------------------------------------------------------------
@@ -213,26 +212,9 @@ def test_released_prior_shares_mean_and_scale():
     s = make_trajectory(rng.normal(0, 20, 30), ts, sigmas=3.0)
     spec = DegradationSpec(kind="truncation", ratio=0.5)
     prior = PriorKnowledge.from_release(apply_spec(s, spec), spec)
-    prior_track, post_track, _ = reconstruction_tracks(s, prior, GpConfig())
+    prior_track, post_track = fit_cell(s, prior, GpConfig())
     assert prior_track.gp.length_scale == post_track.gp.length_scale
     assert prior_track.gp.mean_fns == post_track.gp.mean_fns
-
-
-def test_prior_fit_made_once_is_the_fit_made_per_evaluation():
-    rng = np.random.default_rng(0)
-    ts = DAY_START + np.sort(rng.uniform(0, 2 * HOUR, 30))
-    s = make_trajectory(rng.normal(0, 20, 30), ts, sigmas=3.0)
-    spec = DegradationSpec(kind="perturbation", total_noise=100.0, seed=1)
-    z = apply_spec(s, DegradationSpec(kind="perturbation", total_noise=10.0,
-                                      seed=2))
-    omega = apply_spec(s, spec)
-    fitted = PriorKnowledge.from_release(omega, spec, GpConfig())
-    assert fitted.fit is not None
-    assert evaluate_voi(z, "perturbation", 10.0, fitted) \
-        == evaluate_voi(z, "perturbation", 10.0,
-                        PriorKnowledge.from_release(omega, spec))
-    with pytest.raises(ValueError, match="another GP config"):
-        evaluate_voi(z, "perturbation", 10.0, fitted, GpConfig(grid_size=16))
 
 
 def test_release_equal_to_prior_has_no_gain():
@@ -263,7 +245,7 @@ def test_gain_bounded_by_entropy_range():
     s = make_trajectory(rng.normal(0, 10, 60), ts, sigmas=3.0)
     row = evaluate_voi(s, "identity", 1.0, PriorKnowledge.uninformative(),
                        keep_trace=True)
-    _, post, _ = reconstruction_tracks(s, PriorKnowledge.uninformative())
+    _, post = fit_cell(s, PriorKnowledge.uninformative())
     grid = np.array([t for t, _ in row.trace])
     var_min = post.query(grid).var.min()
     bound = 86400.0 * 2 * (gaussian_entropy(7500.0 ** 2)

@@ -114,6 +114,11 @@ segmentation:
     ("jobs: 2.7\n", "jobs"),
     ("gp:\n  grid_size: 32.9\n", "grid_size"),
     ("trajectories_csv: [a]\n", "trajectories_csv"),
+    # a repeated key would silently drop the first value
+    ("degradation: {seed: 3}\ndegradation: {noise_levels_m: [50]}\n",
+     "duplicate key 'degradation'"),
+    ("degradation:\n  seed: 3\n  seed: 4\n", "duplicate key 'seed'"),
+    ("jobs: [1\n", "cannot parse config"),
 ])
 def test_load_config_rejects(tmp_path, text, fragment):
     with pytest.raises(ConfigError) as err:
