@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import sys
@@ -29,7 +30,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import analysis
+from . import analysis, infogain
 from .baselines import (BASELINE_CSV_FIELDS, baseline_row, correctness_value)
 from .degrade import DegradationSpec, apply_spec
 from .infogain import (PriorKnowledge, VoiReport, VoiRow, curves_by_family,
@@ -105,18 +106,6 @@ def _error_record(tid: str, spec: DegradationSpec,
             "kind": spec.kind, "param": spec.param, "error": error}
 
 
-def _once(memo: dict, key, make):
-    """``make()``, or what it gave or raised for ``key`` before."""
-    if key not in memo:
-        try:
-            memo[key] = make()
-        except Exception as e:
-            memo[key] = e
-    if isinstance(memo[key], Exception):
-        raise memo[key]
-    return memo[key]
-
-
 # Fixes a voi or baselines task aims to carry. A task takes a chunk of
 # trajectories, whose trainings and tracks run as the lanes of shared
 # filter passes (see gp), so more fixes per chunk amortise each pass over
@@ -135,15 +124,17 @@ def _chunks(trajectories: Sequence[Trajectory], jobs: int) -> list:
 
 
 def _fit_cells(cells, gp_cfg):
-    """fit_cells over the whole batch. Should a batched pass fail as a
-    whole, the cells it left are fit one by one, so that only the cells at
-    fault fail."""
+    """fit_cells over the whole batch, yielding each cell's tracks or the
+    exception that stopped its fit. Should the batch raise, the cells it
+    left are fit one by one, so that only the cells at fault fail."""
     done = 0
     try:
         for fitted in fit_cells(cells, gp_cfg):
             yield fitted
             done += 1
-    except Exception:
+    except Exception as e:
+        log.warning("fit of a batch failed (%s: %s); fitting its %d cells "
+                    "left one by one", type(e).__name__, e, len(cells) - done)
         for cell in cells[done:]:
             try:
                 yield from fit_cells([cell], gp_cfg)
@@ -154,7 +145,9 @@ def _fit_cells(cells, gp_cfg):
 def _voi_task(task):
     """Evaluate every cell of a chunk of trajectories; never raises.
 
-    Each distinct spec is applied once per trajectory. Then the
+    Each distinct spec is applied once per trajectory (again for each cell
+    that needs it, should it fail), and each cell's release is combined
+    with its prior. Then the
     reconstructions of the whole chunk are fit together (one training call
     for the chunk, one batch of tracks per trajectory; see
     infogain.fit_cells), and evaluate_voi scores each cell. A failure in a
@@ -167,7 +160,9 @@ def _voi_task(task):
         releases: dict = {}
 
         def release(spec):
-            return _once(releases, spec, lambda: apply_spec(traj, spec))
+            if spec not in releases:
+                releases[spec] = apply_spec(traj, spec)
+            return releases[spec]
 
         own = []
         for spec, prior_spec in cells:
@@ -176,13 +171,13 @@ def _voi_task(task):
                 prior = PriorKnowledge.uninformative() if prior_spec is None \
                     else PriorKnowledge.from_release(release(prior_spec),
                                                      prior_spec)
-                pending.append((own, len(own), spec, prior_spec))
-                to_fit.append((z, prior))
+                to_fit.append((infogain.combine(z, prior), prior))
+                pending.append((own, len(own), z, spec, prior_spec))
                 own.append(None)
             except Exception as e:
                 own.append(_cell_error(traj, spec, prior_spec, e))
         outcomes.append(own)
-    for (own, k, spec, prior_spec), (z, prior), tracks in zip(
+    for (own, k, z, spec, prior_spec), (_, prior), tracks in zip(
             pending, to_fit, _fit_cells(to_fit, gp_cfg)):
         try:
             if isinstance(tracks, Exception):
@@ -379,16 +374,13 @@ def cmd_baselines(cfg: RunConfig) -> int:
     errors = [p for status, p in outcomes if status == "error"]
     rows.sort(key=lambda r: r["trajectory_id"])
 
-    lines = [",".join(BASELINE_CSV_FIELDS)]
-    for r in rows:
-        lines.append(",".join([
-            r["trajectory_id"], str(r["size"]), repr(float(r["duration_s"])),
-            repr(float(r["distance_m"])), repr(float(r["h_spatial_bits"])),
-            repr(float(r["h_temporal_bits"])), repr(float(r["spp"])),
-            repr(float(r["correctness_err_m"])),
-        ]))
-    _write_text(Path(cfg.output_dir) / "baselines.csv",
-                "\n".join(lines) + "\n")
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(BASELINE_CSV_FIELDS)
+    writer.writerows([r["trajectory_id"], str(r["size"])]
+                     + [repr(float(r[k])) for k in BASELINE_CSV_FIELDS[2:]]
+                     for r in rows)
+    _write_text(Path(cfg.output_dir) / "baselines.csv", text.getvalue())
     log.info("baselines: %d rows (%d failed)", len(rows), len(errors))
     for e in errors:
         log.warning("baselines: %s failed: %s", e["trajectory_id"], e["error"])

@@ -743,24 +743,14 @@ def train_length_scales(trainings: Sequence[Training],
     keeping its own bracket. With fewer than two training points the
     geometric middle of the bounds is returned (the evidence carries no
     length-scale information there). A training whose inputs are unusable
-    gets its exception in its place, and the others run on.
+    raises.
     """
     lo, hi = bounds
     results: list = [math.sqrt(lo * hi)] * len(trainings)
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), grid_size))
-    ready = []
-    for i, tr in enumerate(trainings):
-        if np.size(tr.times) < 2:
-            continue
-        try:
-            fixes = _track_inputs(tr.times, tr.channels, tr.sigmas,
-                                  tr.mean_fns, tr.sigma_f, tr.trajectory_id)
-        except Exception as e:  # the training fails alone
-            results[i] = e
-            continue
-        ready.append((i, fixes, tr.sigma_f ** 2))
-    tracks = [fixes for _, fixes, _ in ready]
-    variances = [var for _, _, var in ready]
+    ready = [i for i, tr in enumerate(trainings) if np.size(tr.times) >= 2]
+    tracks = [_track_inputs(*trainings[i]) for i in ready]
+    variances = [trainings[i].sigma_f ** 2 for i in ready]
     scores = _lane_lmls(_Lanes.of(
         tracks, np.repeat(np.arange(len(ready)), grid_size),
         np.tile(SQRT3 / grid, len(ready)), np.repeat(variances, grid_size)))
@@ -768,7 +758,7 @@ def train_length_scales(trainings: Sequence[Training],
     searches = [(k, i, _golden_search(grid, scores[k * grid_size:
                                                    (k + 1) * grid_size],
                                       bounds, rel_tol), None)
-                for k, (i, _, _) in enumerate(ready)]
+                for k, i in enumerate(ready)]
     while searches:
         still_open = []
         for k, i, search, got in searches:
@@ -793,12 +783,9 @@ def train_length_scale(times, channels, sigmas, mean_fns, sigma_f: float,
                        trajectory_id: str = "") -> float:
     """The length scale maximizing the summed log evidence of one training:
     :func:`train_length_scales` on a batch of one."""
-    (result,) = train_length_scales(
+    return train_length_scales(
         [Training(times, channels, sigmas, mean_fns, sigma_f, trajectory_id)],
-        bounds, grid_size, rel_tol)
-    if isinstance(result, Exception):
-        raise result
-    return result
+        bounds, grid_size, rel_tol)[0]
 
 
 class TrackQuery(NamedTuple):
@@ -836,10 +823,9 @@ def fit_tracks(requests: Sequence[Tuple[Training, Optional[float]]],
 
     The length scales left None are trained first, in one
     :func:`train_length_scales` call; then every track's filter and
-    smoother run as the lanes of shared passes. A request that fails gets
-    its exception in its place, and the others run on. A training without
-    fixes gives the pure prior: mean function everywhere and variance
-    sigma_f^2.
+    smoother run as the lanes of shared passes. A training without fixes
+    gives the pure prior: mean function everywhere and variance sigma_f^2.
+    A request whose inputs are unusable raises.
     """
     scales = [l for _, l in requests]
     untrained = [i for i, l in enumerate(scales) if l is None]
@@ -847,27 +833,15 @@ def fit_tracks(requests: Sequence[Tuple[Training, Optional[float]]],
             [requests[i][0] for i in untrained], cfg.length_scale_bounds,
             cfg.grid_size)):
         scales[i] = l
-    results = list(scales)
-    tracks, slots = [], []
-    for i, (tr, _) in enumerate(requests):
-        if isinstance(scales[i], Exception) or not np.size(tr.times):
-            continue
-        try:
-            tracks.append(_track_inputs(*tr))
-        except Exception as e:  # the track fails alone
-            results[i] = e
-            continue
-        slots.append(i)
+    slots = [i for i, (tr, _) in enumerate(requests) if np.size(tr.times)]
     states = dict(zip(slots, _track_states(_Lanes.of(
-        tracks, range(len(tracks)),
+        [_track_inputs(*requests[i][0]) for i in slots], range(len(slots)),
         [SQRT3 / float(scales[i]) for i in slots],
         [float(requests[i][0].sigma_f) ** 2 for i in slots]))))
-    for i, (tr, _) in enumerate(requests):
-        if not isinstance(results[i], Exception):
-            results[i] = GaussianTrack(CoordinateGP(
-                tr.times, tr.channels, tr.sigmas, tr.mean_fns, tr.sigma_f,
-                scales[i], tr.trajectory_id, states=states.get(i)))
-    return results
+    return [GaussianTrack(CoordinateGP(
+        tr.times, tr.channels, tr.sigmas, tr.mean_fns, tr.sigma_f,
+        scales[i], tr.trajectory_id, states=states.get(i)))
+        for i, (tr, _) in enumerate(requests)]
 
 
 def fit_track(trajectory: Optional[Trajectory], cfg: GpConfig,
@@ -888,7 +862,4 @@ def fit_track(trajectory: Optional[Trajectory], cfg: GpConfig,
                             "")
     else:
         training = point_training(trajectory, mean_fns, cfg.sigma_f)
-    (track,) = fit_tracks([(training, length_scale)], cfg)
-    if isinstance(track, Exception):
-        raise track
-    return track
+    return fit_tracks([(training, length_scale)], cfg)[0]

@@ -23,6 +23,8 @@ integrates the gain between them.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -163,14 +165,17 @@ def integration_grid(day_start: float, cfg: IntegrationConfig,
                      extra_times: Sequence[float] = ()) -> np.ndarray:
     """Uniform grid over the day, augmented with the measurement times.
 
-    Extra times outside the day are dropped; duplicates collapse.
+    The grid ends at the day's end, a shorter last step where the step does
+    not divide the day. Extra times outside the day are dropped; duplicates
+    collapse.
     """
-    n = int(round(cfg.day_seconds / cfg.grid_step))
-    grid = day_start + cfg.grid_step * np.arange(n + 1)
+    day_end = day_start + cfg.day_seconds
+    n = math.ceil(cfg.day_seconds / cfg.grid_step)
+    grid = np.minimum(day_start + cfg.grid_step * np.arange(n + 1), day_end)
     if not cfg.include_measurement_times:
         return grid
     extra = np.asarray(extra_times, dtype=float)
-    extra = extra[(extra >= day_start) & (extra <= day_start + cfg.day_seconds)]
+    extra = extra[(extra >= day_start) & (extra <= day_end)]
     return np.unique(np.concatenate([grid, extra]))
 
 
@@ -237,14 +242,13 @@ class VoiReport:
         return VoiReport(rows=sorted(self.rows, key=self.sort_key))
 
     def to_csv(self) -> str:
-        lines = [",".join(VOI_CSV_FIELDS)]
-        for r in self.rows:
-            lines.append(",".join([
-                r.trajectory_id, r.prior, r.kind, f"{r.param:g}",
-                str(r.ig_bit_seconds), str(r.length_scale_x),
-                str(r.length_scale_y),
-            ]))
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(VOI_CSV_FIELDS)
+        writer.writerows((r.trajectory_id, r.prior, r.kind, f"{r.param:g}",
+                          str(r.ig_bit_seconds), str(r.length_scale_x),
+                          str(r.length_scale_y)) for r in self.rows)
+        return out.getvalue()
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n"
@@ -270,14 +274,6 @@ class VoiReport:
         return VoiReport(rows=rows)
 
 
-def _attempt(make):
-    """``make()``, or the exception it raised."""
-    try:
-        return make()
-    except Exception as e:
-        return e
-
-
 def _release_training(omega: Trajectory, cfg: GpConfig):
     """The length-scale training of a release that serves as a prior: its
     fixes about their own least-squares mean lines."""
@@ -288,8 +284,9 @@ def _release_training(omega: Trajectory, cfg: GpConfig):
 
 def fit_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge]],
               gp_cfg: GpConfig):
-    """The prior and posterior reconstructions of many cells, each a
-    release Z and a prior, fit together.
+    """The prior and posterior reconstructions of many cells, each the
+    evidence ``combine(z, prior)`` of a release Z and its prior, fit
+    together.
 
     Under the uninformative prior the posterior is fit to Z alone (zero
     mean, length scale trained on Z), and the prior is a constant-variance
@@ -304,71 +301,43 @@ def fit_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge]],
     while the caller uses them.
 
     A generator: per cell, in order, it yields (prior track, posterior
-    track), or the exception that stopped the cell: its prior's before its
-    own.
+    track). A cell whose fit fails raises, ending the batch.
     """
     flat = fit_track(None, gp_cfg)
     priors = list(dict.fromkeys(prior for _, prior in cells
                                 if prior.kind == "released"))
     uninformed = [i for i, (_, prior) in enumerate(cells)
                   if prior.kind == "uninformative"]
-    trainings = ([_attempt(lambda: _release_training(prior.released, gp_cfg))
+    trainings = ([_release_training(prior.released, gp_cfg)
                   for prior in priors]
                  + [point_training(cells[i][0], [MeanFunction()] * 2,
                                    gp_cfg.sigma_f)
                     for i in uninformed])
-    scales = list(trainings)
-    valid = [k for k, t in enumerate(trainings)
-             if not isinstance(t, Exception)]
-    for k, l in zip(valid, train_length_scales(
-            [trainings[k] for k in valid], gp_cfg.length_scale_bounds,
-            gp_cfg.grid_size)):
-        scales[k] = l
-    prior_trained = dict(zip(priors, zip(trainings, scales)))
-    cell_trained = dict(zip(uninformed, zip(trainings[len(priors):],
-                                            scales[len(priors):])))
+    # keyed by released prior, or by the index of a cell under the
+    # uninformative prior
+    trained = dict(zip(priors + uninformed, zip(trainings, train_length_scales(
+        trainings, gp_cfg.length_scale_bounds, gp_cfg.grid_size))))
 
     for _, run in groupby(range(len(cells)),
                           key=lambda i: cells[i][0].trajectory_id):
         run = list(run)
-        # each slot holds a track request's index, or the exception that
-        # stopped it
-        requests, prior_slots, cell_slots = [], {}, {}
-
-        def request(training, l):
-            if isinstance(l, Exception):
-                return l
-            requests.append((training, l))
-            return len(requests) - 1
-
+        # the (training, length scale) of each track, keyed as above
+        requests = {}
         for i in run:
-            z, prior = cells[i]
+            evidence, prior = cells[i]
             if prior.kind == "uninformative":
-                cell_slots[i] = request(*cell_trained[i])
+                requests[i] = trained[i]
                 continue
-            training, l = prior_trained[prior]
-            if prior not in prior_slots:
-                prior_slots[prior] = request(training, l)
-            if isinstance(l, Exception):
-                continue                      # the cell fails with its prior
-            evidence = _attempt(lambda: point_training(
-                combine(z, prior), training.mean_fns, gp_cfg.sigma_f))
-            cell_slots[i] = request(evidence, evidence if isinstance(
-                evidence, Exception) else l)
-        tracks = fit_tracks(requests, gp_cfg)
-
-        def track(slot):
-            return tracks[slot] if isinstance(slot, int) else slot
-
+            training, l = requests.setdefault(prior, trained[prior])
+            requests[i] = (point_training(evidence, training.mean_fns,
+                                          gp_cfg.sigma_f), l)
+        tracks = dict(zip(requests, fit_tracks(list(requests.values()),
+                                               gp_cfg)))
         for i in run:
-            prior = cells[i][1]
-            prior_track = flat if prior.kind == "uninformative" \
-                else track(prior_slots[prior])
-            post = prior_track if isinstance(prior_track, Exception) \
-                else track(cell_slots[i])
-            yield post if isinstance(post, Exception) else (prior_track, post)
+            # the uninformative prior is no key: its track is the flat one
+            yield tracks.get(cells[i][1], flat), tracks[i]
         # hold no track of this trajectory while fitting the next
-        tracks = prior_track = post = None
+        tracks = None
 
 
 def fit_cell(z: Trajectory, prior: PriorKnowledge,
@@ -376,10 +345,7 @@ def fit_cell(z: Trajectory, prior: PriorKnowledge,
              ) -> Tuple[GaussianTrack, GaussianTrack]:
     """One cell's (prior, posterior) tracks: :func:`fit_cells` on a batch
     of one."""
-    (tracks,) = fit_cells([(z, prior)], gp_cfg)
-    if isinstance(tracks, Exception):
-        raise tracks
-    return tracks
+    return next(fit_cells([(combine(z, prior), prior)], gp_cfg))
 
 
 def evaluate_voi(z: Trajectory, kind: str, param: float,

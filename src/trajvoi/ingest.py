@@ -197,8 +197,7 @@ def filter_region(records, region: Region) -> np.ndarray:
 def segment(records,
             cfg: SegmentationConfig,
             projection: ProjectionConfig,
-            owner_id: str = "",
-            id_prefix: str | None = None) -> List[Trajectory]:
+            owner_id: str = "") -> List[Trajectory]:
     """Split a time-sorted (lon, lat, t) record array into trajectories at
     large time gaps.
 
@@ -215,7 +214,7 @@ def segment(records,
                          f"({float(t[i])} then {float(t[i + 1])})")
     if not t.size:
         return []
-    prefix = id_prefix if id_prefix is not None else (owner_id or "traj")
+    prefix = owner_id or "traj"
     x, y = project(lon, lat, projection)
     sigma = np.full(t.size, cfg.default_sigma)
     bounds = [0, *(np.flatnonzero(gaps > cfg.max_gap) + 1).tolist(), t.size]

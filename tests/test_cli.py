@@ -1,11 +1,13 @@
 """Batch driver end to end: tiny pipeline runs in a temp dir, plus the
 error paths that must map onto exit codes 1 and 2."""
 
+import csv
 import json
 import logging
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -328,7 +330,7 @@ def test_voi_bad_trajectory_fails_only_its_cells(tmp_path):
 
 
 def test_voi_batch_failing_as_a_whole_falls_back_to_single_cells(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, caplog):
     # should a shared pass raise, the chunk's cells are fit one by one, and
     # only the cell at fault fails
     config, traj_csv, out = write_config(tmp_path)
@@ -338,13 +340,19 @@ def test_voi_batch_failing_as_a_whole_falls_back_to_single_cells(
     real = cli.fit_cells
 
     def fragile(cells, gp_cfg):
-        if any(z is not None and z.trajectory_id == "b"
-               and z.sigma[-1] == 100.0 for z, _ in cells):
+        # b's 100 m release, alone or fused with the 400 m prior
+        if any(evidence.trajectory_id == "b" and evidence.sigma[-1] > 90.0
+               for evidence, _ in cells):
             raise OverflowError("boom")
         return real(cells, gp_cfg)
 
     monkeypatch.setattr(cli, "fit_cells", fragile)
+    caplog.clear()
     assert cli.entrypoint(["voi", "--config", str(config)]) == 2
+    fallbacks = [r.getMessage() for r in caplog.records
+                 if "one by one" in r.getMessage()]
+    assert fallbacks == ["fit of a batch failed (OverflowError: boom); "
+                         "fitting its 30 cells left one by one"]
     errors = [json.loads(line) for line in
               (out / "voi_errors.jsonl").read_text().splitlines()]
     assert [(e["trajectory_id"], e["kind"], e["param"], e["error"])
@@ -354,6 +362,61 @@ def test_voi_batch_failing_as_a_whole_falls_back_to_single_cells(
             if not ('"trajectory_id": "b"' in line
                     and '"kind": "perturbation"' in line)]
     assert (out / "voi_report.jsonl").read_text().splitlines() == rows
+
+
+def test_voi_exact_fix_fails_only_its_fused_cells(tmp_path):
+    # an exact fix (sigma 0) cannot be fused with a perturbation prior by
+    # inverse-variance weighting: the identity release of its trajectory
+    # fails under each perturbation prior, and every other cell is reported
+    fleet = small_fleet()
+    fleet[1] = replace(fleet[1], sigma=[3.0, 3.0, 0.0, 3.0, 3.0, 3.0])
+    config, out = reference_matrix_config(tmp_path, fleet)
+    assert cli.entrypoint(["voi", "--config", str(config)]) == 2
+    errors = [json.loads(line) for line in
+              (out / "voi_errors.jsonl").read_text().splitlines()]
+    perturbation_priors = [spec.label() for spec in cli._prior_specs(
+        load_config(str(config))) if spec and spec.kind == "perturbation"]
+    assert len(perturbation_priors) == 2
+    assert [(e["trajectory_id"], e["prior"], e["kind"], e["error"])
+            for e in errors] == [
+        ("b", prior, "identity", "ZeroDivisionError: float division by zero")
+        for prior in sorted(perturbation_priors)]
+    report = VoiReport.from_jsonl((out / "voi_report.jsonl").read_text())
+    assert len(report.rows) == 3 * 55 - 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_baselines_bad_trajectory_fails_only_its_row(tmp_path):
+    # a fix whose noise variance overflows fails its own trajectory's GP
+    # fit; every other row comes out as in a run without it
+    bad = synth.make_trajectory([0.0, 10.0, 20.0],
+                                [DAY + 3 * H + 60.0 * k for k in range(3)],
+                                sigmas=[3.0, 1e200, 3.0], trajectory_id="bad")
+    runs = {}
+    for name, trajectories in (("all", small_fleet() + [bad]),
+                               ("good", small_fleet())):
+        (tmp_path / name).mkdir()
+        config, traj_csv, out = write_config(tmp_path / name)
+        write_trajectory_csv(trajectories, traj_csv)
+        runs[name] = (cli.entrypoint(["baselines", "--config", str(config)]),
+                      (out / "baselines.csv").read_text())
+    assert runs["all"] == (2, runs["good"][1])
+    assert runs["good"][0] == 0
+
+
+def test_ids_with_commas_survive_voi_baselines_analyze(tmp_path):
+    # report CSVs quote an id where it must be, as the trajectory CSV does
+    ids = ["a,b", "c", "d"]
+    config, traj_csv, out = write_config(tmp_path)
+    write_trajectory_csv([replace(t, trajectory_id=tid)
+                          for t, tid in zip(small_fleet(), ids)], traj_csv)
+    for command in ("voi", "baselines", "analyze"):
+        assert cli.entrypoint([command, "--config", str(config)]) == 0
+    for name in ("voi_report.csv", "baselines.csv"):
+        with open(out / name, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sorted({r["trajectory_id"] for r in rows}) == ids, name
+    assert json.loads((out / "analyze_report.json").read_text())["n"] == 3
 
 
 def test_voi_rows_equal_per_cell_evaluation(suite, tmp_path):
@@ -386,11 +449,10 @@ def test_voi_failed_prior_fit_fails_only_its_cells(suite, tmp_path,
     def fail_on_300m_prior(trainings, *args, **kwargs):
         # a released prior trains about its own mean lines; the 300 m
         # release under the uninformative prior trains about zero
-        return [RuntimeError("no fit")
-                if np.all(np.asarray(t.sigmas) == 300.0)
-                and t.mean_fns[0] != gp.MeanFunction() else result
-                for t, result in zip(trainings,
-                                     real(trainings, *args, **kwargs))]
+        if any(np.all(np.asarray(t.sigmas) == 300.0)
+               and t.mean_fns[0] != gp.MeanFunction() for t in trainings):
+            raise RuntimeError("no fit")
+        return real(trainings, *args, **kwargs)
 
     monkeypatch.setattr(infogain, "train_length_scales", fail_on_300m_prior)
     assert cli.entrypoint(["voi", "--config", str(config)]) == 2

@@ -417,7 +417,9 @@ def test_batched_trainings_equal_each_training_alone(batch):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_a_failing_training_fails_alone():
+def test_a_failing_training_raises_its_error():
+    # a batch holding an unusable training raises; isolating the cells at
+    # fault is the CLI's work
     rng = np.random.default_rng(12)
     ts = np.sort(rng.uniform(0, 6 * HOUR, 40))
     good = [Training(ts, [rng.normal(0, 50, 40)], np.full(40, 3.0),
@@ -426,12 +428,11 @@ def test_a_failing_training_fails_alone():
                     "doomed")
     backwards = Training(ts[::-1], [ts], np.full(40, 3.0), [MeanFunction()],
                          300.0)
-    got = train_length_scales(good[:10] + [huge] + good[10:] + [backwards])
-    assert isinstance(got[10], GpNumericalError)
-    assert got[10].trajectory_id == "doomed"
-    assert isinstance(got[-1], ValueError)
-    for training, l in zip(good, got[:10] + got[11:-1]):
-        assert l == train_length_scale(*training[:5])
+    with pytest.raises(GpNumericalError) as raised:
+        train_length_scales(good[:10] + [huge] + good[10:])
+    assert raised.value.trajectory_id == "doomed"
+    with pytest.raises(ValueError, match="non-decreasing"):
+        train_length_scales(good + [backwards])
 
 
 def lone_track_lml(fixes, lam, var):

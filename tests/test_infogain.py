@@ -88,12 +88,15 @@ def test_integration_grid_uniform_plus_extras():
 
 
 def test_constant_gain_integrates_to_day_times_c():
+    # the grid spans the day exactly, whether or not the step divides it
     prior = constant_track(7500.0)
     post = constant_track(750.0)
     c = float(ig_at(prior, post, np.array([0.0]))[0])
-    ts = integration_grid(0.0, IntegrationConfig())
-    total = float(trapezoid(ig_at(prior, post, ts), ts))
-    assert total == pytest.approx(86400.0 * c, rel=1e-12)
+    for step in (60.0, 7000.0, 50000.0):
+        ts = integration_grid(0.0, IntegrationConfig(grid_step=step))
+        assert (ts[0], ts[-1]) == (0.0, 86400.0)
+        total = float(trapezoid(ig_at(prior, post, ts), ts))
+        assert total == pytest.approx(86400.0 * c, rel=1e-12), step
 
 
 def test_trapezoid_halving_changes_little():
