@@ -25,6 +25,7 @@ import logging
 import sys
 import time
 from concurrent import futures
+from itertools import groupby
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -34,8 +35,9 @@ from . import analysis, infogain
 from .baselines import (BASELINE_CSV_FIELDS, baseline_row, correctness_value)
 from .degrade import DegradationSpec, apply_spec
 from .infogain import (PriorKnowledge, VoiReport, VoiRow, curves_by_family,
-                       evaluate_voi, fit_cells, match_equivalents,
-                       param_at_ig)
+                       fit_cells, match_equivalents, param_at_ig, score_cells)
+# not called here; the per-layer tracer (bench/tracing.py) wraps this name
+from .infogain import evaluate_voi  # noqa: F401
 from .ingest import (SegmentationConfig, ingest_plt_tree, read_trajectory_csv,
                      write_trajectory_csv)
 from .model import Trajectory
@@ -123,23 +125,36 @@ def _chunks(trajectories: Sequence[Trajectory], jobs: int) -> list:
             for i in range(0, len(trajectories), size)]
 
 
-def _fit_cells(cells, gp_cfg):
-    """fit_cells over the whole batch, yielding each cell's tracks or the
-    exception that stopped its fit. Should the batch raise, the cells it
-    left are fit one by one, so that only the cells at fault fail."""
+def _isolated(fn, cells, *args):
+    """``fn(cells, *args)``, a generator of one result per cell, with each
+    failure confined to the cells at fault. Should the batch raise, the
+    cells it left run again one trajectory at a time, and those of a
+    trajectory that raises one by one; a cell that raises alone yields its
+    exception in place of a result."""
     done = 0
     try:
-        for fitted in fit_cells(cells, gp_cfg):
-            yield fitted
+        for result in fn(cells, *args):
+            yield result
             done += 1
+        return
     except Exception as e:
-        log.warning("fit of a batch failed (%s: %s); fitting its %d cells "
-                    "left one by one", type(e).__name__, e, len(cells) - done)
-        for cell in cells[done:]:
-            try:
-                yield from fit_cells([cell], gp_cfg)
-            except Exception as e:
-                yield e
+        if len(cells) == 1:
+            yield e
+            return
+        error = f"{type(e).__name__}: {e}"
+    left = cells[done:]
+    runs = [list(run) for _, run in
+            groupby(left, key=lambda cell: cell[0].trajectory_id)]
+    if len(runs) > 1:
+        log.warning("a batch failed (%s); running its %d cells left one "
+                    "trajectory at a time", error, len(left))
+        for run in runs:
+            yield from _isolated(fn, run, *args)
+        return
+    log.warning("trajectory %r failed (%s); running its %d cells left one "
+                "by one", left[0][0].trajectory_id, error, len(left))
+    for cell in left:
+        yield from _isolated(fn, [cell], *args)
 
 
 def _voi_task(task):
@@ -147,15 +162,14 @@ def _voi_task(task):
 
     Each distinct spec is applied once per trajectory (again for each cell
     that needs it, should it fail), and each cell's release is combined
-    with its prior. Then the
-    reconstructions of the whole chunk are fit together (one training call
-    for the chunk, one batch of tracks per trajectory; see
-    infogain.fit_cells), and evaluate_voi scores each cell. A failure in a
-    shared step fails every cell that depends on it, each with its own
-    error record. Returns each trajectory's (status, payload) outcomes, one
-    per cell in order."""
+    with its prior. Then the cells of the whole chunk are scored together
+    (one training call for the chunk, one batch of variance-only tracks
+    per trajectory; see infogain.score_cells). A failure in a shared step
+    fails every cell that depends on it, each with its own error record.
+    Returns each trajectory's (status, payload) outcomes, one per cell in
+    order."""
     chunk, cells, gp_cfg, integration = task
-    outcomes, pending, to_fit = [], [], []
+    outcomes, pending, to_score = [], [], []
     for traj in chunk:
         releases: dict = {}
 
@@ -171,21 +185,17 @@ def _voi_task(task):
                 prior = PriorKnowledge.uninformative() if prior_spec is None \
                     else PriorKnowledge.from_release(release(prior_spec),
                                                      prior_spec)
-                to_fit.append((infogain.combine(z, prior), prior))
+                to_score.append((infogain.combine(z, prior), prior,
+                                 spec.kind, spec.param))
                 pending.append((own, len(own), z, spec, prior_spec))
                 own.append(None)
             except Exception as e:
                 own.append(_cell_error(traj, spec, prior_spec, e))
         outcomes.append(own)
-    for (own, k, z, spec, prior_spec), (_, prior), tracks in zip(
-            pending, to_fit, _fit_cells(to_fit, gp_cfg)):
-        try:
-            if isinstance(tracks, Exception):
-                raise tracks
-            own[k] = ("ok", evaluate_voi(z, spec.kind, spec.param, prior,
-                                         gp_cfg, integration, tracks=tracks))
-        except Exception as e:  # isolation: one bad cell must not sink the batch
-            own[k] = _cell_error(z, spec, prior_spec, e)
+    for (own, k, z, spec, prior_spec), row in zip(
+            pending, _isolated(score_cells, to_score, gp_cfg, integration)):
+        own[k] = (_cell_error(z, spec, prior_spec, row)
+                  if isinstance(row, Exception) else ("ok", row))
     return outcomes
 
 
@@ -199,7 +209,8 @@ def _baseline_task(task):
     fit together; never raises."""
     chunk, grid, spp, gp_cfg = task
     uninformative = PriorKnowledge.uninformative()
-    fitted = _fit_cells([(traj, uninformative) for traj in chunk], gp_cfg)
+    fitted = _isolated(fit_cells, [(traj, uninformative) for traj in chunk],
+                       gp_cfg)
     outcomes = []
     for traj, fit in zip(chunk, fitted):
         try:

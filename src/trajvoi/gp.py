@@ -255,8 +255,10 @@ def _track_inputs(times, channels, sigmas, mean_fns, sigma_f,
     if np.any(dt < 0):
         raise ValueError(f"fix times of trajectory {trajectory_id!r} must be "
                          f"non-decreasing")
-    noise = (np.asarray(sigmas, dtype=float) ** 2
-             + NOISE_FLOOR_REL * sigma_f ** 2)
+    # a square that overflows is refused below, not warned about
+    with np.errstate(over="ignore"):
+        noise = (np.asarray(sigmas, dtype=float) ** 2
+                 + NOISE_FLOOR_REL * sigma_f ** 2)
     if not np.all(np.isfinite(noise)):
         raise GpNumericalError(
             f"non-finite measurement noise for trajectory {trajectory_id!r}",
@@ -541,10 +543,10 @@ def _float_smooth(run: _Run, i: int, fixes: _Fixes, stop: int):
     """Lane ``i`` of the smoother back to fix ``stop``, on Python floats."""
     n, channels = fixes.dt.size, len(fixes.resids)
     P = [run.P[stop:n, j, i].tolist() for j in range(3)]
-    F = [run.M[stop:n, 0, c, i].tolist() for c in range(channels)]
-    D = [run.M[stop:n, 1, c, i].tolist() for c in range(channels)]
     AQ = [run.AQ[stop:n, j, i].tolist() for j in range(7)]
-    means = list(zip(*(zip(f, d) for f, d in zip(F, D))))
+    # per fix, each channel's (f, f'); a track may have no channels
+    means = [tuple(zip(f, d))
+             for f, d in run.M[stop:n, :, :channels, i].tolist()]
     covs = list(zip(*P))
     steps = list(zip(zip(*AQ[:4]), zip(*AQ[4:])))
     state = means[-1], covs[-1]
@@ -825,7 +827,9 @@ def fit_tracks(requests: Sequence[Tuple[Training, Optional[float]]],
     :func:`train_length_scales` call; then every track's filter and
     smoother run as the lanes of shared passes. A training without fixes
     gives the pure prior: mean function everywhere and variance sigma_f^2.
-    A request whose inputs are unusable raises.
+    A training without channels gives a track of the variance alone,
+    bitwise that of the same fixes with channels. A request whose inputs
+    are unusable raises.
     """
     scales = [l for _, l in requests]
     untrained = [i for i, l in enumerate(scales) if l is None]

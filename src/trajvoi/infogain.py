@@ -16,9 +16,10 @@ as the posterior's evidence contains the prior's.
 
 The prior is either uninformative (location anywhere in the region,
 standard deviation ``gp.sigma0_m`` per coordinate) or an earlier, more
-degraded release of the same trajectory. :func:`fit_cells` is the one
-place that fits a cell's two reconstructions, and :func:`evaluate_voi`
-integrates the gain between them.
+degraded release of the same trajectory. :func:`score_cells` is the one
+place the gain is integrated: it fits each distinct reconstruction of a
+trajectory's cells once, for its variance alone. :func:`fit_cells` fits a
+cell's two reconstructions with their means, for the comparison metrics.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .degrade import DegradationSpec
-from .gp import (GaussianTrack, GpConfig, MeanFunction, fit_linear_mean,
-                 fit_track, fit_tracks, point_training, train_length_scales)
+from .gp import (GaussianTrack, GpConfig, MeanFunction, Training,
+                 fit_linear_mean, fit_track, fit_tracks, point_training,
+                 train_length_scales)
 # importable from here by name, where per-layer tracing wraps it
 from .gp import train_length_scale  # noqa: F401
 from .model import Trajectory
@@ -282,11 +284,38 @@ def _release_training(omega: Trajectory, cfg: GpConfig):
                                        for v in training.channels])
 
 
+def _train(cells: Sequence[tuple], gp_cfg: GpConfig) -> dict:
+    """The length scales of many cells, each an (evidence, prior, ...)
+    tuple, trained in one :func:`~trajvoi.gp.train_length_scales` call:
+    each distinct released prior's, about its own mean lines, and each
+    evidence's under the uninformative prior, about zero. Returns the
+    (training, length scale) of each, keyed by released prior, or by the
+    index of a cell under the uninformative prior."""
+    priors = list(dict.fromkeys(cell[1] for cell in cells
+                                if cell[1].kind == "released"))
+    uninformed = [i for i, cell in enumerate(cells)
+                  if cell[1].kind == "uninformative"]
+    trainings = ([_release_training(prior.released, gp_cfg)
+                  for prior in priors]
+                 + [point_training(cells[i][0], [MeanFunction()] * 2,
+                                   gp_cfg.sigma_f)
+                    for i in uninformed])
+    return dict(zip(priors + uninformed, zip(trainings, train_length_scales(
+        trainings, gp_cfg.length_scale_bounds, gp_cfg.grid_size))))
+
+
+def _trajectory_runs(cells: Sequence[tuple]):
+    """The indices of the cells, in runs of one trajectory's cells."""
+    for _, run in groupby(range(len(cells)),
+                          key=lambda i: cells[i][0].trajectory_id):
+        yield list(run)
+
+
 def fit_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge]],
               gp_cfg: GpConfig):
     """The prior and posterior reconstructions of many cells, each the
     evidence ``combine(z, prior)`` of a release Z and its prior, fit
-    together.
+    together, with the means of both coordinates.
 
     Under the uninformative prior the posterior is fit to Z alone (zero
     mean, length scale trained on Z), and the prior is a constant-variance
@@ -304,24 +333,9 @@ def fit_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge]],
     track). A cell whose fit fails raises, ending the batch.
     """
     flat = fit_track(None, gp_cfg)
-    priors = list(dict.fromkeys(prior for _, prior in cells
-                                if prior.kind == "released"))
-    uninformed = [i for i, (_, prior) in enumerate(cells)
-                  if prior.kind == "uninformative"]
-    trainings = ([_release_training(prior.released, gp_cfg)
-                  for prior in priors]
-                 + [point_training(cells[i][0], [MeanFunction()] * 2,
-                                   gp_cfg.sigma_f)
-                    for i in uninformed])
-    # keyed by released prior, or by the index of a cell under the
-    # uninformative prior
-    trained = dict(zip(priors + uninformed, zip(trainings, train_length_scales(
-        trainings, gp_cfg.length_scale_bounds, gp_cfg.grid_size))))
-
-    for _, run in groupby(range(len(cells)),
-                          key=lambda i: cells[i][0].trajectory_id):
-        run = list(run)
-        # the (training, length scale) of each track, keyed as above
+    trained = _train(cells, gp_cfg)
+    for run in _trajectory_runs(cells):
+        # the (training, length scale) of each track, keyed as trained
         requests = {}
         for i in run:
             evidence, prior = cells[i]
@@ -348,34 +362,99 @@ def fit_cell(z: Trajectory, prior: PriorKnowledge,
     return next(fit_cells([(combine(z, prior), prior)], gp_cfg))
 
 
+def score_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge, str,
+                                      float]],
+                gp_cfg: GpConfig = GpConfig(),
+                integration: IntegrationConfig = IntegrationConfig(),
+                keep_trace: bool = False):
+    """Score many cells, each the evidence ``combine(z, prior)`` of a
+    release Z, its prior, and the release's kind and parameter.
+
+    A cell's gain needs only the variances of its two reconstructions,
+    which depend on the fix times, the fix noise and the length scale,
+    never on the coordinates. The length scales are trained as
+    :func:`fit_cells` trains them. Then, one trajectory's run of cells at a
+    time, each distinct (times, noise, length scale) track is fit once,
+    without coordinate channels, in one :func:`~trajvoi.gp.fit_tracks`
+    call. For each day a cell covers, one union grid holds the uniform day
+    grid and every evidence time of the trajectory, and each track's log
+    variance is taken on it once; the uninformative prior's is a constant.
+    A cell's own :func:`integration_grid` is a subset of the union grid,
+    and its gain is integrated at those positions.
+
+    A generator: per cell, in order, it yields its :class:`VoiRow`. A cell
+    whose fit fails raises, ending the batch.
+    """
+    flat_var = float(gp_cfg.sigma_f) ** 2
+    trained = _train(cells, gp_cfg)
+    for run in _trajectory_runs(cells):
+        # the (variance-only training, length scale) of each distinct track
+        requests: dict = {}
+
+        def track(fixes: Trajectory, l: float):
+            key = (fixes.t.tobytes(), fixes.sigma.tobytes(), l)
+            requests.setdefault(key, (Training(
+                fixes.t, [], fixes.sigma, [], gp_cfg.sigma_f,
+                fixes.trajectory_id), l))
+            return key
+
+        # per cell: its length scale, prior track key (None for the
+        # uninformative prior), posterior track key and evidence times
+        plans = []
+        for i in run:
+            evidence, prior = cells[i][:2]
+            if prior.kind == "uninformative":
+                l = trained[i][1]
+                plans.append((l, None, track(evidence, l), evidence.t))
+                continue
+            l = trained[prior][1]
+            plans.append((l, track(prior.released, l), track(evidence, l),
+                          np.concatenate([evidence.t, prior.released.t])))
+        tracks = dict(zip(requests, fit_tracks(list(requests.values()),
+                                               gp_cfg)))
+        every_time = np.concatenate([tr.times for tr, _ in requests.values()])
+        grids: dict = {}
+        log_vars: dict = {}
+
+        def log_var(day_start: float, key) -> np.ndarray:
+            if (day_start, key) not in log_vars:
+                grid = grids[day_start]
+                log_vars[day_start, key] = np.log2(
+                    np.full(grid.shape, flat_var) if key is None
+                    else tracks[key].query(grid, means=False).var)
+            return log_vars[day_start, key]
+
+        for i, (l, prior_key, posterior_key, data_times) in zip(run, plans):
+            evidence, prior, kind, param = cells[i]
+            day_start = covering_day_start(float(data_times.min()),
+                                           integration.day_seconds)
+            if day_start not in grids:
+                grids[day_start] = integration_grid(day_start, integration,
+                                                    every_time)
+            ts = integration_grid(day_start, integration, data_times)
+            at = np.searchsorted(grids[day_start], ts)
+            igs = (log_var(day_start, prior_key)[at]
+                   - log_var(day_start, posterior_key)[at])
+            yield VoiRow(trajectory_id=evidence.trajectory_id,
+                         prior=prior.label, kind=kind, param=param,
+                         ig_bit_seconds=float(np.trapezoid(igs, ts)),
+                         length_scale_x=float(l), length_scale_y=float(l),
+                         day_start=day_start,
+                         day_end=day_start + integration.day_seconds,
+                         trace=tuple(zip(ts.tolist(), igs.tolist()))
+                         if keep_trace else None)
+        # hold no track of this trajectory while fitting the next
+        tracks = log_vars = None
+
+
 def evaluate_voi(z: Trajectory, kind: str, param: float,
                  prior: PriorKnowledge, gp_cfg: GpConfig = GpConfig(),
                  integration: IntegrationConfig = IntegrationConfig(),
-                 keep_trace: bool = False,
-                 tracks: Optional[Tuple[GaussianTrack, GaussianTrack]] = None
-                 ) -> VoiRow:
-    """Score one release against one prior (one report row). The cell's
-    (prior, posterior) ``tracks``, as :func:`fit_cells` yields them, are
-    used as they are; without them they are fit here."""
-    prior_track, posterior_track = tracks or fit_cell(z, prior, gp_cfg)
-    # the evidence is the posterior's fixes, combine(z, prior), and the
-    # prior release's
-    released = () if prior.released is None else prior.released.t.tolist()
-    data_times = sorted(set(posterior_track.gp.times.tolist())
-                        | set(released))
-    day_start = covering_day_start(min(data_times),
-                                   integration.day_seconds)
-    ts = integration_grid(day_start, integration, data_times)
-    igs = ig_at(prior_track, posterior_track, ts)
-    ig = float(np.trapezoid(igs, ts))
-    return VoiRow(trajectory_id=z.trajectory_id, prior=prior.label,
-                  kind=kind, param=param, ig_bit_seconds=ig,
-                  length_scale_x=posterior_track.gp.length_scale,
-                  length_scale_y=posterior_track.gp.length_scale,
-                  day_start=day_start,
-                  day_end=day_start + integration.day_seconds,
-                  trace=tuple(zip(ts.tolist(), igs.tolist()))
-                  if keep_trace else None)
+                 keep_trace: bool = False) -> VoiRow:
+    """Score one release against one prior (one report row):
+    :func:`score_cells` on a batch of one."""
+    return next(score_cells([(combine(z, prior), prior, kind, param)],
+                            gp_cfg, integration, keep_trace))
 
 
 # --- degradation equivalence ------------------------------------------------

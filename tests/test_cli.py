@@ -218,14 +218,14 @@ def test_voi_duplicate_cells_warn_but_pass(tmp_path, caplog):
 def test_voi_isolates_failing_cells(tmp_path, monkeypatch):
     config, traj_csv, out = write_config(tmp_path)
     write_trajectory_csv(small_fleet()[:1], traj_csv)
-    real = cli.evaluate_voi
+    real = cli.score_cells
 
-    def explode_on_truncation(z, kind, param, prior, *args, **kwargs):
-        if kind == "truncation":
+    def explode_on_truncation(cells, *args, **kwargs):
+        if any(kind == "truncation" for _, _, kind, _ in cells):
             raise RuntimeError("boom")
-        return real(z, kind, param, prior, *args, **kwargs)
+        return real(cells, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "evaluate_voi", explode_on_truncation)
+    monkeypatch.setattr(cli, "score_cells", explode_on_truncation)
     assert cli.entrypoint(["voi", "--config", str(config)]) == 2
     errors = [json.loads(line) for line in
               (out / "voi_errors.jsonl").read_text().splitlines()]
@@ -252,9 +252,25 @@ def test_voi_fits_each_prior_and_applies_each_spec_once(suite, tmp_path,
     # and 6 released priors trained once each, all in one batched call; 17
     # release specs and 2 prior-only specs (the perturbation priors' seed
     # differs). The uninformative prior's own track has no fixes, so
-    # nothing to train.
+    # nothing to train. Of the 61 prior and posterior tracks, 27 differ in
+    # their times, noise or length scale (every scale of this walk trains
+    # to the upper bound); each is fit once and queried once, and the
+    # uninformative prior's constant variance is never queried.
     config, _ = reference_matrix_config(tmp_path, suite[1:2])
-    counts = {"trainings": 0, "training calls": 0, "apply_spec": 0}
+    counts = {"trainings": 0, "training calls": 0, "apply_spec": 0,
+              "tracks": 0, "fit calls": 0, "queries": 0}
+    real_fit, real_query = infogain.fit_tracks, gp.GaussianTrack.query
+
+    def counted_fit(requests, *args):
+        counts["tracks"] += len(requests)
+        counts["fit calls"] += 1
+        return real_fit(requests, *args)
+
+    def counted_query(*args, **kwargs):
+        counts["queries"] += 1
+        return real_query(*args, **kwargs)
+    monkeypatch.setattr(infogain, "fit_tracks", counted_fit)
+    monkeypatch.setattr(gp.GaussianTrack, "query", counted_query)
 
     def counted_trainings(module):
         real = module.train_length_scales
@@ -278,6 +294,8 @@ def test_voi_fits_each_prior_and_applies_each_spec_once(suite, tmp_path,
     assert counts["trainings"] == 23
     assert counts["training calls"] == 1
     assert counts["apply_spec"] <= 19
+    assert (counts["tracks"], counts["fit calls"], counts["queries"]) \
+        == (27, 1, 27)
 
 
 def test_outputs_do_not_depend_on_chunking(suite, tmp_path, monkeypatch):
@@ -297,11 +315,11 @@ def test_outputs_do_not_depend_on_chunking(suite, tmp_path, monkeypatch):
     assert outputs[1] == outputs[10 ** 9]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_voi_bad_trajectory_fails_only_its_cells(tmp_path):
-    # a fix whose noise variance overflows fails the trainings and tracks
-    # that hold it; the other lanes of the chunk run on, and every cell
-    # comes out as it does when its trajectory runs alone
+def test_voi_bad_trajectory_fails_only_its_cells(tmp_path, caplog):
+    # a fix whose noise variance overflows fails the chunk's training; the
+    # chunk then runs one trajectory at a time, and only the cells of the
+    # trajectory at fault one by one. Every cell comes out as it does when
+    # its trajectory runs alone
     fleet = small_fleet()
     bad = synth.make_trajectory([0.0, 10.0, 20.0],
                                 [DAY + 3 * H + 60.0 * k for k in range(3)],
@@ -312,12 +330,28 @@ def test_voi_bad_trajectory_fails_only_its_cells(tmp_path):
         (tmp_path / name).mkdir()
         config, traj_csv, out = write_config(tmp_path / name)
         write_trajectory_csv(trajectories, traj_csv)
+        caplog.clear()
         code = cli.entrypoint(["voi", "--config", str(config)])
         runs[name] = (code, VoiReport.from_jsonl(
             (out / "voi_report.jsonl").read_text()).rows,
             [json.loads(line) for line in
-             (out / "voi_errors.jsonl").read_text().splitlines()])
+             (out / "voi_errors.jsonl").read_text().splitlines()],
+            (out / "voi_report.jsonl").read_text().splitlines(),
+            [r.getMessage() for r in caplog.records
+             if "cells left" in r.getMessage()])
     assert [r[0] for r in runs.values()] == [2, 0, 2]
+    # the 7 of its 10 cells that reach a fit (its perturbation release and
+    # prior refuse its noise) are the only ones run one by one
+    failure = ("GpNumericalError: non-finite measurement noise for "
+               "trajectory 'bad'")
+    assert runs["all"][4] == [
+        f"a batch failed ({failure}); running its 37 cells left one "
+        f"trajectory at a time",
+        f"trajectory 'bad' failed ({failure}); running its 7 cells left "
+        f"one by one"]
+    assert runs["good"][4] == []
+    assert [line for line in runs["all"][3]
+            if '"trajectory_id": "bad"' not in line] == runs["good"][3]
     assert runs["all"][1] == sorted(runs["good"][1] + runs["bad"][1],
                                     key=VoiReport.sort_key)
     assert runs["all"][2] == runs["bad"][2]
@@ -337,22 +371,22 @@ def test_voi_batch_failing_as_a_whole_falls_back_to_single_cells(
     write_trajectory_csv(small_fleet(), traj_csv)
     assert cli.entrypoint(["voi", "--config", str(config)]) == 0
     expected = (out / "voi_report.jsonl").read_text()
-    real = cli.fit_cells
+    real = cli.score_cells
 
-    def fragile(cells, gp_cfg):
+    def fragile(cells, *args):
         # b's 100 m release, alone or fused with the 400 m prior
         if any(evidence.trajectory_id == "b" and evidence.sigma[-1] > 90.0
-               for evidence, _ in cells):
+               for evidence, *_ in cells):
             raise OverflowError("boom")
-        return real(cells, gp_cfg)
+        return real(cells, *args)
 
-    monkeypatch.setattr(cli, "fit_cells", fragile)
+    monkeypatch.setattr(cli, "score_cells", fragile)
     caplog.clear()
     assert cli.entrypoint(["voi", "--config", str(config)]) == 2
     fallbacks = [r.getMessage() for r in caplog.records
                  if "one by one" in r.getMessage()]
-    assert fallbacks == ["fit of a batch failed (OverflowError: boom); "
-                         "fitting its 30 cells left one by one"]
+    assert fallbacks == ["trajectory 'b' failed (OverflowError: boom); "
+                         "running its 10 cells left one by one"]
     errors = [json.loads(line) for line in
               (out / "voi_errors.jsonl").read_text().splitlines()]
     assert [(e["trajectory_id"], e["kind"], e["param"], e["error"])
@@ -385,8 +419,7 @@ def test_voi_exact_fix_fails_only_its_fused_cells(tmp_path):
     assert len(report.rows) == 3 * 55 - 2
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_baselines_bad_trajectory_fails_only_its_row(tmp_path):
+def test_baselines_bad_trajectory_fails_only_its_row(tmp_path, caplog):
     # a fix whose noise variance overflows fails its own trajectory's GP
     # fit; every other row comes out as in a run without it
     bad = synth.make_trajectory([0.0, 10.0, 20.0],
@@ -402,6 +435,10 @@ def test_baselines_bad_trajectory_fails_only_its_row(tmp_path):
                       (out / "baselines.csv").read_text())
     assert runs["all"] == (2, runs["good"][1])
     assert runs["good"][0] == 0
+    assert [r.getMessage() for r in caplog.records
+            if "bad failed" in r.getMessage()] == [
+        "baselines: bad failed: GpNumericalError: non-finite measurement "
+        "noise for trajectory 'bad'"]
 
 
 def test_ids_with_commas_survive_voi_baselines_analyze(tmp_path):
@@ -474,14 +511,14 @@ def test_voi_failed_prior_fit_fails_only_its_cells(suite, tmp_path,
 def test_voi_survives_a_dead_worker(tmp_path, monkeypatch):
     config, traj_csv, out = write_config(tmp_path)
     write_trajectory_csv(small_fleet(), traj_csv)
-    real = cli.evaluate_voi
+    real = cli.score_cells
 
-    def die_on_b(z, *args, **kwargs):
-        if z.trajectory_id == "b":
+    def die_on_b(cells, *args, **kwargs):
+        if any(evidence.trajectory_id == "b" for evidence, *_ in cells):
             os._exit(1)
-        return real(z, *args, **kwargs)
+        return real(cells, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "evaluate_voi", die_on_b)
+    monkeypatch.setattr(cli, "score_cells", die_on_b)
     assert cli.entrypoint(["voi", "--config", str(config),
                            "--jobs", "2"]) == 2
     errors = [json.loads(line) for line in

@@ -416,7 +416,6 @@ def test_batched_trainings_equal_each_training_alone(batch):
         assert got == train_length_scale(*training[:5])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_a_failing_training_raises_its_error():
     # a batch holding an unusable training raises; isolating the cells at
     # fault is the CLI's work
@@ -514,6 +513,31 @@ def test_batched_tracks_predict_like_lone_tracks():
         assert np.array_equal(got.mean_y, my)
         assert np.array_equal(got.var, var)
         assert np.array_equal(track.query(q, means=False).var, var)
+
+
+@pytest.mark.parametrize("copies", [1, 4])
+def test_tracks_without_channels_have_the_same_variance(copies):
+    # the variance never reads the coordinates, so tracks fit without
+    # channels have bitwise the variance of the same tracks fit with two:
+    # 4 lanes run on floats throughout, 16 on numpy steps first
+    rng = np.random.default_rng(21)
+    q = np.linspace(-HOUR, 9 * HOUR, 500)
+    two, none = [], []
+    for n in [0, 1, 2, 6, 40] * copies:
+        ts = np.sort(rng.uniform(0, 8 * HOUR, n))
+        ts[n // 2:n // 2 + 3] = ts[n // 2] if n else ts
+        sigmas = rng.uniform(0, 10, n)
+        l = float(rng.uniform(0.05, 5.0))
+        channels = [rng.normal(0, 100, n), rng.normal(0, 100, n)]
+        two.append((Training(ts, channels, sigmas, [MeanFunction()] * 2,
+                             500.0), l))
+        none.append((Training(ts, [], sigmas, [], 500.0), l))
+    assert (4 * copies < gp.FLOAT_LANES_BELOW) == (copies == 1)
+    cfg = GpConfig(sigma_f=500.0)
+    for with_channels, without in zip(fit_tracks(two, cfg),
+                                      fit_tracks(none, cfg)):
+        assert np.array_equal(without.query(q, means=False).var,
+                              with_channels.query(q, means=False).var)
 
 
 def sample_matern_path(rng, n, l, sigma_f, noise):

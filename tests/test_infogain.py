@@ -12,9 +12,9 @@ from trajvoi.gp import GpConfig, fit_track
 from trajvoi.infogain import (IntegrationConfig, PriorKnowledge, VoiReport,
                               VoiRow, VOI_CSV_FIELDS, combine,
                               covering_day_start, curves_by_family,
-                              evaluate_voi, fit_cell, gaussian_entropy,
-                              ig_at, integration_grid, match_equivalents,
-                              param_at_ig)
+                              evaluate_voi, fit_cell, fit_cells,
+                              gaussian_entropy, ig_at, integration_grid,
+                              match_equivalents, param_at_ig, score_cells)
 
 
 # --- entropy -----------------------------------------------------------------
@@ -293,6 +293,76 @@ def test_gain_pinned_to_its_last_bit(case, ig):
     # guards how the evidence times and both tracks of a cell are derived
     assert len(set(pinned_walk().t.tolist())) == 38
     assert repr(pinned_cell(case).ig_bit_seconds) == repr(ig)
+
+
+def mixed_cells():
+    """Cells of two trajectories, as (evidence, prior, kind, param), under
+    the uninformative prior and under released priors of each family. The
+    second trajectory's first fix falls two minutes before UTC midnight, and
+    its subsampled releases at 0.3 and 0.5 start after it."""
+    rng = np.random.default_rng(3)
+    late = make_trajectory(np.cumsum(rng.normal(0, 20, 30)),
+                           DAY_START + 86400.0 - 120.0
+                           + np.arange(30) * 300.0,
+                           sigmas=3.0, trajectory_id="late")
+    sub, trunc = ({r: DegradationSpec(kind=kind, ratio=r, seed=1)
+                   for r in (0.2, 0.3, 0.5, 0.8)}
+                  for kind in ("subsampling", "truncation"))
+    noise = {n: DegradationSpec(kind="perturbation", total_noise=n, seed=n)
+             for n in (50, 200)}
+    identity = DegradationSpec(kind="identity")
+    matrix = [(None, [identity, trunc[0.5], sub[0.3], noise[50]]),
+              (sub[0.5], [identity, sub[0.3], sub[0.8]]),
+              (noise[200], [identity, noise[50]]),
+              (trunc[0.5], [trunc[0.2], identity])]
+    cells = []
+    for s in (pinned_walk(), late):
+        for prior_spec, specs in matrix:
+            prior = PriorKnowledge.uninformative() if prior_spec is None \
+                else PriorKnowledge.from_release(apply_spec(s, prior_spec),
+                                                 prior_spec)
+            for spec in specs:
+                cells.append((combine(apply_spec(s, spec), prior), prior,
+                              spec.kind, spec.param))
+    return cells
+
+
+def scored_the_old_way(cell, integration):
+    """A cell scored on its own grid from its two tracks fit with means."""
+    evidence, prior, _, _ = cell
+    prior_track, posterior_track = next(fit_cells([cell[:2]], GpConfig()))
+    times = evidence.t if prior.released is None \
+        else np.union1d(evidence.t, prior.released.t)
+    day_start = covering_day_start(float(times.min()))
+    ts = integration_grid(day_start, integration, times)
+    igs = ig_at(prior_track, posterior_track, ts)
+    return (float(np.trapezoid(igs, ts)), day_start, day_start + 86400.0,
+            tuple(zip(ts.tolist(), igs.tolist())))
+
+
+@pytest.mark.parametrize("include_measurement_times", [True, False])
+def test_batch_scoring_equals_scoring_each_cell_alone(
+        include_measurement_times):
+    integration = IntegrationConfig(
+        include_measurement_times=include_measurement_times)
+    cells = mixed_cells()
+    batch = list(score_cells(cells, GpConfig(), integration, keep_trace=True))
+    assert len(batch) == len(cells) == 22
+    for cell, row in zip(cells, batch):
+        (alone,) = score_cells([cell], GpConfig(), integration,
+                               keep_trace=True)
+        got = (row.ig_bit_seconds, row.day_start, row.day_end, row.trace)
+        assert repr(got) == repr((alone.ig_bit_seconds, alone.day_start,
+                                  alone.day_end, alone.trace))
+        assert repr(got) == repr(scored_the_old_way(cell, integration))
+    # nested subsets score exactly 0; the late walk covers two days
+    nested = [r for r in batch if (r.prior, r.kind, r.param) in (
+        ("subsampling:0.5", "subsampling", 0.3),
+        ("truncation:0.5", "truncation", 0.2))]
+    assert len(nested) == 4
+    assert all(r.ig_bit_seconds == 0.0 for r in nested)
+    assert sorted({r.day_start - DAY_START for r in batch
+                   if r.trajectory_id == "late"}) == [0.0, 86400.0]
 
 
 # --- report rows -------------------------------------------------------------
