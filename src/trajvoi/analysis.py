@@ -7,7 +7,7 @@ produces either scalars or small CSV strings; no plotting."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -149,20 +149,10 @@ def correlation_study(ig: np.ndarray, columns: Dict[str, np.ndarray],
 
 # --- plot-data emission -------------------------------------------------
 
-def histogram2d_csv(xs, ys, bins: int = 40,
-                    clip_percentile: Optional[float] = None) -> str:
-    """Bin counts over a regular 2-D grid as CSV text.
-
-    ``clip_percentile`` drops the top tail of each axis before binning,
-    for display only; statistics elsewhere always use every point.
-    """
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if clip_percentile is not None:
-        keep = ((x <= np.percentile(x, clip_percentile))
-                & (y <= np.percentile(y, clip_percentile)))
-        x, y = x[keep], y[keep]
-    counts, xe, ye = np.histogram2d(x, y, bins=bins)
+def histogram2d_csv(xs, ys, bins: int = 40) -> str:
+    """Bin counts over a regular 2-D grid as CSV text."""
+    counts, xe, ye = np.histogram2d(np.asarray(xs, dtype=float),
+                                    np.asarray(ys, dtype=float), bins=bins)
     lines = ["x_lo,x_hi,y_lo,y_hi,count"]
     for i in range(counts.shape[0]):
         for j in range(counts.shape[1]):

@@ -17,8 +17,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .gp import GaussianTrack, GpConfig
-from .infogain import PriorKnowledge, fit_cell
+from .gp import GaussianTrack
 from .model import Trajectory
 
 BASELINE_CSV_FIELDS = ("trajectory_id", "size", "duration_s", "distance_m",
@@ -102,23 +101,15 @@ def spp_value(s: Trajectory, cfg: SppConfig = SppConfig()) -> float:
     return sum(cfg.v0 * math.exp(v) for v in (-s.sigma / cfg.sigma_ref).tolist())
 
 
-def correctness_value(z: Trajectory, s_raw: Trajectory,
-                      prior: PriorKnowledge = PriorKnowledge.uninformative(),
-                      gp_cfg: GpConfig = GpConfig(),
-                      posterior: Optional[GaussianTrack] = None) -> float:
-    """Prediction-error score of a release against the raw trajectory.
+def correctness_value(s_raw: Trajectory, posterior: GaussianTrack) -> float:
+    """Prediction-error score of a reconstruction against the raw trajectory.
 
-    Reconstructs from combine(Z, prior) and measures, at each raw
-    measurement time, the expected Euclidean distance between the
-    reconstruction and the raw point, approximated by
+    Measures, at each raw measurement time, the expected Euclidean distance
+    between the ``posterior`` reconstruction (a track fit with means, see
+    :func:`~trajvoi.gp.fit_tracks`) and the raw point, approximated by
     sqrt(||mean - point||^2 + 2 var), with var the variance both
-    coordinates share. A ``posterior`` already fit (see
-    :func:`~trajvoi.infogain.fit_cells`) is used as it is.
+    coordinates share.
     """
-    if len(s_raw) == 0:
-        raise ValueError("correctness_value needs a non-empty raw trajectory")
-    if posterior is None:
-        _, posterior = fit_cell(z, prior, gp_cfg)
     q = posterior.query(s_raw.t)
     dx = q.mean_x - s_raw.x
     dy = q.mean_y - s_raw.y

@@ -34,8 +34,9 @@ import numpy as np
 from . import analysis, infogain
 from .baselines import (BASELINE_CSV_FIELDS, baseline_row, correctness_value)
 from .degrade import DegradationSpec, apply_spec
+from .gp import MeanFunction, fit_tracks, point_training
 from .infogain import (PriorKnowledge, VoiReport, VoiRow, curves_by_family,
-                       fit_cells, match_equivalents, param_at_ig, score_cells)
+                       match_equivalents, param_at_ig, score_cells)
 # not called here; the per-layer tracer (bench/tracing.py) wraps this name
 from .infogain import evaluate_voi  # noqa: F401
 from .ingest import (SegmentationConfig, ingest_plt_tree, read_trajectory_csv,
@@ -204,20 +205,25 @@ def _cell_error(traj, spec, prior_spec, e):
                                    f"{type(e).__name__}: {e}"))
 
 
+def _identity_tracks(cells, gp_cfg):
+    """The track of each (trajectory,) cell under the uninformative prior:
+    zero mean, length scale trained on the trajectory itself."""
+    return fit_tracks([(point_training(traj, [MeanFunction()] * 2,
+                                       gp_cfg.sigma_f), None)
+                       for traj, in cells], gp_cfg)
+
+
 def _baseline_task(task):
     """Baseline metrics of a chunk of trajectories, whose identity GPs are
     fit together; never raises."""
     chunk, grid, spp, gp_cfg = task
-    uninformative = PriorKnowledge.uninformative()
-    fitted = _isolated(fit_cells, [(traj, uninformative) for traj in chunk],
-                       gp_cfg)
+    fitted = _isolated(_identity_tracks, [(traj,) for traj in chunk], gp_cfg)
     outcomes = []
     for traj, fit in zip(chunk, fitted):
         try:
             if isinstance(fit, Exception):
                 raise fit
-            corr = correctness_value(traj, traj, uninformative, gp_cfg,
-                                     posterior=fit[1])
+            corr = correctness_value(traj, fit)
             outcomes.append(("ok", baseline_row(traj, grid, spp, corr)))
         except Exception as e:
             outcomes.append(("error", {"trajectory_id": traj.trajectory_id,

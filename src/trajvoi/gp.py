@@ -607,13 +607,13 @@ class CoordinateGP:
 
     The channels share timestamps and per-point noise, so one filter and
     smoother pass serves all of them; each channel keeps its own mean
-    function and its own state means. ``states`` (from a batched pass, see
-    :func:`fit_tracks`) skips running that pass here.
+    function and its own state means. ``states`` are that pass's states at
+    the fixes (see :func:`fit_tracks`, which runs it), None only for a
+    track without fixes.
     """
 
-    def __init__(self, times, channels, sigmas, mean_fns: Sequence[MeanFunction],
-                 sigma_f: float, length_scale: float, trajectory_id: str = "",
-                 states=None):
+    def __init__(self, times, mean_fns: Sequence[MeanFunction],
+                 sigma_f: float, length_scale: float, states=None):
         self.mean_fns = tuple(mean_fns)
         self.sigma_f = float(sigma_f)
         self.length_scale = float(length_scale)
@@ -622,11 +622,6 @@ class CoordinateGP:
         self._lam = SQRT3 / self.length_scale
         if not self.n_train:
             return
-        if states is None:
-            (states,) = _track_states(_Lanes.of(
-                [_track_inputs(self.times, channels, sigmas, self.mean_fns,
-                               self.sigma_f, trajectory_id)],
-                [0], [self._lam], [self.sigma_f ** 2]))
         # Indexed by the number of fixes at or before a query time: on the
         # left the filtered state at the last such fix (the stationary prior
         # before the first), on the right the smoothed state at the next fix
@@ -842,10 +837,9 @@ def fit_tracks(requests: Sequence[Tuple[Training, Optional[float]]],
         [_track_inputs(*requests[i][0]) for i in slots], range(len(slots)),
         [SQRT3 / float(scales[i]) for i in slots],
         [float(requests[i][0].sigma_f) ** 2 for i in slots]))))
-    return [GaussianTrack(CoordinateGP(
-        tr.times, tr.channels, tr.sigmas, tr.mean_fns, tr.sigma_f,
-        scales[i], tr.trajectory_id, states=states.get(i)))
-        for i, (tr, _) in enumerate(requests)]
+    return [GaussianTrack(CoordinateGP(tr.times, tr.mean_fns, tr.sigma_f,
+                                       scales[i], states.get(i)))
+            for i, (tr, _) in enumerate(requests)]
 
 
 def fit_track(trajectory: Optional[Trajectory], cfg: GpConfig,

@@ -18,8 +18,7 @@ The prior is either uninformative (location anywhere in the region,
 standard deviation ``gp.sigma0_m`` per coordinate) or an earlier, more
 degraded release of the same trajectory. :func:`score_cells` is the one
 place the gain is integrated: it fits each distinct reconstruction of a
-trajectory's cells once, for its variance alone. :func:`fit_cells` fits a
-cell's two reconstructions with their means, for the comparison metrics.
+trajectory's cells once, for its variance alone.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 
 from .degrade import DegradationSpec
 from .gp import (GaussianTrack, GpConfig, MeanFunction, Training,
-                 fit_linear_mean, fit_track, fit_tracks, point_training,
+                 fit_linear_mean, fit_tracks, point_training,
                  train_length_scales)
 # importable from here by name, where per-layer tracing wraps it
 from .gp import train_length_scale  # noqa: F401
@@ -269,8 +268,8 @@ class VoiReport:
                 ig_bit_seconds=float(d["ig_bit_seconds"]),
                 length_scale_x=float(d["length_scale_x"]),
                 length_scale_y=float(d["length_scale_y"]),
-                day_start=float(d.get("day_start", 0.0)),
-                day_end=float(d.get("day_end", DAY_SECONDS)),
+                day_start=float(d["day_start"]),
+                day_end=float(d["day_end"]),
                 trace=tuple((t, g) for t, g in d["trace"])
                 if "trace" in d else None))
         return VoiReport(rows=rows)
@@ -311,57 +310,6 @@ def _trajectory_runs(cells: Sequence[tuple]):
         yield list(run)
 
 
-def fit_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge]],
-              gp_cfg: GpConfig):
-    """The prior and posterior reconstructions of many cells, each the
-    evidence ``combine(z, prior)`` of a release Z and its prior, fit
-    together, with the means of both coordinates.
-
-    Under the uninformative prior the posterior is fit to Z alone (zero
-    mean, length scale trained on Z), and the prior is a constant-variance
-    track, made once per call. A released prior learns its mean lines and
-    length scale from the earlier release, once per distinct prior, and
-    both tracks of each of its cells share them, so the gain isolates what
-    the new data adds rather than what refitting does. The trainings of
-    those priors and of every release under the uninformative prior go to
-    one :func:`~trajvoi.gp.train_length_scales` call. The tracks then go to
-    one :func:`~trajvoi.gp.fit_tracks` call per run of cells from one
-    trajectory, so that only one trajectory's tracks are held at a time
-    while the caller uses them.
-
-    A generator: per cell, in order, it yields (prior track, posterior
-    track). A cell whose fit fails raises, ending the batch.
-    """
-    flat = fit_track(None, gp_cfg)
-    trained = _train(cells, gp_cfg)
-    for run in _trajectory_runs(cells):
-        # the (training, length scale) of each track, keyed as trained
-        requests = {}
-        for i in run:
-            evidence, prior = cells[i]
-            if prior.kind == "uninformative":
-                requests[i] = trained[i]
-                continue
-            training, l = requests.setdefault(prior, trained[prior])
-            requests[i] = (point_training(evidence, training.mean_fns,
-                                          gp_cfg.sigma_f), l)
-        tracks = dict(zip(requests, fit_tracks(list(requests.values()),
-                                               gp_cfg)))
-        for i in run:
-            # the uninformative prior is no key: its track is the flat one
-            yield tracks.get(cells[i][1], flat), tracks[i]
-        # hold no track of this trajectory while fitting the next
-        tracks = None
-
-
-def fit_cell(z: Trajectory, prior: PriorKnowledge,
-             gp_cfg: GpConfig = GpConfig()
-             ) -> Tuple[GaussianTrack, GaussianTrack]:
-    """One cell's (prior, posterior) tracks: :func:`fit_cells` on a batch
-    of one."""
-    return next(fit_cells([(combine(z, prior), prior)], gp_cfg))
-
-
 def score_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge, str,
                                       float]],
                 gp_cfg: GpConfig = GpConfig(),
@@ -372,11 +320,12 @@ def score_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge, str,
 
     A cell's gain needs only the variances of its two reconstructions,
     which depend on the fix times, the fix noise and the length scale,
-    never on the coordinates. The length scales are trained as
-    :func:`fit_cells` trains them. Then, one trajectory's run of cells at a
-    time, each distinct (times, noise, length scale) track is fit once,
-    without coordinate channels, in one :func:`~trajvoi.gp.fit_tracks`
-    call. For each day a cell covers, one union grid holds the uniform day
+    never on the coordinates. The length scales are trained in one
+    :func:`_train` call, and a released prior's serves both tracks of each
+    of its cells, so the gain isolates what the new data adds rather than
+    what refitting does. Then, one trajectory's run of cells at a time,
+    each distinct (times, noise, length scale) track is fit once, without
+    coordinate channels, in one :func:`~trajvoi.gp.fit_tracks` call. For each day a cell covers, one union grid holds the uniform day
     grid and every evidence time of the trajectory, and each track's log
     variance is taken on it once; the uninformative prior's is a constant.
     A cell's own :func:`integration_grid` is a subset of the union grid,

@@ -126,10 +126,6 @@ class Region:
         return ((self.min_lon <= lon) & (lon <= self.max_lon)
                 & (self.min_lat <= lat) & (lat <= self.max_lat))
 
-    def center(self) -> Tuple[float, float]:
-        return (0.5 * (self.min_lon + self.max_lon),
-                0.5 * (self.min_lat + self.max_lat))
-
 
 def project(lon, lat, cfg: ProjectionConfig):
     """Convert degrees to local meters east/north of the origin.

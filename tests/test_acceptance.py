@@ -360,12 +360,13 @@ def test_criterion_8_jobs_determinism(suite, tmp_path):
             "  truncation_ratios: []",
             "  subsampling_ratios: []",
         ]) + "\n")
-        rc = cli.entrypoint(["voi", "--config", str(config),
-                             "--jobs", str(jobs)])
-        assert rc == 0
+        for command in ("voi", "baselines"):
+            assert cli.entrypoint([command, "--config", str(config),
+                                   "--jobs", str(jobs)]) == 0
         outputs[jobs] = {name: (out / name).read_bytes()
                          for name in ("voi_report.jsonl", "voi_report.csv",
-                                      "voi_errors.jsonl")}
+                                      "voi_errors.jsonl", "baselines.csv")}
     identical = outputs[1] == outputs[8]
-    report(8, identical, "600-cell suite run identical with 1 and 8 workers"
+    report(8, identical, "600-cell suite run and its baselines identical "
+           "with 1 and 8 workers"
            if identical else "outputs differ between worker counts")

@@ -12,7 +12,7 @@ from trajvoi.baselines import (BASELINE_CSV_FIELDS, EntropyGridConfig,
                                duration, size, spatial_entropy, spp_value,
                                temporal_entropy, travel_distance)
 from trajvoi.degrade import perturb
-from trajvoi.infogain import PriorKnowledge
+from trajvoi.gp import GpConfig, fit_track
 
 
 def test_size_and_duration():
@@ -136,7 +136,7 @@ def test_correctness_degenerate_self_reconstruction():
     rng = np.random.default_rng(6)
     ts = DAY_START + np.sort(rng.uniform(0, HOUR, 20))
     s = make_trajectory(rng.normal(0, 10, 20), ts, sigmas=3.0)
-    res = correctness_value(s, s, PriorKnowledge.uninformative())
+    res = correctness_value(s, fit_track(s, GpConfig()))
     assert 0.0 <= res < 30.0
 
 
@@ -146,8 +146,8 @@ def test_correctness_half_trajectory_scores_worse():
     s = make_trajectory(np.cumsum(rng.normal(0, 5, 40)), ts, sigmas=3.0)
     half = make_trajectory(s.x[:20], s.t[:20], sigmas=3.0,
                            trajectory_id=s.trajectory_id)
-    full = correctness_value(s, s, PriorKnowledge.uninformative())
-    part = correctness_value(half, s, PriorKnowledge.uninformative())
+    full = correctness_value(s, fit_track(s, GpConfig()))
+    part = correctness_value(s, fit_track(half, GpConfig()))
     assert part > full
 
 
@@ -159,7 +159,7 @@ def test_correctness_far_data_dominated_by_prior_distance():
                           [DAY_START + 10 * HOUR, DAY_START + 10.1 * HOUR],
                           sigmas=3.0, trajectory_id="far")
     z = make_trajectory([0.0], [DAY_START], sigmas=3.0, trajectory_id="far")
-    res = correctness_value(z, raw, PriorKnowledge.uninformative())
+    res = correctness_value(raw, fit_track(z, GpConfig()))
     assert res > 5000.0
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 import synth
 from trajvoi import cli, gp, infogain
+from trajvoi.baselines import EntropyGridConfig, SppConfig
 from trajvoi.degrade import apply_spec
 from trajvoi.infogain import (VOI_CSV_FIELDS, PriorKnowledge, VoiReport,
                               VoiRow, evaluate_voi)
@@ -417,6 +418,20 @@ def test_voi_exact_fix_fails_only_its_fused_cells(tmp_path):
         for prior in sorted(perturbation_priors)]
     report = VoiReport.from_jsonl((out / "voi_report.jsonl").read_text())
     assert len(report.rows) == 3 * 55 - 2
+
+
+def test_correctness_pinned_to_its_last_bit(suite):
+    # the identity fit behind correctness_err_m, the same whether a walk's
+    # track is fit with others or alone
+    walks = [suite[0], suite[13], suite[22]]
+    assert [len(s) for s in walks] == [26, 200, 117]
+    shared = (EntropyGridConfig(), SppConfig(), gp.GpConfig())
+    want = ["3.115060247075722", "2.994254692535128", "2.7708199857256144"]
+    together = cli._baseline_task((walks, *shared))
+    alone = [cli._baseline_task(([s], *shared))[0] for s in walks]
+    for outcomes in (together, alone):
+        assert [repr(row["correctness_err_m"])
+                for _, row in outcomes] == want
 
 
 def test_baselines_bad_trajectory_fails_only_its_row(tmp_path, caplog):

@@ -20,6 +20,16 @@ from trajvoi.infogain import (IntegrationConfig, covering_day_start,
 HOUR = 3600.0
 
 
+def lone_gp(times, channels, sigmas, mean_fns, sigma_f, length_scale,
+            trajectory_id=""):
+    """The GP of one track at a given length scale: fit_tracks on a batch
+    of one."""
+    (track,) = fit_tracks([(Training(times, channels, sigmas, mean_fns,
+                                     sigma_f, trajectory_id), length_scale)],
+                          GpConfig())
+    return track.gp
+
+
 # --- kernel ------------------------------------------------------------------
 
 def test_matern_zero_lag():
@@ -220,10 +230,10 @@ def test_each_channel_solves_alone():
     xs, ys = rng.normal(0, 80, 15), rng.normal(0, 80, 15)
     sig = rng.uniform(1, 10, 15)
     q = np.linspace(0, 2 * HOUR, 25)
-    both = gp.CoordinateGP(ts, [xs, ys], sig, [MeanFunction()] * 2, 300.0, 0.8)
+    both = lone_gp(ts, [xs, ys], sig, [MeanFunction()] * 2, 300.0, 0.8)
     (mx, my), var = both.predict(q)
     for values, mean in ((xs, mx), (ys, my)):
-        alone = gp.CoordinateGP(ts, [values], sig, [MeanFunction()], 300.0, 0.8)
+        alone = lone_gp(ts, [values], sig, [MeanFunction()], 300.0, 0.8)
         (m,), v = alone.predict(q)
         assert np.array_equal(m, mean)
         assert np.array_equal(v, var)
@@ -235,8 +245,8 @@ def test_non_finite_sigma_raises_named_error():
     for bad in (np.nan, np.inf):
         sig = np.array([3.0, bad, 3.0])
         for build in (
-                lambda: gp.CoordinateGP(ts, [xs], sig, [MeanFunction()],
-                                        100.0, 1.0, trajectory_id="doomed"),
+                lambda: lone_gp(ts, [xs], sig, [MeanFunction()], 100.0, 1.0,
+                                trajectory_id="doomed"),
                 lambda: log_marginal_likelihood(ts, [xs], sig, [MeanFunction()],
                                                 100.0, 1.0, "doomed"),
                 lambda: train_length_scale(ts, [xs], sig, [MeanFunction()],
@@ -252,7 +262,7 @@ def test_decreasing_times_raise():
     xs = np.array([1.0, 2.0, 4.0])
     sig = np.full(3, 3.0)
     with pytest.raises(ValueError):
-        gp.CoordinateGP(ts, [xs], sig, [MeanFunction()], 100.0, 1.0)
+        lone_gp(ts, [xs], sig, [MeanFunction()], 100.0, 1.0)
     with pytest.raises(ValueError):
         log_marginal_likelihood(ts, [xs], sig, [MeanFunction()], 100.0, 1.0)
     with pytest.raises(ValueError):
@@ -318,7 +328,7 @@ def test_state_space_matches_dense_oracle_at_scale():
         got = log_marginal_likelihood(ts, [xs, ys], sig, mean_fns, sf, l)
         want = direct_lml(ts, xs, sig, sf, l) + direct_lml(ts, ys, sig, sf, l)
         assert got == pytest.approx(want, rel=1e-9)
-        _, var = gp.CoordinateGP(ts, [xs, ys], sig, mean_fns, sf, l).predict(grid)
+        _, var = lone_gp(ts, [xs, ys], sig, mean_fns, sf, l).predict(grid)
         dense = dense_posterior_var(ts, sig, sf, l, grid)
         gain = np.trapezoid(np.log2(sf ** 2) - np.log2(var), grid)
         dense_gain = np.trapezoid(np.log2(sf ** 2) - np.log2(dense), grid)
@@ -338,8 +348,8 @@ def test_zero_noise_duplicate_timestamps_match_dense_oracle():
     assert math.isfinite(got)
     assert got == pytest.approx(direct_lml(ts, xs, sig, 100.0, 1.0), rel=1e-6)
     q = np.linspace(-600.0, 2600.0, 33)
-    (mean,), var = gp.CoordinateGP(ts, [xs], sig, [MeanFunction()],
-                                   100.0, 1.0).predict(q)
+    (mean,), var = lone_gp(ts, [xs], sig, [MeanFunction()],
+                           100.0, 1.0).predict(q)
     assert np.all(np.isfinite(mean)) and np.all(var > 0)
     assert np.allclose(var, dense_posterior_var(ts, sig, 100.0, 1.0, q),
                        rtol=1e-6)
@@ -505,8 +515,7 @@ def test_batched_tracks_predict_like_lone_tracks():
                          float(rng.uniform(0.05, 5.0))))
     tracks = fit_tracks(requests, GpConfig(sigma_f=500.0))
     for (training, l), track in zip(requests, tracks):
-        alone = gp.CoordinateGP(training.times, training.channels,
-                                training.sigmas, training.mean_fns, 500.0, l)
+        alone = lone_gp(*training[:4], 500.0, l)
         (mx, my), var = alone.predict(q)
         got = track.query(q)
         assert np.array_equal(got.mean_x, mx)

@@ -8,13 +8,14 @@ from scipy.integrate import trapezoid
 
 from synth import DAY_START, HOUR, fixes, make_trajectory
 from trajvoi.degrade import DegradationSpec, apply_spec
-from trajvoi.gp import GpConfig, fit_track
+from trajvoi.gp import (GpConfig, fit_track, fit_tracks, point_training,
+                        train_length_scales)
 from trajvoi.infogain import (IntegrationConfig, PriorKnowledge, VoiReport,
-                              VoiRow, VOI_CSV_FIELDS, combine,
-                              covering_day_start, curves_by_family,
-                              evaluate_voi, fit_cell, fit_cells,
-                              gaussian_entropy, ig_at, integration_grid,
-                              match_equivalents, param_at_ig, score_cells)
+                              VoiRow, VOI_CSV_FIELDS, _release_training,
+                              combine, covering_day_start, curves_by_family,
+                              evaluate_voi, gaussian_entropy, ig_at,
+                              integration_grid, match_equivalents,
+                              param_at_ig, score_cells)
 
 
 # --- entropy -----------------------------------------------------------------
@@ -209,15 +210,21 @@ def test_release_inside_its_prior_scores_zero(suite, kind):
     assert evaluate_voi(z, kind, 0.05, prior).ig_bit_seconds == 0.0
 
 
-def test_released_prior_shares_mean_and_scale():
+def test_released_prior_sets_the_scale():
+    # both tracks of the cell take the scale the release trains about its
+    # own mean lines, not the one the evidence trains about zero
     rng = np.random.default_rng(0)
     ts = DAY_START + np.sort(rng.uniform(0, 2 * HOUR, 30))
     s = make_trajectory(rng.normal(0, 20, 30), ts, sigmas=3.0)
     spec = DegradationSpec(kind="truncation", ratio=0.5)
     prior = PriorKnowledge.from_release(apply_spec(s, spec), spec)
-    prior_track, post_track = fit_cell(s, prior, GpConfig())
-    assert prior_track.gp.length_scale == post_track.gp.length_scale
-    assert prior_track.gp.mean_fns == post_track.gp.mean_fns
+    row = evaluate_voi(s, "identity", 1.0, prior)
+    (release_scale,) = train_length_scales(
+        [_release_training(prior.released, GpConfig())])
+    assert row.length_scale_x == row.length_scale_y == release_scale
+    assert release_scale == pytest.approx(9.687, abs=1e-3)
+    assert fit_track(s, GpConfig()).gp.length_scale \
+        == pytest.approx(5.053, abs=1e-3)
 
 
 def test_release_equal_to_prior_has_no_gain():
@@ -248,7 +255,7 @@ def test_gain_bounded_by_entropy_range():
     s = make_trajectory(rng.normal(0, 10, 60), ts, sigmas=3.0)
     row = evaluate_voi(s, "identity", 1.0, PriorKnowledge.uninformative(),
                        keep_trace=True)
-    _, post = fit_cell(s, PriorKnowledge.uninformative())
+    post = fit_track(s, GpConfig())
     grid = np.array([t for t, _ in row.trace])
     var_min = post.query(grid).var.min()
     bound = 86400.0 * 2 * (gaussian_entropy(7500.0 ** 2)
@@ -328,11 +335,25 @@ def mixed_cells():
 
 
 def scored_the_old_way(cell, integration):
-    """A cell scored on its own grid from its two tracks fit with means."""
+    """A cell scored on its own grid from its two tracks fit with means:
+    under the uninformative prior, the flat prior and the evidence about
+    zero; under a released prior, both about the release's mean lines at
+    the scale it trains."""
     evidence, prior, _, _ = cell
-    prior_track, posterior_track = next(fit_cells([cell[:2]], GpConfig()))
-    times = evidence.t if prior.released is None \
-        else np.union1d(evidence.t, prior.released.t)
+    cfg = GpConfig()
+    if prior.released is None:
+        prior_track = fit_track(None, cfg)
+        posterior_track = fit_track(evidence, cfg)
+        times = evidence.t
+    else:
+        training = _release_training(prior.released, cfg)
+        (l,) = train_length_scales([training], cfg.length_scale_bounds,
+                                   cfg.grid_size)
+        prior_track, posterior_track = fit_tracks(
+            [(training, l),
+             (point_training(evidence, training.mean_fns, cfg.sigma_f), l)],
+            cfg)
+        times = np.union1d(evidence.t, prior.released.t)
     day_start = covering_day_start(float(times.min()))
     ts = integration_grid(day_start, integration, times)
     igs = ig_at(prior_track, posterior_track, ts)
@@ -397,6 +418,14 @@ def test_report_sorting_and_serialization():
 
     back = VoiReport.from_jsonl(report.to_jsonl())
     assert back.rows == report.rows
+
+
+def test_report_jsonl_needs_the_day_window():
+    line = json.loads(VoiReport(rows=[make_row()]).to_jsonl())
+    for key in ("day_start", "day_end"):
+        partial = {k: v for k, v in line.items() if k != key}
+        with pytest.raises(KeyError, match=key):
+            VoiReport.from_jsonl(json.dumps(partial) + "\n")
 
 
 def test_report_jsonl_round_trips_trace():

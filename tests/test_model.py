@@ -130,4 +130,3 @@ def test_region_contains():
     assert r.contains(116.55, 40.06)  # inclusive boundary
     lon, lat = np.array([116.30, 117.00, 116.55]), np.array([39.90] * 3)
     assert r.contains(lon, lat).tolist() == [True, False, True]
-    assert r.center() == (pytest.approx(116.375), pytest.approx(39.93))
