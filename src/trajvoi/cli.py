@@ -12,7 +12,9 @@ Subcommands mirror the pipeline stages:
 Outputs are byte-deterministic for a given config and input: work may fan
 out over processes, but results are sorted on a stable key before a single
 writer emits them, and timing information goes to the log only. Exit codes:
-0 success, 1 configuration error, 2 duplicate/failing cells were isolated.
+0 success (duplicate cells in the matrix are dropped with a warning), 1
+configuration error or unreadable input file, 2 some cells (voi) or rows
+(baselines) failed and were left out.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import logging
 import sys
 import time
 from concurrent import futures
-from itertools import groupby
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -35,11 +36,11 @@ from . import analysis, infogain
 from .baselines import (BASELINE_CSV_FIELDS, baseline_row, correctness_value)
 from .degrade import DegradationSpec, apply_spec
 from .gp import MeanFunction, fit_tracks, point_training
-from .infogain import (PriorKnowledge, VoiReport, VoiRow, curves_by_family,
+from .infogain import (PriorKnowledge, VoiReport, curves_by_family,
                        match_equivalents, param_at_ig, score_cells)
 # not called here; the per-layer tracer (bench/tracing.py) wraps this name
 from .infogain import evaluate_voi  # noqa: F401
-from .ingest import (SegmentationConfig, ingest_plt_tree, read_trajectory_csv,
+from .ingest import (PltFormatError, ingest_plt_tree, read_trajectory_csv,
                      write_trajectory_csv)
 from .model import Trajectory
 from .runconfig import ConfigError, RunConfig, load_config
@@ -58,7 +59,10 @@ def _load_trajectories(cfg: RunConfig) -> List[Trajectory]:
     if not path.exists():
         raise ConfigError(f"trajectory CSV not found: {path} (run ingest "
                           f"first or point trajectories_csv at existing data)")
-    trajectories = read_trajectory_csv(path)
+    try:
+        trajectories = read_trajectory_csv(path)
+    except ValueError as e:
+        raise ConfigError(f"malformed trajectory CSV {path}: {e}") from e
     if cfg.limit is not None:
         trajectories = trajectories[:cfg.limit]
     return trajectories
@@ -101,12 +105,23 @@ def _applicable(spec: DegradationSpec,
     return prior is None or spec.kind in ("identity", prior.kind)
 
 
-def _error_record(tid: str, spec: DegradationSpec,
-                  prior_spec: Optional[DegradationSpec], error: str) -> dict:
-    return {"trajectory_id": tid,
-            "prior": "uninformative" if prior_spec is None
-            else prior_spec.label(),
-            "kind": spec.kind, "param": spec.param, "error": error}
+def _describe(e: BaseException) -> str:
+    return f"{type(e).__name__}: {e}"
+
+
+def _voi_failed(item, error: BaseException):
+    """The error record of a (trajectory, spec, prior spec) cell."""
+    traj, spec, prior_spec = item
+    return ("error", {"trajectory_id": traj.trajectory_id,
+                      "prior": "uninformative" if prior_spec is None
+                      else prior_spec.label(),
+                      "kind": spec.kind, "param": spec.param,
+                      "error": _describe(error)})
+
+
+def _baseline_failed(traj: Trajectory, error: BaseException):
+    return ("error", {"trajectory_id": traj.trajectory_id,
+                      "error": _describe(error)})
 
 
 # Fixes a voi or baselines task aims to carry. A task takes a chunk of
@@ -126,156 +141,140 @@ def _chunks(trajectories: Sequence[Trajectory], jobs: int) -> list:
             for i in range(0, len(trajectories), size)]
 
 
-def _isolated(fn, cells, *args):
-    """``fn(cells, *args)``, a generator of one result per cell, with each
-    failure confined to the cells at fault. Should the batch raise, the
-    cells it left run again one trajectory at a time, and those of a
-    trajectory that raises one by one; a cell that raises alone yields its
-    exception in place of a result."""
-    done = 0
-    try:
-        for result in fn(cells, *args):
-            yield result
-            done += 1
-        return
-    except Exception as e:
-        if len(cells) == 1:
-            yield e
-            return
-        error = f"{type(e).__name__}: {e}"
-    left = cells[done:]
-    runs = [list(run) for _, run in
-            groupby(left, key=lambda cell: cell[0].trajectory_id)]
-    if len(runs) > 1:
-        log.warning("a batch failed (%s); running its %d cells left one "
-                    "trajectory at a time", error, len(left))
-        for run in runs:
-            yield from _isolated(fn, run, *args)
-        return
-    log.warning("trajectory %r failed (%s); running its %d cells left one "
-                "by one", left[0][0].trajectory_id, error, len(left))
-    for cell in left:
-        yield from _isolated(fn, [cell], *args)
-
-
 def _voi_task(task):
-    """Evaluate every cell of a chunk of trajectories; never raises.
+    """Score a task's (trajectory, spec, prior spec) cells: one outcome
+    per cell, in order, or raise.
 
-    Each distinct spec is applied once per trajectory (again for each cell
+    Each distinct (trajectory, spec) is applied once (again for each cell
     that needs it, should it fail), and each cell's release is combined
-    with its prior. Then the cells of the whole chunk are scored together
-    (one training call for the chunk, one batch of variance-only tracks
-    per trajectory; see infogain.score_cells). A failure in a shared step
-    fails every cell that depends on it, each with its own error record.
-    Returns each trajectory's (status, payload) outcomes, one per cell in
-    order."""
-    chunk, cells, gp_cfg, integration = task
-    outcomes, pending, to_score = [], [], []
-    for traj in chunk:
-        releases: dict = {}
+    with its prior; a cell whose release or fusion fails has that
+    exception as its outcome. The other cells are scored together (one
+    training call for the task, one batch of variance-only tracks per
+    trajectory; see infogain.score_cells), and a failure there raises."""
+    items, gp_cfg, integration = task
+    releases: dict = {}
 
-        def release(spec):
-            if spec not in releases:
-                releases[spec] = apply_spec(traj, spec)
-            return releases[spec]
+    def release(traj, spec):
+        if (traj, spec) not in releases:
+            releases[traj, spec] = apply_spec(traj, spec)
+        return releases[traj, spec]
 
-        own = []
-        for spec, prior_spec in cells:
-            try:
-                z = release(spec)
-                prior = PriorKnowledge.uninformative() if prior_spec is None \
-                    else PriorKnowledge.from_release(release(prior_spec),
-                                                     prior_spec)
-                to_score.append((infogain.combine(z, prior), prior,
-                                 spec.kind, spec.param))
-                pending.append((own, len(own), z, spec, prior_spec))
-                own.append(None)
-            except Exception as e:
-                own.append(_cell_error(traj, spec, prior_spec, e))
-        outcomes.append(own)
-    for (own, k, z, spec, prior_spec), row in zip(
-            pending, _isolated(score_cells, to_score, gp_cfg, integration)):
-        own[k] = (_cell_error(z, spec, prior_spec, row)
-                  if isinstance(row, Exception) else ("ok", row))
+    outcomes, scored, to_score = [], [], []
+    for traj, spec, prior_spec in items:
+        try:
+            z = release(traj, spec)
+            prior = PriorKnowledge.uninformative() if prior_spec is None \
+                else PriorKnowledge.from_release(release(traj, prior_spec),
+                                                 prior_spec)
+            to_score.append((infogain.combine(z, prior), prior, spec.kind,
+                             spec.param))
+            scored.append(len(outcomes))
+            outcomes.append(None)
+        except Exception as e:
+            outcomes.append(e)
+    for k, row in zip(scored, score_cells(to_score, gp_cfg, integration)):
+        outcomes[k] = ("ok", row)
     return outcomes
-
-
-def _cell_error(traj, spec, prior_spec, e):
-    return ("error", _error_record(traj.trajectory_id, spec, prior_spec,
-                                   f"{type(e).__name__}: {e}"))
-
-
-def _identity_tracks(cells, gp_cfg):
-    """The track of each (trajectory,) cell under the uninformative prior:
-    zero mean, length scale trained on the trajectory itself."""
-    return fit_tracks([(point_training(traj, [MeanFunction()] * 2,
-                                       gp_cfg.sigma_f), None)
-                       for traj, in cells], gp_cfg)
 
 
 def _baseline_task(task):
-    """Baseline metrics of a chunk of trajectories, whose identity GPs are
-    fit together; never raises."""
+    """Baseline metrics of a chunk of trajectories, one outcome each, or
+    raise. The identity GPs (zero mean, length scale trained on each
+    trajectory) are fit together in one fit_tracks call."""
     chunk, grid, spp, gp_cfg = task
-    fitted = _isolated(_identity_tracks, [(traj,) for traj in chunk], gp_cfg)
-    outcomes = []
-    for traj, fit in zip(chunk, fitted):
-        try:
-            if isinstance(fit, Exception):
-                raise fit
-            corr = correctness_value(traj, fit)
-            outcomes.append(("ok", baseline_row(traj, grid, spp, corr)))
-        except Exception as e:
-            outcomes.append(("error", {"trajectory_id": traj.trajectory_id,
-                                       "error": f"{type(e).__name__}: {e}"}))
-    return outcomes
+    tracks = fit_tracks([(point_training(traj, [MeanFunction()] * 2,
+                                         gp_cfg.sigma_f), None)
+                         for traj in chunk], gp_cfg)
+    return [("ok", baseline_row(traj, grid, spp,
+                                correctness_value(traj, track)))
+            for traj, track in zip(chunk, tracks)]
 
 
-_WORKER_DIED = "BrokenProcessPool: the worker process died"
+def _halves(task) -> list:
+    """The non-empty halves of a task, each with the shared arguments."""
+    items, *shared = task
+    half = len(items) // 2
+    return [(part, *shared) for part in (items[:half], items[half:]) if part]
+
+
+def _run(fn, task, failed) -> list:
+    """``fn(task)``, with ``failed(item, exception)`` in place of each
+    item's exception. A task that raises runs again as its two halves,
+    and a lone item that raises gets ``failed`` as its outcome."""
+    items = task[0]
+    try:
+        outcomes = fn(task)
+    except Exception as e:
+        if len(items) == 1:
+            return [failed(items[0], e)]
+        log.warning("a task of %d items failed (%s); running its halves "
+                    "again", len(items), _describe(e))
+        return [o for half in _halves(task) for o in _run(fn, half, failed)]
+    return [failed(item, o) if isinstance(o, Exception) else o
+            for item, o in zip(items, outcomes)]
 
 
 def _died(f: futures.Future) -> bool:
     return isinstance(f.exception(), futures.BrokenExecutor)
 
 
-def _map(fn, tasks, jobs: int, dead) -> list:
-    """``fn`` over ``tasks``, over ``jobs`` worker processes when there is
-    more than one of each. A task is a chunk of items and the arguments
-    they share; ``fn`` returns a result per item, and so does _map, for
-    every item of every task in order.
+def _map(fn, tasks, jobs: int, failed) -> list:
+    """The outcomes of ``fn`` over ``tasks``, one per item of every task in
+    order, over ``jobs`` worker processes when ``jobs`` is more than one.
 
-    A worker that dies (killed by the OS, say) breaks its pool. The results
-    already returned are kept, and each item of an unfinished task runs
-    again alone on a fresh one-worker pool, ``jobs`` such pools at a time.
-    An item that kills that worker as well gets ``dead(task, message)`` as
-    its result, ``task`` holding that item alone."""
-    if jobs <= 1 or len(tasks) < 2:
-        return [result for task in tasks for result in fn(task)]
-    with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        submitted = [pool.submit(fn, t) for t in tasks]
+    A task is a list of items and the arguments they share. ``fn`` returns
+    one outcome per item, or the exception that item raised alone, or it
+    raises; _map is the one place a failure becomes an outcome, so that it
+    costs only the items at fault. A task that raises runs again as its
+    two halves in the process that ran it, and a lone item that raises
+    gets ``failed(item, exception)``.
+
+    A worker that dies (killed by the OS, say) breaks its pool. The
+    outcomes already returned are kept, and each unfinished task runs
+    again as its two halves, each on a fresh one-worker pool, ``jobs``
+    such pools at a time. A half whose worker dies is split again, and a
+    lone item whose worker dies gets ``failed(item, BrokenProcessPool)``."""
+    if jobs <= 1 or not tasks:
+        return [o for task in tasks for o in _run(fn, task, failed)]
+    with futures.ProcessPoolExecutor(max_workers=min(jobs,
+                                                     len(tasks))) as pool:
+        submitted = [pool.submit(_run, fn, task, failed) for task in tasks]
         futures.wait(submitted)
     results, lost = [], []
-    for (chunk, *shared), f in zip(tasks, submitted):
-        if not _died(f):
+
+    def rerun(start, task):
+        log.warning("a task of %d items was lost with its worker; running "
+                    "its halves again, each on a fresh worker", len(task[0]))
+        for half in _halves(task):
+            lost.append((start, half))
+            start += len(half[0])
+
+    for task, f in zip(tasks, submitted):
+        if _died(f):
+            rerun(len(results), task)
+            results += [None] * len(task[0])
+        else:
             results += f.result()
-            continue
-        for item in chunk:
-            lost.append((len(results), ([item], *shared)))
-            results.append(None)
     alone: dict = {}
     try:
         while lost or alone:
             while lost and len(alone) < jobs:
-                i, task = lost.pop()
+                start, task = lost.pop()
                 pool = futures.ProcessPoolExecutor(max_workers=1)
-                alone[pool.submit(fn, task)] = (i, task, pool)
+                alone[pool.submit(_run, fn, task, failed)] = (start, task,
+                                                              pool)
             done, _ = futures.wait(alone,
                                    return_when=futures.FIRST_COMPLETED)
             for f in done:
-                i, task, pool = alone.pop(f)
+                start, task, pool = alone.pop(f)
                 pool.shutdown()
-                results[i] = (dead(task, _WORKER_DIED) if _died(f)
-                              else f.result()[0])
+                items = task[0]
+                if not _died(f):
+                    results[start:start + len(items)] = f.result()
+                elif len(items) == 1:
+                    results[start] = failed(items[0], f.exception())
+                else:
+                    rerun(start, task)
     finally:
         for _, _, pool in alone.values():
             pool.shutdown(cancel_futures=True)
@@ -291,8 +290,11 @@ def cmd_ingest(cfg: RunConfig) -> int:
     if not root.is_dir():
         raise ConfigError(f"plt_root is not a directory: {root}")
     started = time.perf_counter()
-    trajectories, manifest = ingest_plt_tree(root, cfg.region, cfg.projection,
-                                             cfg.segmentation)
+    try:
+        trajectories, manifest = ingest_plt_tree(
+            root, cfg.region, cfg.projection, cfg.segmentation)
+    except PltFormatError as e:
+        raise ConfigError(str(e)) from e
     if cfg.limit is not None:
         trajectories = trajectories[:cfg.limit]
     out = Path(cfg.output_dir)
@@ -345,22 +347,13 @@ def cmd_voi(cfg: RunConfig) -> int:
     if dropped:
         log.warning("voi: %d duplicate cells in the matrix were dropped",
                     dropped)
-    tasks = [(chunk, cells, cfg.gp, cfg.integration)
+    tasks = [([(traj, spec, prior) for traj in chunk for spec, prior in cells],
+              cfg.gp, cfg.integration)
              for chunk in _chunks(trajectories, cfg.jobs)]
-
-    def dead(task, error):
-        tid = task[0][0].trajectory_id
-        return [("error", _error_record(tid, spec, prior, error))
-                for spec, prior in cells]
-
     started = time.perf_counter()
-    outcomes = _map(_voi_task, tasks, cfg.jobs, dead)
-
-    rows: List[VoiRow] = []
-    errors: List[dict] = []
-    for cell_outcomes in outcomes:
-        for status, payload in cell_outcomes:
-            (rows if status == "ok" else errors).append(payload)
+    outcomes = _map(_voi_task, tasks, cfg.jobs, _voi_failed)
+    rows = [p for status, p in outcomes if status == "ok"]
+    errors = [p for status, p in outcomes if status == "error"]
 
     report = VoiReport(rows=rows).sorted()
     errors.sort(key=lambda e: (e["trajectory_id"], e["prior"], e["kind"],
@@ -383,10 +376,7 @@ def cmd_baselines(cfg: RunConfig) -> int:
     trajectories = _load_trajectories(cfg)
     tasks = [(chunk, cfg.entropy_grid, cfg.spp, cfg.gp)
              for chunk in _chunks(trajectories, cfg.jobs)]
-    outcomes = _map(_baseline_task, tasks, cfg.jobs,
-                    lambda task, error: ("error", {
-                        "trajectory_id": task[0][0].trajectory_id,
-                        "error": error}))
+    outcomes = _map(_baseline_task, tasks, cfg.jobs, _baseline_failed)
     rows = [p for status, p in outcomes if status == "ok"]
     errors = [p for status, p in outcomes if status == "error"]
     rows.sort(key=lambda r: r["trajectory_id"])

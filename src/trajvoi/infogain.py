@@ -288,8 +288,8 @@ def _train(cells: Sequence[tuple], gp_cfg: GpConfig) -> dict:
     tuple, trained in one :func:`~trajvoi.gp.train_length_scales` call:
     each distinct released prior's, about its own mean lines, and each
     evidence's under the uninformative prior, about zero. Returns the
-    (training, length scale) of each, keyed by released prior, or by the
-    index of a cell under the uninformative prior."""
+    length scale of each, keyed by released prior, or by the index of a
+    cell under the uninformative prior."""
     priors = list(dict.fromkeys(cell[1] for cell in cells
                                 if cell[1].kind == "released"))
     uninformed = [i for i, cell in enumerate(cells)
@@ -299,8 +299,8 @@ def _train(cells: Sequence[tuple], gp_cfg: GpConfig) -> dict:
                  + [point_training(cells[i][0], [MeanFunction()] * 2,
                                    gp_cfg.sigma_f)
                     for i in uninformed])
-    return dict(zip(priors + uninformed, zip(trainings, train_length_scales(
-        trainings, gp_cfg.length_scale_bounds, gp_cfg.grid_size))))
+    return dict(zip(priors + uninformed, train_length_scales(
+        trainings, gp_cfg.length_scale_bounds, gp_cfg.grid_size)))
 
 
 def _trajectory_runs(cells: Sequence[tuple]):
@@ -353,10 +353,10 @@ def score_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge, str,
         for i in run:
             evidence, prior = cells[i][:2]
             if prior.kind == "uninformative":
-                l = trained[i][1]
+                l = trained[i]
                 plans.append((l, None, track(evidence, l), evidence.t))
                 continue
-            l = trained[prior][1]
+            l = trained[prior]
             plans.append((l, track(prior.released, l), track(evidence, l),
                           np.concatenate([evidence.t, prior.released.t])))
         tracks = dict(zip(requests, fit_tracks(list(requests.values()),

@@ -246,7 +246,7 @@ def write_trajectory_csv(trajectories: Iterable[Trajectory], path) -> None:
                 traj.sigma.tolist()))))
 
 
-def _full_rows(reader, width: int, path) -> Iterable[List[str]]:
+def _full_rows(reader, width: int) -> Iterable[List[str]]:
     """The non-empty rows of a ``csv.reader``; a row with fewer than
     ``width`` fields is a ValueError naming its line."""
     for row in reader:
@@ -254,7 +254,7 @@ def _full_rows(reader, width: int, path) -> Iterable[List[str]]:
             yield row
         elif row:
             raise ValueError(f"line {reader.line_num}: {len(row)} fields, "
-                             f"fewer than {width}, in {path}")
+                             f"fewer than {width}")
 
 
 def read_trajectory_csv(path) -> List[Trajectory]:
@@ -276,16 +276,16 @@ def read_trajectory_csv(path) -> List[Trajectory]:
         width = max(tid, owner, *values) + 1
         seen = set()
         for trajectory_id, group in itertools.groupby(
-                _full_rows(reader, width, path), key=itemgetter(tid)):
+                _full_rows(reader, width), key=itemgetter(tid)):
             rows = list(group)
             if trajectory_id in seen:
                 raise ValueError(f"trajectory {trajectory_id!r}: its rows "
-                                 f"are not contiguous in {path}")
+                                 f"are not contiguous")
             seen.add(trajectory_id)
             owners = {row[owner] for row in rows}
             if len(owners) > 1:
                 raise ValueError(f"trajectory {trajectory_id!r}: rows with "
-                                 f"owner_ids {sorted(owners)} in {path}")
+                                 f"owner_ids {sorted(owners)}")
             columns = list(zip(*rows))
             t, x, y, sigma = (np.array(list(map(float, columns[i])))
                               for i in values)
@@ -301,7 +301,8 @@ def ingest_plt_tree(root, region: Region, projection: ProjectionConfig,
     Owners follow the common logger layout ``<root>/<owner>/Trajectory/*.plt``;
     files not under a ``Trajectory`` folder are grouped by their immediate
     parent directory name. Records are merged per owner, sorted by time,
-    filtered to the region and segmented.
+    filtered to the region and segmented. A file shorter than its header
+    is a PltFormatError naming the file.
     """
     root = Path(root)
     manifest = IngestManifest()
@@ -310,7 +311,10 @@ def ingest_plt_tree(root, region: Region, projection: ProjectionConfig,
         owner = plt_path.parent.name
         if owner.lower() == "trajectory":
             owner = plt_path.parent.parent.name
-        result = parse_plt(plt_path.read_bytes())
+        try:
+            result = parse_plt(plt_path.read_bytes())
+        except PltFormatError as e:
+            raise PltFormatError(f"{plt_path}: {e}") from None
         manifest.files_read += 1
         manifest.lines_skipped += result.lines_skipped
         by_owner.setdefault(owner, []).append(result.records)

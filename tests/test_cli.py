@@ -216,7 +216,9 @@ def test_voi_duplicate_cells_warn_but_pass(tmp_path, caplog):
     assert len(perturb_100) == 1
 
 
-def test_voi_isolates_failing_cells(tmp_path, monkeypatch):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_voi_isolates_failing_cells(tmp_path, monkeypatch, jobs):
+    # at --jobs 2 the task raises and is split inside a worker
     config, traj_csv, out = write_config(tmp_path)
     write_trajectory_csv(small_fleet()[:1], traj_csv)
     real = cli.score_cells
@@ -227,7 +229,8 @@ def test_voi_isolates_failing_cells(tmp_path, monkeypatch):
         return real(cells, *args, **kwargs)
 
     monkeypatch.setattr(cli, "score_cells", explode_on_truncation)
-    assert cli.entrypoint(["voi", "--config", str(config)]) == 2
+    assert cli.entrypoint(["voi", "--config", str(config),
+                           "--jobs", jobs]) == 2
     errors = [json.loads(line) for line in
               (out / "voi_errors.jsonl").read_text().splitlines()]
     assert len(errors) == 2  # one per prior that pairs with truncation
@@ -318,9 +321,9 @@ def test_outputs_do_not_depend_on_chunking(suite, tmp_path, monkeypatch):
 
 def test_voi_bad_trajectory_fails_only_its_cells(tmp_path, caplog):
     # a fix whose noise variance overflows fails the chunk's training; the
-    # chunk then runs one trajectory at a time, and only the cells of the
-    # trajectory at fault one by one. Every cell comes out as it does when
-    # its trajectory runs alone
+    # chunk then runs again in halves, and only the halves holding cells of
+    # the trajectory at fault are split further. Every cell comes out as it
+    # does when its trajectory runs alone
     fleet = small_fleet()
     bad = synth.make_trajectory([0.0, 10.0, 20.0],
                                 [DAY + 3 * H + 60.0 * k for k in range(3)],
@@ -339,17 +342,14 @@ def test_voi_bad_trajectory_fails_only_its_cells(tmp_path, caplog):
              (out / "voi_errors.jsonl").read_text().splitlines()],
             (out / "voi_report.jsonl").read_text().splitlines(),
             [r.getMessage() for r in caplog.records
-             if "cells left" in r.getMessage()])
+             if "halves again" in r.getMessage()])
     assert [r[0] for r in runs.values()] == [2, 0, 2]
-    # the 7 of its 10 cells that reach a fit (its perturbation release and
-    # prior refuse its noise) are the only ones run one by one
+    # 40 cells, then the 20 of c and bad, then bad's 10 and its parts
     failure = ("GpNumericalError: non-finite measurement noise for "
                "trajectory 'bad'")
     assert runs["all"][4] == [
-        f"a batch failed ({failure}); running its 37 cells left one "
-        f"trajectory at a time",
-        f"trajectory 'bad' failed ({failure}); running its 7 cells left "
-        f"one by one"]
+        f"a task of {n} items failed ({failure}); running its halves again"
+        for n in (40, 20, 10, 5, 2, 5, 2, 3, 2)]
     assert runs["good"][4] == []
     assert [line for line in runs["all"][3]
             if '"trajectory_id": "bad"' not in line] == runs["good"][3]
@@ -366,8 +366,8 @@ def test_voi_bad_trajectory_fails_only_its_cells(tmp_path, caplog):
 
 def test_voi_batch_failing_as_a_whole_falls_back_to_single_cells(
         tmp_path, monkeypatch, caplog):
-    # should a shared pass raise, the chunk's cells are fit one by one, and
-    # only the cell at fault fails
+    # should a shared pass raise, the chunk runs again in halves, and so on
+    # down to the cells at fault, and only those fail
     config, traj_csv, out = write_config(tmp_path)
     write_trajectory_csv(small_fleet(), traj_csv)
     assert cli.entrypoint(["voi", "--config", str(config)]) == 0
@@ -385,9 +385,11 @@ def test_voi_batch_failing_as_a_whole_falls_back_to_single_cells(
     caplog.clear()
     assert cli.entrypoint(["voi", "--config", str(config)]) == 2
     fallbacks = [r.getMessage() for r in caplog.records
-                 if "one by one" in r.getMessage()]
-    assert fallbacks == ["trajectory 'b' failed (OverflowError: boom); "
-                         "running its 10 cells left one by one"]
+                 if "halves again" in r.getMessage()]
+    # b's two cells are the 12th and 16th of 30, one in each half
+    assert fallbacks == [
+        f"a task of {n} items failed (OverflowError: boom); running its "
+        f"halves again" for n in (30, 15, 8, 4, 2, 15, 7, 3)]
     errors = [json.loads(line) for line in
               (out / "voi_errors.jsonl").read_text().splitlines()]
     assert [(e["trajectory_id"], e["kind"], e["param"], e["error"])
@@ -546,6 +548,37 @@ def test_voi_survives_a_dead_worker(tmp_path, monkeypatch):
     assert {r.trajectory_id for r in report.rows} == {"a", "c"}
 
 
+def test_voi_dead_worker_loses_only_its_cells(tmp_path, monkeypatch):
+    # the worker dies on b's two truncation cells only: its task runs again
+    # in halves, each on a fresh worker, down to those two cells
+    config, traj_csv, out = write_config(tmp_path)
+    write_trajectory_csv(small_fleet(), traj_csv)
+    assert cli.entrypoint(["voi", "--config", str(config)]) == 0
+    expected = (out / "voi_report.jsonl").read_text().splitlines()
+    real = cli.score_cells
+
+    def die_on_b_truncation(cells, *args, **kwargs):
+        if any(evidence.trajectory_id == "b" and kind == "truncation"
+               for evidence, _, kind, _ in cells):
+            os._exit(1)
+        return real(cells, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "score_cells", die_on_b_truncation)
+    assert cli.entrypoint(["voi", "--config", str(config),
+                           "--jobs", "2"]) == 2
+    errors = [json.loads(line) for line in
+              (out / "voi_errors.jsonl").read_text().splitlines()]
+    assert [(e["trajectory_id"], e["prior"], e["kind"])
+            for e in errors] == [("b", prior, "truncation")
+                                 for prior in ("truncation:0.5",
+                                               "uninformative")]
+    assert all(e["error"].startswith("BrokenProcessPool: ") for e in errors)
+    assert (out / "voi_report.jsonl").read_text().splitlines() == [
+        line for line in expected
+        if not ('"trajectory_id": "b"' in line
+                and '"kind": "truncation"' in line)]
+
+
 def test_baselines_survive_a_dead_worker(tmp_path, monkeypatch):
     config, traj_csv, out = write_config(tmp_path)
     write_trajectory_csv(small_fleet(), traj_csv)
@@ -605,6 +638,38 @@ def test_ingest_command(tmp_path):
     assert manifest["files_read"] == 1
     assert manifest["measurements_retained"] == 2
     assert manifest["trajectories"] == 1
+
+
+def test_ingest_plt_shorter_than_its_header_is_config_error(tmp_path,
+                                                             capsys):
+    day_dir = tmp_path / "plt" / "000" / "Trajectory"
+    day_dir.mkdir(parents=True)
+    short = day_dir / "20081024025304.plt"
+    short.write_text("Geolife trajectory\nWGS 84\n")
+    config, _, _ = write_config(tmp_path,
+                                plt_root=f'"{tmp_path / "plt"}"')
+    assert cli.entrypoint(["ingest", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {short}: PLT file has 2 lines, shorter than the "
+                   f"6-line header\n")
+
+
+@pytest.mark.parametrize("command", ["voi", "baselines", "degrade"])
+@pytest.mark.parametrize("row", [
+    "a,000,1224810000.000,0,0\n",             # a short row
+    "a,000,1224810000.000,nan,0,3\n",         # a non-finite coordinate
+    "b,000,1224810000.000,0,0,3\na,000,1224810060.000,0,0,3\n",  # a again
+])
+def test_malformed_trajectory_csv_is_config_error(tmp_path, capsys, command,
+                                                  row):
+    config, traj_csv, _ = write_config(tmp_path)
+    traj_csv.write_text("trajectory_id,owner_id,t,x,y,sigma\n"
+                        "a,000,1224806400.000,0,0,3\n" + row)
+    assert cli.entrypoint([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: malformed trajectory CSV {traj_csv}: ")
+    assert err[0].count(str(traj_csv)) == 1
 
 
 def test_ingest_without_plt_root(tmp_path, capsys):

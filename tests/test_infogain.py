@@ -1,6 +1,7 @@
 """Entropy, pointwise and integrated gain, priors, report serialization."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -484,3 +485,13 @@ def test_curves_by_family_joins_identity_and_takes_medians():
                       "truncation": [(0.2, 5.0), (0.5, 20.0), (1.0, 100.0)],
                       "subsampling": [(1.0, 100.0)]}
     assert "subsampling" not in curves_by_family(rows[1:], base_sigma=3.0)
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    full, hours, halved = map(float, capsys.readouterr().out.split())
+    assert hours == pytest.approx(full / 3600)
+    assert 0 < halved < full
