@@ -60,12 +60,12 @@ def _load_trajectories(cfg: RunConfig) -> List[Trajectory]:
         raise ConfigError(f"trajectory CSV not found: {path} (run ingest "
                           f"first or point trajectories_csv at existing data)")
     try:
-        trajectories = read_trajectory_csv(path)
+        return read_trajectory_csv(path, cfg.limit)
     except ValueError as e:
         raise ConfigError(f"malformed trajectory CSV {path}: {e}") from e
-    if cfg.limit is not None:
-        trajectories = trajectories[:cfg.limit]
-    return trajectories
+    except OSError as e:
+        raise ConfigError(f"cannot read trajectory CSV {path}: "
+                          f"{e.strerror or e}") from e
 
 
 # --- cell matrix -------------------------------------------------------------
@@ -295,6 +295,9 @@ def cmd_ingest(cfg: RunConfig) -> int:
             root, cfg.region, cfg.projection, cfg.segmentation)
     except PltFormatError as e:
         raise ConfigError(str(e)) from e
+    except OSError as e:
+        raise ConfigError(f"cannot read {e.filename or root}: "
+                          f"{e.strerror or e}") from e
     if cfg.limit is not None:
         trajectories = trajectories[:cfg.limit]
     out = Path(cfg.output_dir)
@@ -493,7 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "reference protocol)")
     common.add_argument("--seed", type=int, help="override degradation seed")
     common.add_argument("--limit", type=int, metavar="N",
-                        help="only process the first N trajectories")
+                        help="only process the first N trajectories; "
+                             "degrade, voi and baselines read the trajectory "
+                             "CSV up to the first row of trajectory N+1, "
+                             "ingest still parses the whole PLT tree")
     common.add_argument("--jobs", type=int, metavar="J",
                         help="worker processes for cell evaluation")
 

@@ -110,13 +110,6 @@ def fit_linear_mean(times, values) -> MeanFunction:
     return MeanFunction(slope=slope, intercept=intercept)
 
 
-def matern32(t1, t2, sigma_f: float, length_scale: float):
-    """Matern 3/2 covariance between times given in hours."""
-    d = np.abs(np.asarray(t1, dtype=float) - np.asarray(t2, dtype=float))
-    r = (SQRT3 / length_scale) * d
-    return sigma_f ** 2 * (1.0 + r) * np.exp(-r)
-
-
 # --- state-space form ---------------------------------------------------------
 #
 # The state is (position f, velocity f'), with time in hours. Over a gap dt,

@@ -257,13 +257,18 @@ def _full_rows(reader, width: int) -> Iterable[List[str]]:
                              f"fewer than {width}")
 
 
-def read_trajectory_csv(path) -> List[Trajectory]:
+def read_trajectory_csv(path, limit: Optional[int] = None) -> List[Trajectory]:
     """Read the flat CSV format back into trajectories (file order).
 
     Columns are found by header name. The rows of one trajectory must be
     contiguous and share one owner_id; otherwise a ValueError names the
     trajectory. Rows are read one trajectory at a time, so only that
     trajectory's text is held besides the trajectories already read.
+
+    With ``limit`` set, at most the first ``limit`` trajectories are
+    returned and reading stops there: the last one ends at the first row
+    of the next, which is read and checked for width but not converted,
+    and no later row is read or checked.
     """
     trajectories: List[Trajectory] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -275,8 +280,8 @@ def read_trajectory_csv(path) -> List[Trajectory]:
         tid, owner, *values = (column[name] for name in TRAJECTORY_CSV_FIELDS)
         width = max(tid, owner, *values) + 1
         seen = set()
-        for trajectory_id, group in itertools.groupby(
-                _full_rows(reader, width), key=itemgetter(tid)):
+        for trajectory_id, group in itertools.islice(itertools.groupby(
+                _full_rows(reader, width), key=itemgetter(tid)), limit):
             rows = list(group)
             if trajectory_id in seen:
                 raise ValueError(f"trajectory {trajectory_id!r}: its rows "

@@ -17,11 +17,12 @@ import pytest
 from scipy.integrate import quad
 
 import synth
+from test_gp import matern32
 from trajvoi import cli
 from trajvoi.analysis import spearman
 from trajvoi.baselines import EntropyGridConfig, spatial_entropy, temporal_entropy
 from trajvoi.degrade import DegradationSpec, apply_spec, perturb, subsample
-from trajvoi.gp import GpConfig, fit_track, matern32
+from trajvoi.gp import GpConfig, fit_track
 from trajvoi.infogain import PriorKnowledge, evaluate_voi, gaussian_entropy
 from trajvoi.ingest import write_trajectory_csv
 from trajvoi.runconfig import PRIOR_SEED_OFFSET

@@ -672,6 +672,56 @@ def test_malformed_trajectory_csv_is_config_error(tmp_path, capsys, command,
     assert err[0].count(str(traj_csv)) == 1
 
 
+def output_files(out):
+    return {p.relative_to(out): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["degrade", "voi", "baselines"])
+def test_limit_stops_reading_before_later_malformed_rows(tmp_path, command):
+    # trajectory 3 has a short row and trajectory 4 reuses a's id; with
+    # --limit 1 the reader stops at b's first row and never sees them
+    a, b, _ = small_fleet()
+    runs = {}
+    for name in ("cut", "tail"):
+        (tmp_path / name).mkdir()
+        config, traj_csv, out = write_config(tmp_path / name)
+        write_trajectory_csv([a, b] if name == "tail" else [a], traj_csv)
+        if name == "tail":
+            with open(traj_csv, "a") as fh:
+                fh.write("c,001,1224810000.000,0,0,3\n"
+                         "c,001,1224810060.000,0\n"
+                         "a,000,1224820000.000,0,0,3\n")
+        assert cli.entrypoint([command, "--config", str(config),
+                               "--limit", "1"]) == 0
+        runs[name] = output_files(out)
+    assert runs["tail"] and runs["tail"] == runs["cut"]
+
+
+@pytest.mark.parametrize("command", ["degrade", "voi", "baselines"])
+def test_unreadable_trajectory_csv_is_config_error(tmp_path, capsys,
+                                                   command):
+    config, traj_csv, _ = write_config(tmp_path)
+    traj_csv.mkdir()
+    assert cli.entrypoint([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: cannot read trajectory CSV {traj_csv}: ")
+    assert err[0].count(str(traj_csv)) == 1
+
+
+def test_ingest_unreadable_plt_path_is_config_error(tmp_path, capsys):
+    day_dir = tmp_path / "plt" / "000" / "Trajectory"
+    (day_dir / "20081024025304.plt").mkdir(parents=True)
+    config, _, _ = write_config(tmp_path,
+                                plt_root=f'"{tmp_path / "plt"}"')
+    assert cli.entrypoint(["ingest", "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(
+        f"error: cannot read {day_dir / '20081024025304.plt'}: ")
+
+
 def test_ingest_without_plt_root(tmp_path, capsys):
     config, _, _ = write_config(tmp_path)
     assert cli.entrypoint(["ingest", "--config", str(config)]) == 1

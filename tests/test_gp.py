@@ -12,7 +12,7 @@ from synth import make_trajectory
 from trajvoi.gp import (DEFAULT_LENGTH_SCALE_BOUNDS, GaussianTrack, GpConfig,
                         GpNumericalError, MeanFunction, Training,
                         fit_linear_mean, fit_track, fit_tracks,
-                        log_marginal_likelihood, matern32, point_training,
+                        log_marginal_likelihood, point_training,
                         train_length_scale, train_length_scales)
 from trajvoi.infogain import (IntegrationConfig, covering_day_start,
                              integration_grid)
@@ -31,6 +31,14 @@ def lone_gp(times, channels, sigmas, mean_fns, sigma_f, length_scale,
 
 
 # --- kernel ------------------------------------------------------------------
+
+def matern32(t1, t2, sigma_f: float, length_scale: float):
+    """Matern 3/2 covariance between times given in hours: the dense
+    reference the state-space GP is checked against."""
+    d = np.abs(np.asarray(t1, dtype=float) - np.asarray(t2, dtype=float))
+    r = (math.sqrt(3.0) / length_scale) * d
+    return sigma_f ** 2 * (1.0 + r) * np.exp(-r)
+
 
 def test_matern_zero_lag():
     assert matern32(np.array([0.0]), np.array([0.0]), 7500.0, 1.0) \

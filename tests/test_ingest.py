@@ -343,6 +343,55 @@ def test_read_trajectory_csv_rejects_a_short_row_by_line(tmp_path, bad_row):
         read_trajectory_csv(path)
 
 
+def test_read_trajectory_csv_limit_reads_a_prefix(tmp_path):
+    fleet = [synth.make_trajectory(np.arange(n) * 10.0,
+                                   1e9 + 60.0 * np.arange(n),
+                                   trajectory_id=f"w_{k}", owner_id=f"o{k % 2}")
+             for k, n in enumerate((3, 1, 5, 2))]
+    path = tmp_path / "fleet.csv"
+    write_trajectory_csv(fleet, path)
+    full = read_trajectory_csv(path)
+    assert len(full) == len(fleet)
+    for limit in [*range(len(fleet) + 2), None]:
+        part = read_trajectory_csv(path, limit)
+        assert isinstance(part, list)
+        want = full[:limit]
+        assert len(part) == len(want)
+        for got, ref in zip(part, want):
+            assert (got.trajectory_id, got.owner_id) \
+                == (ref.trajectory_id, ref.owner_id)
+            for name in ("t", "x", "y", "sigma"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+
+def test_read_trajectory_csv_limit_stops_at_the_next_first_row(tmp_path):
+    # b's first row ends a; it is read for its width but not converted
+    path = tmp_path / "tail.csv"
+    path.write_text(CSV_HEADER + "a,o,0.000,1,2,3\n"
+                    "a,o,1.000,1,2,3\n"
+                    "b,o,zero,1,2,3\n"
+                    "c,o,0.000,1,2,3\n"
+                    "c,o,1.000,1,2\n"
+                    "a,o,2.000,1,2,3\n")
+    (a,) = read_trajectory_csv(path, 1)
+    assert (a.trajectory_id, a.t.tolist()) == ("a", [0.0, 1.0])
+    assert read_trajectory_csv(path, 0) == []
+    for limit in (2, None):
+        with pytest.raises(ValueError, match="'zero'"):
+            read_trajectory_csv(path, limit)
+    short_next = tmp_path / "short_next.csv"
+    short_next.write_text(CSV_HEADER + "a,o,0.000,1,2,3\nb,o,0.000\n")
+    with pytest.raises(ValueError, match="line 3: .*fewer than 6"):
+        read_trajectory_csv(short_next, 1)
+
+
+def test_read_trajectory_csv_checks_the_header_at_limit_zero(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("trajectory_id,owner_id,t,x,y\na,o,0,1,2\n")
+    with pytest.raises(ValueError, match="missing columns"):
+        read_trajectory_csv(path, 0)
+
+
 def test_trajectory_csv_round_trips_ids_that_need_quoting(tmp_path):
     odd = synth.make_trajectory([1.0, 2.0], [10.0, 20.0],
                                 trajectory_id="a,b", owner_id='say "o"')
