@@ -35,7 +35,7 @@ import numpy as np
 from . import analysis, infogain
 from .baselines import (BASELINE_CSV_FIELDS, baseline_row, correctness_value)
 from .degrade import DegradationSpec, apply_spec
-from .gp import MeanFunction, fit_tracks, point_training
+from .gp import fit_tracks, point_training
 from .infogain import (PriorKnowledge, VoiReport, curves_by_family,
                        match_equivalents, param_at_ig, score_cells)
 # not called here; the per-layer tracer (bench/tracing.py) wraps this name
@@ -182,9 +182,8 @@ def _baseline_task(task):
     raise. The identity GPs (zero mean, length scale trained on each
     trajectory) are fit together in one fit_tracks call."""
     chunk, grid, spp, gp_cfg = task
-    tracks = fit_tracks([(point_training(traj, [MeanFunction()] * 2,
-                                         gp_cfg.sigma_f), None)
-                         for traj in chunk], gp_cfg)
+    tracks = fit_tracks([(point_training(traj), None) for traj in chunk],
+                        gp_cfg)
     return [("ok", baseline_row(traj, grid, spp,
                                 correctness_value(traj, track)))
             for traj, track in zip(chunk, tracks)]

@@ -8,8 +8,10 @@ time with covariance
 where d = |t - t'| in hours and l is the length scale in hours. sigma_f is
 the prior standard deviation (how uncertain the location is far from any
 data) and the white term carries each training point's own measurement
-noise, plus a fixed floor of 1e-10 sigma_f^2. The mean function is an
-affine trend in time.
+noise, plus a fixed floor of 1e-10 sigma_f^2. The prior mean is zero: a
+caller that wants a trend removed takes it out of the channel values first
+(:mod:`.infogain` detrends a released prior's fixes before it trains the
+prior's length scale).
 
 Matern 3/2 is exactly the stationary solution of a linear SDE in the state
 (position, velocity) (Hartikainen & Sarkka 2010), so inference is exact in
@@ -47,7 +49,8 @@ SQRT3 = math.sqrt(3.0)
 # Floor on every fix's noise variance, relative to sigma_f^2.
 NOISE_FLOOR_REL = 1e-10
 
-DEFAULT_LENGTH_SCALE_BOUNDS = (0.01, 10.0)  # hours
+# Relative width in log length scale to which training refines a scan.
+LENGTH_SCALE_REL_TOL = 1e-3
 
 
 class GpNumericalError(RuntimeError):
@@ -63,51 +66,19 @@ class GpConfig:
     """Kernel amplitude and length-scale training settings."""
 
     sigma_f: float = 7500.0
-    length_scale_bounds: Tuple[float, float] = DEFAULT_LENGTH_SCALE_BOUNDS
+    length_scale_bounds: Tuple[float, float] = (0.01, 10.0)     # hours
     grid_size: int = 32                          # log-spaced scan resolution
 
     def __post_init__(self):
-        if not self.sigma_f > 0:
-            raise ValueError("sigma_f must be > 0")
+        # the prior variance is sigma_f^2, a float that must not overflow
+        if not (self.sigma_f > 0 and self.sigma_f * self.sigma_f < math.inf):
+            raise ValueError("sigma_f must be > 0 with a finite square")
         lo, hi = self.length_scale_bounds
-        if not (0 < lo < hi):
-            raise ValueError("length_scale_bounds must satisfy 0 < lo < hi")
+        if not 0 < lo < hi < math.inf:
+            raise ValueError("length_scale_bounds must satisfy "
+                             "0 < lo < hi < inf")
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
-
-
-@dataclass(frozen=True)
-class MeanFunction:
-    """Affine trend m(t) = intercept + slope * t, t in seconds."""
-
-    slope: float = 0.0       # meters per second
-    intercept: float = 0.0   # meters
-
-    def __post_init__(self):
-        if not (math.isfinite(self.slope) and math.isfinite(self.intercept)):
-            raise ValueError("MeanFunction coefficients must be finite")
-
-    def __call__(self, t):
-        return self.intercept + self.slope * np.asarray(t, dtype=float)
-
-
-def fit_linear_mean(times, values) -> MeanFunction:
-    """Ordinary least squares line through (t, value) data.
-
-    With a single point, or when all times coincide, the slope is zero and
-    the intercept is the mean value.
-    """
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if t.size == 0:
-        raise ValueError("fit_linear_mean: empty data")
-    tc = t - t.mean()
-    denom = float(tc @ tc)
-    if t.size < 2 or denom == 0.0:
-        return MeanFunction(slope=0.0, intercept=float(v.mean()))
-    slope = float(tc @ (v - v.mean())) / denom
-    intercept = float(v.mean() - slope * t.mean())
-    return MeanFunction(slope=slope, intercept=intercept)
 
 
 # --- state-space form ---------------------------------------------------------
@@ -234,15 +205,17 @@ def _rts_step(means, P, A, Q, next_means, next_P, position_only=False):
 class _Fixes(NamedTuple):
     """A track's filter inputs: the gap in hours before each fix (0 before
     the first), each fix's noise variance with the floor, and each
-    channel's residuals from its mean, shaped (channels, fixes)."""
+    channel's values (its residuals from the zero prior mean), shaped
+    (channels, fixes)."""
 
     dt: np.ndarray
     noise: np.ndarray
     resids: np.ndarray
 
 
-def _track_inputs(times, channels, sigmas, mean_fns, sigma_f,
-                  trajectory_id) -> _Fixes:
+def _track_inputs(training: Training, var: float) -> _Fixes:
+    """A training's filter inputs under prior variance ``var``."""
+    times, channels, sigmas, trajectory_id = training
     t = np.asarray(times, dtype=float)
     dt = np.diff(t, prepend=t[:1]) / SECONDS_PER_HOUR
     if np.any(dt < 0):
@@ -251,14 +224,13 @@ def _track_inputs(times, channels, sigmas, mean_fns, sigma_f,
     # a square that overflows is refused below, not warned about
     with np.errstate(over="ignore"):
         noise = (np.asarray(sigmas, dtype=float) ** 2
-                 + NOISE_FLOOR_REL * sigma_f ** 2)
+                 + NOISE_FLOOR_REL * var)
     if not np.all(np.isfinite(noise)):
         raise GpNumericalError(
             f"non-finite measurement noise for trajectory {trajectory_id!r}",
             trajectory_id=trajectory_id)
-    resids = np.array([np.asarray(v, dtype=float) - m(t)
-                       for v, m in zip(channels, mean_fns)])
-    return _Fixes(dt, noise, resids.reshape(len(mean_fns), t.size))
+    return _Fixes(dt, noise, np.array(channels, dtype=float).reshape(
+        len(channels), t.size))
 
 
 # --- lanes --------------------------------------------------------------------
@@ -290,22 +262,21 @@ FLOAT_LANES_BELOW = 12
 
 
 class _Lanes(NamedTuple):
-    """Lanes over some tracks: lane i runs ``tracks[track[i]]`` at
-    lam = sqrt(3) / length scale ``lam[i]`` and prior variance ``var[i]``."""
+    """Lanes over some tracks, all at prior variance ``var``: lane i runs
+    ``tracks[track[i]]`` at lam = sqrt(3) / length scale ``lam[i]``."""
 
     tracks: Sequence[_Fixes]
     track: np.ndarray
     lam: np.ndarray
-    var: np.ndarray
+    var: float
 
     @staticmethod
     def of(tracks, track, lam, var) -> "_Lanes":
         return _Lanes(tracks, np.asarray(track, dtype=int),
-                      np.asarray(lam, dtype=float), np.asarray(var, dtype=float))
+                      np.asarray(lam, dtype=float), float(var))
 
     def take(self, idx) -> "_Lanes":
-        return _Lanes(self.tracks, self.track[idx], self.lam[idx],
-                      self.var[idx])
+        return self._replace(track=self.track[idx], lam=self.lam[idx])
 
     def sizes(self) -> np.ndarray:
         return np.array([t.dt.size for t in self.tracks],
@@ -370,7 +341,7 @@ def _kalman_filter(lanes: _Lanes, keep: bool = False) -> _Run:
     state = _numpy_lanes(run, lanes, channels, switch) if switch else None
     for i in range(run.active[switch] if switch < steps else 0):
         _float_lane(run, i, lanes.tracks[lanes.track[i]], float(lanes.lam[i]),
-                    float(lanes.var[i]), switch,
+                    lanes.var, switch,
                     state and [x[..., i].tolist() for x in state])
     return run
 
@@ -446,7 +417,7 @@ def _numpy_lanes(run: _Run, lanes: _Lanes, channels: int, stop: int):
     starts = np.cumsum([0] + [t.dt.size for t in tracks])
     first = starts[local]
     last = starts[local + 1] - 1
-    p00, p01, p11 = var, np.zeros(lam.size), var * lam * lam
+    p00, p01, p11 = np.full(lam.size, var), np.zeros(lam.size), var * lam * lam
     f, d = np.zeros((channels, lam.size)), np.zeros((channels, lam.size))
     # Python ints index far faster than numpy scalars in the step loop
     active, rows = run.active.tolist(), run.rows.tolist()
@@ -460,7 +431,7 @@ def _numpy_lanes(run: _Run, lanes: _Lanes, channels: int, stop: int):
         at = np.minimum(first[:width] + np.arange(k, end)[:, None],
                         last[:width])
         block = inputs[:, at].transpose(1, 0, 2)
-        A, Q = _transition(block[:, 0], lam[:width], var[:width])
+        A, Q = _transition(block[:, 0], lam[:width], var)
         AQ = np.stack(A + Q, axis=1)
         for j, step in enumerate(range(k, end)):
             n = active[step]
@@ -578,8 +549,8 @@ def _track_states(lanes: _Lanes) -> list:
     for wave in _waves(lanes, LANE_FIX_BUDGET // 5, keep=True):
         wave_lanes = lanes.take(wave)
         run = _kalman_filter(wave_lanes, keep=True)
-        args = [(lanes.tracks[t], float(lam), float(var)) for t, lam, var
-                in zip(wave_lanes.track, wave_lanes.lam, wave_lanes.var)]
+        args = [(lanes.tracks[t], float(lam), lanes.var)
+                for t, lam in zip(wave_lanes.track, wave_lanes.lam)]
         left = [_lane_states(run, col, *a, True) for col, a in enumerate(args)]
         _rts_smoother(run, wave_lanes)
         for col, (i, a) in enumerate(zip(wave, args)):
@@ -599,15 +570,15 @@ class CoordinateGP:
     """Exact GP posterior for the coordinate channels of one track.
 
     The channels share timestamps and per-point noise, so one filter and
-    smoother pass serves all of them; each channel keeps its own mean
-    function and its own state means. ``states`` are that pass's states at
-    the fixes (see :func:`fit_tracks`, which runs it), None only for a
-    track without fixes.
+    smoother pass serves all of them; each channel keeps its own state
+    means. ``states`` are that pass's states at the fixes (see
+    :func:`fit_tracks`, which runs it), None only for a track without
+    fixes, whose ``channels`` means are 0.
     """
 
-    def __init__(self, times, mean_fns: Sequence[MeanFunction],
-                 sigma_f: float, length_scale: float, states=None):
-        self.mean_fns = tuple(mean_fns)
+    def __init__(self, times, channels: int, sigma_f: float,
+                 length_scale: float, states=None):
+        self.channels = channels
         self.sigma_f = float(sigma_f)
         self.length_scale = float(length_scale)
         self.times = np.asarray(times, dtype=float)
@@ -627,7 +598,8 @@ class CoordinateGP:
         variance they share, at each time, for the latent coordinates."""
         q = np.atleast_1d(np.asarray(times, dtype=float))
         if self.n_train == 0:
-            return ([m(q) for m in self.mean_fns] if means else None,
+            return ([np.zeros(q.shape) for _ in range(self.channels)]
+                    if means else None,
                     np.full(q.shape, self.sigma_f ** 2))
         t, n, var = self.times, self.n_train, self.sigma_f ** 2
         idx = np.searchsorted(t, q, side="right")
@@ -647,21 +619,22 @@ class CoordinateGP:
                               Q_right, right_means, right_P,
                               position_only=True)
         # guard against cancellation rounding; the latent variance is positive
-        return ([mean_fn(q) + fc for mean_fn, fc in zip(self.mean_fns, f[0])]
-                if means else None, np.maximum(P00, 1e-12 * var))
+        return list(f[0]) if means else None, np.maximum(P00, 1e-12 * var)
 
 
-def log_marginal_likelihood(times, channels, sigmas, mean_fns,
-                            sigma_f: float, length_scale: float,
+def log_marginal_likelihood(times, channels, sigmas, cfg: GpConfig,
+                            length_scale: float,
                             trajectory_id: str = "") -> float:
-    """Summed log evidence of one or more coordinate channels, from one
-    Kalman filter pass that the channels share."""
+    """Summed log evidence of one or more coordinate channels under prior
+    scale ``cfg.sigma_f``, from one Kalman filter pass that the channels
+    share."""
     if np.size(times) == 0:
         return 0.0
-    fixes = _track_inputs(times, channels, sigmas, mean_fns, sigma_f,
-                          trajectory_id)
+    var = cfg.sigma_f ** 2
+    fixes = _track_inputs(Training(times, channels, sigmas, trajectory_id),
+                          var)
     return float(_lane_lmls(_Lanes.of([fixes], [0], [SQRT3 / length_scale],
-                                      [sigma_f ** 2]))[0])
+                                      var))[0])
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -669,21 +642,19 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 class Training(NamedTuple):
     """What one length-scale training fits: the fix times, one value array
-    per coordinate channel, the per-fix noise, each channel's mean
-    function and the prior scale."""
+    per coordinate channel (about a zero prior mean) and the per-fix
+    noise."""
 
     times: object
     channels: Sequence
     sigmas: object
-    mean_fns: Sequence[MeanFunction]
-    sigma_f: float
     trajectory_id: str = ""
 
 
-def _golden_search(grid, scores, bounds, rel_tol):
+def _golden_search(grid, scores, bounds):
     """Refine the best grid point of a scan by golden-section search on log
     length scale, within the neighbouring grid cells, to a relative width
-    of ``rel_tol``, keeping the first best score seen anywhere.
+    of LENGTH_SCALE_REL_TOL, keeping the first best score seen anywhere.
 
     A generator: it yields the length scales it needs scored next (both
     probes at first, one per step after), is sent their scores, and
@@ -698,7 +669,7 @@ def _golden_search(grid, scores, bounds, rel_tol):
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc = fd = None
-    while (b - a) > rel_tol:
+    while (b - a) > LENGTH_SCALE_REL_TOL:
         wanted = [x for x, fx in ((c, fc), (d, fd)) if fx is None]
         got = iter((yield [math.exp(x) for x in wanted]))
         if fc is None:
@@ -718,15 +689,14 @@ def _golden_search(grid, scores, bounds, rel_tol):
     return min(max(best[1], bounds[0]), bounds[1])
 
 
-def train_length_scales(trainings: Sequence[Training],
-                        bounds: Tuple[float, float] = DEFAULT_LENGTH_SCALE_BOUNDS,
-                        grid_size: int = 32, rel_tol: float = 1e-3) -> list:
+def train_length_scales(trainings: Sequence[Training], cfg: GpConfig) -> list:
     """Pick, for each training, the length scale maximizing its summed log
-    evidence.
+    evidence under prior scale ``cfg.sigma_f``.
 
-    A log-spaced grid scan over the bounds finds each training's best grid
-    cell, and golden-section search refines within the neighbouring cells
-    to a relative width of ``rel_tol``; the result never scores below any
+    A log-spaced scan of ``cfg.grid_size`` points over
+    ``cfg.length_scale_bounds`` finds each training's best grid cell, and
+    golden-section search refines within the neighbouring cells to a
+    relative width of LENGTH_SCALE_REL_TOL; the result never scores below any
     grid point. All trainings advance in lockstep: the scans of the whole
     batch are one lane pass (a lane per training and grid point), and each
     round of the searches is one more, over the searches still open, each
@@ -735,19 +705,20 @@ def train_length_scales(trainings: Sequence[Training],
     length-scale information there). A training whose inputs are unusable
     raises.
     """
+    bounds, grid_size, var = (cfg.length_scale_bounds, cfg.grid_size,
+                              cfg.sigma_f ** 2)
     lo, hi = bounds
     results: list = [math.sqrt(lo * hi)] * len(trainings)
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), grid_size))
     ready = [i for i, tr in enumerate(trainings) if np.size(tr.times) >= 2]
-    tracks = [_track_inputs(*trainings[i]) for i in ready]
-    variances = [trainings[i].sigma_f ** 2 for i in ready]
+    tracks = [_track_inputs(trainings[i], var) for i in ready]
     scores = _lane_lmls(_Lanes.of(
         tracks, np.repeat(np.arange(len(ready)), grid_size),
-        np.tile(SQRT3 / grid, len(ready)), np.repeat(variances, grid_size)))
+        np.tile(SQRT3 / grid, len(ready)), var))
     # (track, training, search, the scores it was sent)
     searches = [(k, i, _golden_search(grid, scores[k * grid_size:
                                                    (k + 1) * grid_size],
-                                      bounds, rel_tol), None)
+                                      bounds), None)
                 for k, i in enumerate(ready)]
     while searches:
         still_open = []
@@ -759,7 +730,7 @@ def train_length_scales(trainings: Sequence[Training],
         wanted = [(k, l) for k, _, _, ls in still_open for l in ls]
         scores = _lane_lmls(_Lanes.of(
             tracks, [k for k, _ in wanted], [SQRT3 / l for _, l in wanted],
-            [variances[k] for k, _ in wanted])).tolist()
+            var)).tolist()
         searches, used = [], 0
         for k, i, search, ls in still_open:
             searches.append((k, i, search, scores[used:used + len(ls)]))
@@ -767,15 +738,12 @@ def train_length_scales(trainings: Sequence[Training],
     return results
 
 
-def train_length_scale(times, channels, sigmas, mean_fns, sigma_f: float,
-                       bounds: Tuple[float, float] = DEFAULT_LENGTH_SCALE_BOUNDS,
-                       grid_size: int = 32, rel_tol: float = 1e-3,
+def train_length_scale(times, channels, sigmas, cfg: GpConfig,
                        trajectory_id: str = "") -> float:
     """The length scale maximizing the summed log evidence of one training:
     :func:`train_length_scales` on a batch of one."""
     return train_length_scales(
-        [Training(times, channels, sigmas, mean_fns, sigma_f, trajectory_id)],
-        bounds, grid_size, rel_tol)[0]
+        [Training(times, channels, sigmas, trajectory_id)], cfg)[0]
 
 
 class TrackQuery(NamedTuple):
@@ -798,23 +766,21 @@ class GaussianTrack:
         return TrackQuery(*(mx or (None, None)), var)
 
 
-def point_training(trajectory: Trajectory,
-                   mean_fns: Sequence[MeanFunction],
-                   sigma_f: float) -> Training:
+def point_training(trajectory: Trajectory) -> Training:
     """The training of both coordinates of a trajectory's fixes."""
     return Training(trajectory.t, [trajectory.x, trajectory.y],
-                    trajectory.sigma, list(mean_fns), sigma_f,
-                    trajectory.trajectory_id)
+                    trajectory.sigma, trajectory.trajectory_id)
 
 
 def fit_tracks(requests: Sequence[Tuple[Training, Optional[float]]],
                cfg: GpConfig) -> list:
-    """Fit GPs for many (training, length scale) requests at once.
+    """Fit GPs for many (training, length scale) requests at once, all
+    under prior scale ``cfg.sigma_f``.
 
     The length scales left None are trained first, in one
     :func:`train_length_scales` call; then every track's filter and
     smoother run as the lanes of shared passes. A training without fixes
-    gives the pure prior: mean function everywhere and variance sigma_f^2.
+    gives the pure prior: mean 0 everywhere and variance sigma_f^2.
     A training without channels gives a track of the variance alone,
     bitwise that of the same fixes with channels. A request whose inputs
     are unusable raises.
@@ -822,35 +788,30 @@ def fit_tracks(requests: Sequence[Tuple[Training, Optional[float]]],
     scales = [l for _, l in requests]
     untrained = [i for i, l in enumerate(scales) if l is None]
     for i, l in zip(untrained, train_length_scales(
-            [requests[i][0] for i in untrained], cfg.length_scale_bounds,
-            cfg.grid_size)):
+            [requests[i][0] for i in untrained], cfg)):
         scales[i] = l
+    var = cfg.sigma_f ** 2
     slots = [i for i, (tr, _) in enumerate(requests) if np.size(tr.times)]
     states = dict(zip(slots, _track_states(_Lanes.of(
-        [_track_inputs(*requests[i][0]) for i in slots], range(len(slots)),
-        [SQRT3 / float(scales[i]) for i in slots],
-        [float(requests[i][0].sigma_f) ** 2 for i in slots]))))
-    return [GaussianTrack(CoordinateGP(tr.times, tr.mean_fns, tr.sigma_f,
-                                       scales[i], states.get(i)))
+        [_track_inputs(requests[i][0], var) for i in slots],
+        range(len(slots)), [SQRT3 / float(scales[i]) for i in slots], var))))
+    return [GaussianTrack(CoordinateGP(tr.times, len(tr.channels),
+                                       cfg.sigma_f, scales[i], states.get(i)))
             for i, (tr, _) in enumerate(requests)]
 
 
 def fit_track(trajectory: Optional[Trajectory], cfg: GpConfig,
-              mean_x: Optional[MeanFunction] = None,
-              mean_y: Optional[MeanFunction] = None,
               length_scale: Optional[float] = None) -> GaussianTrack:
-    """Fit the GP of both coordinates on a trajectory's fixes.
+    """Fit the zero-mean GP of both coordinates on a trajectory's fixes.
 
-    Without a trajectory (None) the track is the pure prior: mean function
+    Without a trajectory (None) the track is the pure prior: mean 0
     everywhere and variance sigma_f^2. When ``length_scale`` is not given
     it is trained jointly on both coordinates (one shared value, summed
     evidence). :func:`fit_tracks` on a batch of one.
     """
-    mean_fns = [mean_x or MeanFunction(), mean_y or MeanFunction()]
     if trajectory is None:
         none = np.empty(0)
-        training = Training(none, [none, none], none, mean_fns, cfg.sigma_f,
-                            "")
+        training = Training(none, [none, none], none)
     else:
-        training = point_training(trajectory, mean_fns, cfg.sigma_f)
+        training = point_training(trajectory)
     return fit_tracks([(training, length_scale)], cfg)[0]

@@ -29,14 +29,13 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from itertools import groupby
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
 from .degrade import DegradationSpec
-from .gp import (GaussianTrack, GpConfig, MeanFunction, Training,
-                 fit_linear_mean, fit_tracks, point_training,
-                 train_length_scales)
+from .gp import (GaussianTrack, GpConfig, Training, fit_tracks,
+                 point_training, train_length_scales)
 # importable from here by name, where per-layer tracing wraps it
 from .gp import train_length_scale  # noqa: F401
 from .model import Trajectory
@@ -145,8 +144,9 @@ class IntegrationConfig:
     include_measurement_times: bool = True
 
     def __post_init__(self):
-        if not 0 < self.grid_step <= self.day_seconds:
-            raise ValueError("grid_step must be in (0, day_seconds]")
+        if not 0 < self.grid_step <= self.day_seconds < math.inf:
+            raise ValueError("grid_step must be in (0, day_seconds], and "
+                             "day_seconds finite")
 
 
 def covering_day_start(t: float, day_seconds: float = DAY_SECONDS) -> float:
@@ -208,25 +208,20 @@ class VoiRow:
         return self.ig_bit_seconds / 3600.0
 
     def to_dict(self) -> dict:
-        d = {
-            "trajectory_id": self.trajectory_id,
-            "prior": self.prior,
-            "kind": self.kind,
-            "param": self.param,
-            "ig_bit_seconds": self.ig_bit_seconds,
-            "ig_bit_hours": self.ig_bit_hours,
-            "length_scale_x": self.length_scale_x,
-            "length_scale_y": self.length_scale_y,
-            "day_start": self.day_start,
-            "day_end": self.day_end,
-        }
+        d = {name: getattr(self, name) for name, _ in _VOI_FIELDS}
+        d["ig_bit_hours"] = self.ig_bit_hours
         if self.trace is not None:
             d["trace"] = [[t, g] for t, g in self.trace]
         return d
 
 
-VOI_CSV_FIELDS = ("trajectory_id", "prior", "kind", "param",
-                  "ig_bit_seconds", "length_scale_x", "length_scale_y")
+# (name, type) of every VoiRow field but the trace, in declaration order:
+# the report's JSON keys besides the derived ig_bit_hours; its CSV columns
+# leave out the day window
+_VOI_FIELDS = tuple((name, kind) for name, kind
+                    in get_type_hints(VoiRow).items() if name != "trace")
+VOI_CSV_FIELDS = tuple(name for name, _ in _VOI_FIELDS
+                       if name not in ("day_start", "day_end"))
 
 
 @dataclass
@@ -246,9 +241,9 @@ class VoiReport:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(VOI_CSV_FIELDS)
-        writer.writerows((r.trajectory_id, r.prior, r.kind, f"{r.param:g}",
-                          str(r.ig_bit_seconds), str(r.length_scale_x),
-                          str(r.length_scale_y)) for r in self.rows)
+        writer.writerows([f"{r.param:g}" if name == "param"
+                          else str(getattr(r, name))
+                          for name in VOI_CSV_FIELDS] for r in self.rows)
         return out.getvalue()
 
     def to_jsonl(self) -> str:
@@ -263,44 +258,56 @@ class VoiReport:
                 continue
             d = json.loads(line)
             rows.append(VoiRow(
-                trajectory_id=d["trajectory_id"], prior=d["prior"],
-                kind=d["kind"], param=float(d["param"]),
-                ig_bit_seconds=float(d["ig_bit_seconds"]),
-                length_scale_x=float(d["length_scale_x"]),
-                length_scale_y=float(d["length_scale_y"]),
-                day_start=float(d["day_start"]),
-                day_end=float(d["day_end"]),
+                **{name: kind(d[name]) for name, kind in _VOI_FIELDS},
                 trace=tuple((t, g) for t, g in d["trace"])
                 if "trace" in d else None))
         return VoiReport(rows=rows)
 
 
-def _release_training(omega: Trajectory, cfg: GpConfig):
+def _linear_residuals(times, values) -> np.ndarray:
+    """``values`` less their ordinary least-squares line in ``times``
+    (seconds). With a single point, or when all times coincide, the line is
+    flat at the mean value."""
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if t.size == 0:
+        raise ValueError("no fixes to fit a line through")
+    tc = t - t.mean()
+    denom = float(tc @ tc)
+    if t.size < 2 or denom == 0.0:
+        slope, intercept = 0.0, float(v.mean())
+    else:
+        slope = float(tc @ (v - v.mean())) / denom
+        intercept = float(v.mean() - slope * t.mean())
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise ValueError("least-squares line coefficients must be finite")
+    return v - (intercept + slope * t)
+
+
+def _release_training(omega: Trajectory) -> Training:
     """The length-scale training of a release that serves as a prior: its
-    fixes about their own least-squares mean lines."""
-    training = point_training(omega, (), cfg.sigma_f)
-    return training._replace(mean_fns=[fit_linear_mean(training.times, v)
-                                       for v in training.channels])
+    fixes about their own least-squares lines, since the GP's prior mean is
+    zero."""
+    training = point_training(omega)
+    return training._replace(channels=[
+        _linear_residuals(training.times, v) for v in training.channels])
 
 
 def _train(cells: Sequence[tuple], gp_cfg: GpConfig) -> dict:
     """The length scales of many cells, each an (evidence, prior, ...)
     tuple, trained in one :func:`~trajvoi.gp.train_length_scales` call:
-    each distinct released prior's, about its own mean lines, and each
-    evidence's under the uninformative prior, about zero. Returns the
+    each distinct released prior's, about its own least-squares lines, and
+    each evidence's under the uninformative prior, about zero. Returns the
     length scale of each, keyed by released prior, or by the index of a
     cell under the uninformative prior."""
     priors = list(dict.fromkeys(cell[1] for cell in cells
                                 if cell[1].kind == "released"))
     uninformed = [i for i, cell in enumerate(cells)
                   if cell[1].kind == "uninformative"]
-    trainings = ([_release_training(prior.released, gp_cfg)
-                  for prior in priors]
-                 + [point_training(cells[i][0], [MeanFunction()] * 2,
-                                   gp_cfg.sigma_f)
-                    for i in uninformed])
-    return dict(zip(priors + uninformed, train_length_scales(
-        trainings, gp_cfg.length_scale_bounds, gp_cfg.grid_size)))
+    trainings = ([_release_training(prior.released) for prior in priors]
+                 + [point_training(cells[i][0]) for i in uninformed])
+    return dict(zip(priors + uninformed,
+                    train_length_scales(trainings, gp_cfg)))
 
 
 def _trajectory_runs(cells: Sequence[tuple]):
@@ -343,8 +350,7 @@ def score_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge, str,
         def track(fixes: Trajectory, l: float):
             key = (fixes.t.tobytes(), fixes.sigma.tobytes(), l)
             requests.setdefault(key, (Training(
-                fixes.t, [], fixes.sigma, [], gp_cfg.sigma_f,
-                fixes.trajectory_id), l))
+                fixes.t, [], fixes.sigma, fixes.trajectory_id), l))
             return key
 
         # per cell: its length scale, prior track key (None for the

@@ -17,7 +17,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
@@ -46,8 +46,8 @@ class SegmentationConfig:
     def __post_init__(self):
         if not self.max_gap > 0:
             raise ValueError("max_gap must be > 0")
-        if self.default_sigma < 0:
-            raise ValueError("default_sigma must be >= 0")
+        if not 0 <= self.default_sigma < math.inf:
+            raise ValueError("default_sigma must be finite and >= 0")
 
 
 @dataclass
@@ -60,16 +60,7 @@ class IngestManifest:
     trajectories: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "files_read": self.files_read,
-                "lines_skipped": self.lines_skipped,
-                "measurements_retained": self.measurements_retained,
-                "trajectories": self.trajectories,
-            },
-            sort_keys=True,
-            indent=2,
-        ) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 @dataclass

@@ -9,24 +9,22 @@ from hypothesis import given, settings, strategies as st
 
 import trajvoi.gp as gp
 from synth import make_trajectory
-from trajvoi.gp import (DEFAULT_LENGTH_SCALE_BOUNDS, GaussianTrack, GpConfig,
-                        GpNumericalError, MeanFunction, Training,
-                        fit_linear_mean, fit_track, fit_tracks,
-                        log_marginal_likelihood, point_training,
-                        train_length_scale, train_length_scales)
-from trajvoi.infogain import (IntegrationConfig, covering_day_start,
-                             integration_grid)
+from trajvoi.gp import (GaussianTrack, GpConfig, GpNumericalError, Training,
+                        fit_track, fit_tracks, log_marginal_likelihood,
+                        point_training, train_length_scale,
+                        train_length_scales)
+from trajvoi.infogain import (IntegrationConfig, _linear_residuals,
+                              covering_day_start, integration_grid)
 
 HOUR = 3600.0
 
 
-def lone_gp(times, channels, sigmas, mean_fns, sigma_f, length_scale,
+def lone_gp(times, channels, sigmas, sigma_f, length_scale,
             trajectory_id=""):
     """The GP of one track at a given length scale: fit_tracks on a batch
     of one."""
-    (track,) = fit_tracks([(Training(times, channels, sigmas, mean_fns,
-                                     sigma_f, trajectory_id), length_scale)],
-                          GpConfig())
+    (track,) = fit_tracks([(Training(times, channels, sigmas, trajectory_id),
+                            length_scale)], GpConfig(sigma_f=sigma_f))
     return track.gp
 
 
@@ -65,38 +63,34 @@ def test_matern_symmetric_monotone():
 
 
 # --- linear mean -------------------------------------------------------------
+# A released prior trains about its least-squares lines: the values less
+# the line (intercept + slope t) are the residuals checked here.
 
 def test_fit_linear_mean_exact_line():
-    m = fit_linear_mean(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
-    assert m.slope == pytest.approx(2.0)
-    assert m.intercept == pytest.approx(0.0)
+    r = _linear_residuals(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
+    assert r == pytest.approx([0.0, 0.0])
 
 
 def test_fit_linear_mean_constant():
-    m = fit_linear_mean(np.array([1.0, 2.0, 3.0]), np.array([5.0, 5.0, 5.0]))
-    assert m.slope == 0.0
-    assert m.intercept == pytest.approx(5.0)
+    r = _linear_residuals(np.array([1.0, 2.0, 3.0]),
+                          np.array([5.0, 5.0, 5.0]))
+    assert np.array_equal(r, np.zeros(3))
 
 
 def test_fit_linear_mean_three_points():
-    m = fit_linear_mean(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 4.0]))
-    assert m.slope == pytest.approx(2.0, abs=1e-12)
-    assert m.intercept == pytest.approx(-1.0 / 3.0, abs=1e-12)
+    # slope 2 and intercept -1/3, at times in seconds
+    ts, vs = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 4.0])
+    r = _linear_residuals(ts, vs)
+    assert r == pytest.approx(vs - (2.0 * ts - 1.0 / 3.0), abs=1e-12)
 
 
 def test_fit_linear_mean_degenerate():
-    m = fit_linear_mean(np.array([3.0]), np.array([7.0]))
-    assert (m.slope, m.intercept) == (0.0, 7.0)
-    same_t = fit_linear_mean(np.array([2.0, 2.0]), np.array([1.0, 3.0]))
-    assert same_t.slope == 0.0
-    assert same_t.intercept == pytest.approx(2.0)
+    assert np.array_equal(_linear_residuals(np.array([3.0]),
+                                            np.array([7.0])), [0.0])
+    same_t = _linear_residuals(np.array([2.0, 2.0]), np.array([1.0, 3.0]))
+    assert same_t == pytest.approx([-1.0, 1.0])
     with pytest.raises(ValueError):
-        fit_linear_mean(np.array([]), np.array([]))
-
-
-def test_mean_function_evaluates_at_seconds():
-    m = MeanFunction(slope=2.0, intercept=1.0)
-    assert m(np.array([0.0, 0.5, 2.0])) == pytest.approx([1.0, 2.0, 5.0])
+        _linear_residuals(np.array([]), np.array([]))
 
 
 # --- posterior ---------------------------------------------------------------
@@ -238,10 +232,10 @@ def test_each_channel_solves_alone():
     xs, ys = rng.normal(0, 80, 15), rng.normal(0, 80, 15)
     sig = rng.uniform(1, 10, 15)
     q = np.linspace(0, 2 * HOUR, 25)
-    both = lone_gp(ts, [xs, ys], sig, [MeanFunction()] * 2, 300.0, 0.8)
+    both = lone_gp(ts, [xs, ys], sig, 300.0, 0.8)
     (mx, my), var = both.predict(q)
     for values, mean in ((xs, mx), (ys, my)):
-        alone = lone_gp(ts, [values], sig, [MeanFunction()], 300.0, 0.8)
+        alone = lone_gp(ts, [values], sig, 300.0, 0.8)
         (m,), v = alone.predict(q)
         assert np.array_equal(m, mean)
         assert np.array_equal(v, var)
@@ -250,15 +244,16 @@ def test_each_channel_solves_alone():
 def test_non_finite_sigma_raises_named_error():
     ts = np.array([0.0, 60.0, 120.0])
     xs = np.array([1.0, 2.0, 4.0])
+    cfg = GpConfig(sigma_f=100.0)
     for bad in (np.nan, np.inf):
         sig = np.array([3.0, bad, 3.0])
         for build in (
-                lambda: lone_gp(ts, [xs], sig, [MeanFunction()], 100.0, 1.0,
+                lambda: lone_gp(ts, [xs], sig, 100.0, 1.0,
                                 trajectory_id="doomed"),
-                lambda: log_marginal_likelihood(ts, [xs], sig, [MeanFunction()],
-                                                100.0, 1.0, "doomed"),
-                lambda: train_length_scale(ts, [xs], sig, [MeanFunction()],
-                                           100.0, trajectory_id="doomed")):
+                lambda: log_marginal_likelihood(ts, [xs], sig, cfg, 1.0,
+                                                "doomed"),
+                lambda: train_length_scale(ts, [xs], sig, cfg,
+                                           trajectory_id="doomed")):
             with pytest.raises(GpNumericalError) as err:
                 build()
             assert err.value.trajectory_id == "doomed"
@@ -269,12 +264,13 @@ def test_decreasing_times_raise():
     ts = np.array([0.0, 60.0, 30.0])
     xs = np.array([1.0, 2.0, 4.0])
     sig = np.full(3, 3.0)
+    cfg = GpConfig(sigma_f=100.0)
     with pytest.raises(ValueError):
-        lone_gp(ts, [xs], sig, [MeanFunction()], 100.0, 1.0)
+        lone_gp(ts, [xs], sig, 100.0, 1.0)
     with pytest.raises(ValueError):
-        log_marginal_likelihood(ts, [xs], sig, [MeanFunction()], 100.0, 1.0)
+        log_marginal_likelihood(ts, [xs], sig, cfg, 1.0)
     with pytest.raises(ValueError):
-        train_length_scale(ts, [xs], sig, [MeanFunction()], 100.0)
+        train_length_scale(ts, [xs], sig, cfg)
 
 
 def test_variance_floor():
@@ -303,9 +299,8 @@ def test_log_marginal_likelihood_matches_direct_formula():
     xs = rng.normal(0, 50, 8)
     ys = rng.normal(0, 50, 8)
     sig = rng.uniform(1, 5, 8)
-    got = log_marginal_likelihood(ts, [xs, ys], sig,
-                                  [MeanFunction(), MeanFunction()],
-                                  200.0, 1.5)
+    got = log_marginal_likelihood(ts, [xs, ys], sig, GpConfig(sigma_f=200.0),
+                                  1.5)
     want = direct_lml(ts, xs, sig, 200.0, 1.5) \
         + direct_lml(ts, ys, sig, 200.0, 1.5)
     assert got == pytest.approx(want, rel=1e-10)
@@ -330,13 +325,13 @@ def test_state_space_matches_dense_oracle_at_scale():
     xs = np.cumsum(rng.normal(0.0, 8.0, n))
     ys = np.cumsum(rng.normal(0.0, 8.0, n))
     sig = rng.uniform(2.0, 10.0, n)
-    mean_fns = [MeanFunction(), MeanFunction()]
     grid = integration_grid(covering_day_start(ts[0]), IntegrationConfig(), ts)
     for l in (0.05, 1.0, 10.0):
-        got = log_marginal_likelihood(ts, [xs, ys], sig, mean_fns, sf, l)
+        got = log_marginal_likelihood(ts, [xs, ys], sig, GpConfig(sigma_f=sf),
+                                      l)
         want = direct_lml(ts, xs, sig, sf, l) + direct_lml(ts, ys, sig, sf, l)
         assert got == pytest.approx(want, rel=1e-9)
-        _, var = lone_gp(ts, [xs, ys], sig, mean_fns, sf, l).predict(grid)
+        _, var = lone_gp(ts, [xs, ys], sig, sf, l).predict(grid)
         dense = dense_posterior_var(ts, sig, sf, l, grid)
         gain = np.trapezoid(np.log2(sf ** 2) - np.log2(var), grid)
         dense_gain = np.trapezoid(np.log2(sf ** 2) - np.log2(dense), grid)
@@ -352,12 +347,11 @@ def test_zero_noise_duplicate_timestamps_match_dense_oracle():
     ts = np.array([0.0, 300.0, 300.0, 300.0, 900.0, 900.0, 2000.0])
     xs = np.array([5.0, 7.0, 7.0, 7.001, -3.0, -3.0, 12.0])
     sig = np.zeros(7)
-    got = log_marginal_likelihood(ts, [xs], sig, [MeanFunction()], 100.0, 1.0)
+    got = log_marginal_likelihood(ts, [xs], sig, GpConfig(sigma_f=100.0), 1.0)
     assert math.isfinite(got)
     assert got == pytest.approx(direct_lml(ts, xs, sig, 100.0, 1.0), rel=1e-6)
     q = np.linspace(-600.0, 2600.0, 33)
-    (mean,), var = lone_gp(ts, [xs], sig, [MeanFunction()],
-                           100.0, 1.0).predict(q)
+    (mean,), var = lone_gp(ts, [xs], sig, 100.0, 1.0).predict(q)
     assert np.all(np.isfinite(mean)) and np.all(var > 0)
     assert np.allclose(var, dense_posterior_var(ts, sig, 100.0, 1.0, q),
                        rtol=1e-6)
@@ -394,21 +388,23 @@ def test_grid_scan_lanes_match_single_scale_calls():
     ys = xs[::-1] + rng.normal(0, 4.0, 150)
     ts[40:43] = ts[40]                                    # a duplicate run
     sig = rng.uniform(2.0, 8.0, 150)
-    mean_fns = [fit_linear_mean(ts, xs), fit_linear_mean(ts, ys)]
+    channels = [_linear_residuals(ts, xs), _linear_residuals(ts, ys)]
     grid = np.exp(np.linspace(math.log(0.01), math.log(10.0), 32))
-    fixes = gp._track_inputs(ts, [xs, ys], sig, mean_fns, 300.0, "")
+    fixes = gp._track_inputs(Training(ts, channels, sig), 300.0 ** 2)
     lanes = gp._lane_lmls(gp._Lanes.of([fixes], np.zeros(32), gp.SQRT3 / grid,
-                                       np.full(32, 300.0 ** 2)))
+                                       300.0 ** 2))
     for l, got in zip(grid, lanes):
-        want = log_marginal_likelihood(ts, [xs, ys], sig, mean_fns, 300.0,
-                                       float(l))
+        want = log_marginal_likelihood(ts, channels, sig,
+                                       GpConfig(sigma_f=300.0), float(l))
         assert got == want
 
 
 @st.composite
 def ragged_trainings(draw):
     """A batch of trainings of 0 to 60 fixes, with repeated timestamps,
-    zero-noise fixes, one or two channels and affine or zero means."""
+    zero-noise fixes, one or two channels, each detrended or not, and the
+    config of the one prior scale they share."""
+    cfg = GpConfig(sigma_f=draw(st.sampled_from([60.0, 7500.0])))
     batch = []
     for _ in range(draw(st.integers(1, 24))):
         n = draw(st.integers(0, 60))
@@ -418,20 +414,20 @@ def ragged_trainings(draw):
         values = [np.cumsum(rng.normal(0.0, 40.0, n))
                   for _ in range(draw(st.sampled_from([1, 2])))]
         sigmas = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0, 20, n))
-        means = [fit_linear_mean(ts, v) if n and draw(st.booleans())
-                 else MeanFunction() for v in values]
-        batch.append(Training(ts, values, sigmas, means,
-                              draw(st.sampled_from([60.0, 7500.0]))))
-    return batch
+        values = [_linear_residuals(ts, v) if n and draw(st.booleans())
+                  else v for v in values]
+        batch.append(Training(ts, values, sigmas))
+    return batch, cfg
 
 
 @settings(max_examples=30, deadline=None)
 @given(ragged_trainings())
-def test_batched_trainings_equal_each_training_alone(batch):
+def test_batched_trainings_equal_each_training_alone(batch_and_cfg):
     # a batch mixes its trainings' lanes in shared passes, numpy and float
     # alike; no lane may see another's arithmetic
-    for training, got in zip(batch, train_length_scales(batch)):
-        assert got == train_length_scale(*training[:5])
+    batch, cfg = batch_and_cfg
+    for training, got in zip(batch, train_length_scales(batch, cfg)):
+        assert got == train_length_scale(*training[:3], cfg)
 
 
 def test_a_failing_training_raises_its_error():
@@ -439,17 +435,16 @@ def test_a_failing_training_raises_its_error():
     # fault is the CLI's work
     rng = np.random.default_rng(12)
     ts = np.sort(rng.uniform(0, 6 * HOUR, 40))
-    good = [Training(ts, [rng.normal(0, 50, 40)], np.full(40, 3.0),
-                     [MeanFunction()], 300.0) for _ in range(20)]
-    huge = Training(ts, [ts], np.full(40, 1e200), [MeanFunction()], 300.0,
-                    "doomed")
-    backwards = Training(ts[::-1], [ts], np.full(40, 3.0), [MeanFunction()],
-                         300.0)
+    good = [Training(ts, [rng.normal(0, 50, 40)], np.full(40, 3.0))
+            for _ in range(20)]
+    huge = Training(ts, [ts], np.full(40, 1e200), "doomed")
+    backwards = Training(ts[::-1], [ts], np.full(40, 3.0))
+    cfg = GpConfig(sigma_f=300.0)
     with pytest.raises(GpNumericalError) as raised:
-        train_length_scales(good[:10] + [huge] + good[10:])
+        train_length_scales(good[:10] + [huge] + good[10:], cfg)
     assert raised.value.trajectory_id == "doomed"
     with pytest.raises(ValueError, match="non-decreasing"):
-        train_length_scales(good + [backwards])
+        train_length_scales(good + [backwards], cfg)
 
 
 def lone_track_lml(fixes, lam, var):
@@ -495,14 +490,12 @@ def test_lanes_match_a_lone_float_filter():
         ts = np.sort(rng.uniform(0, 9 * HOUR, n))
         ts[n // 3:n // 3 + 3] = ts[n // 3]
         values = [np.cumsum(rng.normal(0, 40, n)) for _ in range(1 + k % 2)]
-        tracks.append(gp._track_inputs(ts, values, rng.uniform(0, 9, n),
-                                       [MeanFunction()] * len(values),
-                                       800.0, ""))
+        tracks.append(gp._track_inputs(
+            Training(ts, values, rng.uniform(0, 9, n)), 800.0 ** 2))
         for l in rng.uniform(0.02, 8.0, 4):
             track.append(k)
             lams.append(gp.SQRT3 / l)
-    got = gp._lane_lmls(gp._Lanes.of(tracks, track, lams,
-                                     np.full(len(lams), 800.0 ** 2)))
+    got = gp._lane_lmls(gp._Lanes.of(tracks, track, lams, 800.0 ** 2))
     for k, lam, lml in zip(track, lams, got):
         assert lml == lone_track_lml(tracks[k], lam, 800.0 ** 2)
 
@@ -518,12 +511,12 @@ def test_batched_tracks_predict_like_lone_tracks():
         s = make_trajectory(rng.normal(0, 100, n), ts,
                             sigmas=rng.uniform(0, 10, n),
                             ys=rng.normal(0, 100, n))
-        means = [fit_linear_mean(ts, s.x), MeanFunction()]
-        requests.append((point_training(s, means, 500.0),
+        channels = [_linear_residuals(ts, s.x), s.y]
+        requests.append((Training(ts, channels, s.sigma),
                          float(rng.uniform(0.05, 5.0))))
     tracks = fit_tracks(requests, GpConfig(sigma_f=500.0))
     for (training, l), track in zip(requests, tracks):
-        alone = lone_gp(*training[:4], 500.0, l)
+        alone = lone_gp(*training[:3], 500.0, l)
         (mx, my), var = alone.predict(q)
         got = track.query(q)
         assert np.array_equal(got.mean_x, mx)
@@ -546,9 +539,8 @@ def test_tracks_without_channels_have_the_same_variance(copies):
         sigmas = rng.uniform(0, 10, n)
         l = float(rng.uniform(0.05, 5.0))
         channels = [rng.normal(0, 100, n), rng.normal(0, 100, n)]
-        two.append((Training(ts, channels, sigmas, [MeanFunction()] * 2,
-                             500.0), l))
-        none.append((Training(ts, [], sigmas, [], 500.0), l))
+        two.append((Training(ts, channels, sigmas), l))
+        none.append((Training(ts, [], sigmas), l))
     assert (4 * copies < gp.FLOAT_LANES_BELOW) == (copies == 1)
     cfg = GpConfig(sigma_f=500.0)
     for with_channels, without in zip(fit_tracks(two, cfg),
@@ -569,13 +561,13 @@ def test_length_scale_recovery():
     rng = np.random.default_rng(2024)
     ts, xs = sample_matern_path(rng, 200, l=1.0, sigma_f=100.0, noise=1.0)
     sig = np.full(200, 1.0)
-    l = train_length_scale(ts, [xs], sig, [MeanFunction()], 100.0)
+    l = train_length_scale(ts, [xs], sig, GpConfig(sigma_f=100.0))
     assert 0.5 <= l <= 2.0
 
 
 def test_length_scale_fallback_below_two_points():
     l = train_length_scale(np.array([0.0]), [np.array([5.0])],
-                           np.array([3.0]), [MeanFunction()], 100.0)
+                           np.array([3.0]), GpConfig(sigma_f=100.0))
     assert l == pytest.approx(math.sqrt(0.1))
 
 
@@ -587,9 +579,10 @@ def test_length_scale_smooth_beats_jagged():
     white = rng.normal(0, 50, 120)
     smooth = 5000.0 * np.sin(2 * np.pi * ts / (10 * HOUR))
     sig = np.full(120, 3.0)
-    l_white = train_length_scale(ts, [white], sig, [MeanFunction()], 7500.0)
-    l_smooth = train_length_scale(ts, [smooth], sig, [MeanFunction()], 7500.0)
-    lo, hi = DEFAULT_LENGTH_SCALE_BOUNDS
+    cfg = GpConfig(sigma_f=7500.0)
+    l_white = train_length_scale(ts, [white], sig, cfg)
+    l_smooth = train_length_scale(ts, [smooth], sig, cfg)
+    lo, hi = cfg.length_scale_bounds
     assert l_smooth == pytest.approx(hi, rel=1e-6)
     assert lo <= l_white < l_smooth / 10
 
@@ -598,13 +591,13 @@ def test_trained_scale_beats_every_grid_point():
     rng = np.random.default_rng(31)
     ts, xs = sample_matern_path(rng, 60, l=0.4, sigma_f=50.0, noise=2.0)
     sig = np.full(60, 2.0)
-    mean_fns = [MeanFunction()]
-    l = train_length_scale(ts, [xs], sig, mean_fns, 50.0)
-    best = log_marginal_likelihood(ts, [xs], sig, mean_fns, 50.0, l)
-    lo, hi = DEFAULT_LENGTH_SCALE_BOUNDS
+    cfg = GpConfig(sigma_f=50.0)
+    l = train_length_scale(ts, [xs], sig, cfg)
+    best = log_marginal_likelihood(ts, [xs], sig, cfg, l)
+    lo, hi = cfg.length_scale_bounds
     for g in np.exp(np.linspace(math.log(lo), math.log(hi), 32)):
-        assert best >= log_marginal_likelihood(ts, [xs], sig, mean_fns,
-                                               50.0, float(g)) - 1e-9
+        assert best >= log_marginal_likelihood(ts, [xs], sig, cfg,
+                                               float(g)) - 1e-9
 
 
 def test_fit_track_trains_jointly_when_scale_unset():
@@ -615,12 +608,41 @@ def test_fit_track_trains_jointly_when_scale_unset():
     s = make_trajectory(xs, ts, sigmas=1.0, ys=ys[:80])
     track = fit_track(s, GpConfig(sigma_f=100.0))
     joint = train_length_scale(ts, [xs, ys], np.full(80, 1.0),
-                               [MeanFunction(), MeanFunction()], 100.0)
+                               GpConfig(sigma_f=100.0))
     assert track.gp.length_scale == joint
+
+
+def test_fit_tracks_takes_the_prior_scale_from_the_config():
+    # the prior variance is stated once, in GpConfig: a track without fixes
+    # is N(0, sigma_f^2), a track with fixes is the dense posterior at that
+    # sigma_f, and an untrained scale is trained under it
+    rng = np.random.default_rng(6)
+    ts = np.sort(rng.uniform(0, 2 * HOUR, 12))
+    sig = rng.uniform(1, 5, 12)
+    training = Training(ts, [rng.normal(0, 30, 12)], sig)
+    none = np.empty(0)
+    q = np.linspace(-HOUR, 3 * HOUR, 40)
+    for sf in (50.0, 900.0):
+        cfg = GpConfig(sigma_f=sf)
+        prior, fixed, trained = fit_tracks(
+            [(Training(none, [none], none), None), (training, 0.7),
+             (training, None)], cfg)
+        (mean,), var = prior.gp.predict(q)
+        assert np.array_equal(mean, np.zeros(q.size))
+        assert np.array_equal(var, np.full(q.size, sf ** 2))
+        assert np.allclose(fixed.query(q, means=False).var,
+                           dense_posterior_var(ts, sig, sf, 0.7, q),
+                           rtol=1e-8)
+        assert trained.gp.length_scale \
+            == train_length_scale(*training[:3], cfg)
 
 
 def test_gp_config_validation():
     with pytest.raises(ValueError):
         GpConfig(sigma_f=0.0)
     with pytest.raises(ValueError):
+        GpConfig(sigma_f=math.inf)
+    with pytest.raises(ValueError):
         GpConfig(length_scale_bounds=(1.0, 0.5))
+    with pytest.raises(ValueError):
+        GpConfig(length_scale_bounds=(1.0, math.inf))

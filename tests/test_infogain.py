@@ -213,7 +213,7 @@ def test_release_inside_its_prior_scores_zero(suite, kind):
 
 def test_released_prior_sets_the_scale():
     # both tracks of the cell take the scale the release trains about its
-    # own mean lines, not the one the evidence trains about zero
+    # own least-squares lines, not the one the evidence trains about zero
     rng = np.random.default_rng(0)
     ts = DAY_START + np.sort(rng.uniform(0, 2 * HOUR, 30))
     s = make_trajectory(rng.normal(0, 20, 30), ts, sigmas=3.0)
@@ -221,7 +221,7 @@ def test_released_prior_sets_the_scale():
     prior = PriorKnowledge.from_release(apply_spec(s, spec), spec)
     row = evaluate_voi(s, "identity", 1.0, prior)
     (release_scale,) = train_length_scales(
-        [_release_training(prior.released, GpConfig())])
+        [_release_training(prior.released)], GpConfig())
     assert row.length_scale_x == row.length_scale_y == release_scale
     assert release_scale == pytest.approx(9.687, abs=1e-3)
     assert fit_track(s, GpConfig()).gp.length_scale \
@@ -337,9 +337,9 @@ def mixed_cells():
 
 def scored_the_old_way(cell, integration):
     """A cell scored on its own grid from its two tracks fit with means:
-    under the uninformative prior, the flat prior and the evidence about
-    zero; under a released prior, both about the release's mean lines at
-    the scale it trains."""
+    under the uninformative prior, the flat prior and the evidence; under a
+    released prior, the release about its least-squares lines and the
+    evidence, both at the scale the release trains."""
     evidence, prior, _, _ = cell
     cfg = GpConfig()
     if prior.released is None:
@@ -347,13 +347,10 @@ def scored_the_old_way(cell, integration):
         posterior_track = fit_track(evidence, cfg)
         times = evidence.t
     else:
-        training = _release_training(prior.released, cfg)
-        (l,) = train_length_scales([training], cfg.length_scale_bounds,
-                                   cfg.grid_size)
+        training = _release_training(prior.released)
+        (l,) = train_length_scales([training], cfg)
         prior_track, posterior_track = fit_tracks(
-            [(training, l),
-             (point_training(evidence, training.mean_fns, cfg.sigma_f), l)],
-            cfg)
+            [(training, l), (point_training(evidence), l)], cfg)
         times = np.union1d(evidence.t, prior.released.t)
     day_start = covering_day_start(float(times.min()))
     ts = integration_grid(day_start, integration, times)

@@ -100,6 +100,13 @@ segmentation:
     ("degradation:\n  truncation_ratios: [1.5]\n", "(0, 1]"),
     ("priors:\n  subsampling_ratios: [0]\n", "(0, 1]"),
     ("gp:\n  sigma0_m: -1\n", "sigma"),
+    # an infinite setting would fail or poison every cell at run time
+    ("gp:\n  sigma0_m: .inf\n", "sigma"),
+    ("gp:\n  sigma0_m: 1.0e200\n", "sigma"),
+    ("gp:\n  length_scale_bounds_h: [0.1, .inf]\n", "length_scale_bounds"),
+    ("integration:\n  day_seconds: .inf\n", "day_seconds"),
+    ("segmentation:\n  default_sigma_m: .inf\n", "default_sigma"),
+    ("segmentation:\n  default_sigma_m: .nan\n", "default_sigma"),
     ("jobs: [1, 2]\n", ""),
     # YAML types are taken strictly: no string for a list or a boolean,
     # no boolean or fraction for an integer, exactly two bounds
