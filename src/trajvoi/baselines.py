@@ -38,8 +38,9 @@ class EntropyGridConfig:
     bin_length: float = 60.0
 
     def __post_init__(self):
-        if not (self.cell_size > 0 and self.bin_length > 0):
-            raise ValueError("cell_size and bin_length must be > 0")
+        if not (0 < self.cell_size < math.inf
+                and 0 < self.bin_length < math.inf):
+            raise ValueError("cell_size and bin_length must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,8 @@ class SppConfig:
     sigma_ref: float = 100.0
 
     def __post_init__(self):
-        if not (self.v0 > 0 and self.sigma_ref > 0):
-            raise ValueError("v0 and sigma_ref must be > 0")
+        if not (0 < self.v0 < math.inf and 0 < self.sigma_ref < math.inf):
+            raise ValueError("v0 and sigma_ref must be finite and > 0")
 
 
 def size(s: Trajectory) -> int:

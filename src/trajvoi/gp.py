@@ -651,41 +651,62 @@ class Training(NamedTuple):
     trajectory_id: str = ""
 
 
+def _golden_step(a, b, c, d, up):
+    """One golden-section round on the bracket [a, b] with probes c < d:
+    ``up`` keeps [c, b] and makes a new upper probe d, otherwise [a, d] is
+    kept with a new lower probe c. Returns (a, b, c, d)."""
+    if up:
+        a, c = c, d
+        return a, b, c, a + _INV_PHI * (b - a)
+    b, d = d, c
+    return a, b, b - _INV_PHI * (b - a), d
+
+
 def _golden_search(grid, scores, bounds):
     """Refine the best grid point of a scan by golden-section search on log
     length scale, within the neighbouring grid cells, to a relative width
     of LENGTH_SCALE_REL_TOL, keeping the first best score seen anywhere.
 
-    A generator: it yields the length scales it needs scored next (both
-    probes at first, one per step after), is sent their scores, and
-    returns the best length scale within ``bounds``."""
+    A generator: when it lacks a score it yields two lists of length
+    scales, the probes it needs (both at first, one per round after) and
+    the probes its later rounds would need if every comparison went
+    toward the better-scoring end of the first bracket (the upper on a
+    tie). Only a search whose best grid point ends the grid, as one pinned
+    at a bound does, predicts that path, and only until a comparison goes
+    the other way: an interior optimum turns the search too often. It is
+    sent the scores of the needed probes and of any prefix of the
+    predicted ones, keeps every score it is sent, and runs rounds without
+    yielding while their probes are scored. It returns the best length
+    scale within ``bounds``."""
     best = (-math.inf, None)
     for f, l in zip(scores.tolist(), grid.tolist()):
         if f > best[0] or best[1] is None:
             best = (f, l)
     idx = int(np.argmax(scores))
-    a = math.log(grid[max(idx - 1, 0)])
-    b = math.log(grid[min(idx + 1, len(grid) - 1)])
+    lo, hi = max(idx - 1, 0), min(idx + 1, len(grid) - 1)
+    a, b = math.log(grid[lo]), math.log(grid[hi])
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc = fd = None
+    up = bool(scores[hi] >= scores[lo])  # the predicted way
+    predicting = idx in (0, len(grid) - 1)
+    seen: dict = {}                     # log length scale -> score
+    new = (c, d)                        # the probes not yet compared
     while (b - a) > LENGTH_SCALE_REL_TOL:
-        wanted = [x for x, fx in ((c, fc), (d, fd)) if fx is None]
-        got = iter((yield [math.exp(x) for x in wanted]))
-        if fc is None:
-            fc = next(got)
-            best = (fc, math.exp(c)) if fc > best[0] else best
-        if fd is None:
-            fd = next(got)
-            best = (fd, math.exp(d)) if fd > best[0] else best
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = None
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = None
+        needed = [x for x in new if x not in seen]
+        if needed:
+            path, ahead = [], _golden_step(a, b, c, d, up)
+            while predicting and ahead[1] - ahead[0] > LENGTH_SCALE_REL_TOL:
+                path.append(ahead[3] if up else ahead[2])
+                ahead = _golden_step(*ahead, up)
+            got = yield ([math.exp(x) for x in needed],
+                         [math.exp(x) for x in path])
+            seen.update(zip(needed + path, got))
+        for x in new:
+            best = (seen[x], math.exp(x)) if seen[x] > best[0] else best
+        went_up = not seen[c] > seen[d]
+        predicting = predicting and went_up == up
+        a, b, c, d = _golden_step(a, b, c, d, went_up)
+        new = (d,) if went_up else (c,)
     return min(max(best[1], bounds[0]), bounds[1])
 
 
@@ -700,10 +721,15 @@ def train_length_scales(trainings: Sequence[Training], cfg: GpConfig) -> list:
     grid point. All trainings advance in lockstep: the scans of the whole
     batch are one lane pass (a lane per training and grid point), and each
     round of the searches is one more, over the searches still open, each
-    keeping its own bracket. With fewer than two training points the
-    geometric middle of the bounds is returned (the evidence carries no
-    length-scale information there). A training whose inputs are unusable
-    raises.
+    keeping its own bracket. While at least FLOAT_LANES_BELOW searches are
+    open a round runs as numpy lanes, where a lane more costs little, so it
+    also scores each search's predicted path: a search pinned at a bound
+    then closes after that one pass. Narrower rounds score only the probes
+    each search needs. Every lane's evidence is bitwise that of a pass of
+    its own, so the searches decide as they would alone. With fewer than
+    two training points the geometric middle of the bounds is returned
+    (the evidence carries no length-scale information there). A training
+    whose inputs are unusable raises.
     """
     bounds, grid_size, var = (cfg.length_scale_bounds, cfg.grid_size,
                               cfg.sigma_f ** 2)
@@ -711,6 +737,8 @@ def train_length_scales(trainings: Sequence[Training], cfg: GpConfig) -> list:
     results: list = [math.sqrt(lo * hi)] * len(trainings)
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), grid_size))
     ready = [i for i, tr in enumerate(trainings) if np.size(tr.times) >= 2]
+    if not ready:
+        return results
     tracks = [_track_inputs(trainings[i], var) for i in ready]
     scores = _lane_lmls(_Lanes.of(
         tracks, np.repeat(np.arange(len(ready)), grid_size),
@@ -727,6 +755,11 @@ def train_length_scales(trainings: Sequence[Training], cfg: GpConfig) -> list:
                 still_open.append((k, i, search, search.send(got)))
             except StopIteration as done:
                 results[i] = done.value
+        if not still_open:
+            break
+        wide = len(still_open) >= FLOAT_LANES_BELOW
+        still_open = [(k, i, search, needed + path if wide else needed)
+                      for k, i, search, (needed, path) in still_open]
         wanted = [(k, l) for k, _, _, ls in still_open for l in ls]
         scores = _lane_lmls(_Lanes.of(
             tracks, [k for k, _ in wanted], [SQRT3 / l for _, l in wanted],

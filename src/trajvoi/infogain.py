@@ -332,9 +332,10 @@ def score_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge, str,
     of its cells, so the gain isolates what the new data adds rather than
     what refitting does. Then, one trajectory's run of cells at a time,
     each distinct (times, noise, length scale) track is fit once, without
-    coordinate channels, in one :func:`~trajvoi.gp.fit_tracks` call. For each day a cell covers, one union grid holds the uniform day
-    grid and every evidence time of the trajectory, and each track's log
-    variance is taken on it once; the uninformative prior's is a constant.
+    coordinate channels, in one :func:`~trajvoi.gp.fit_tracks` call. For
+    each day a cell covers, one union grid holds the uniform day grid and
+    every evidence time of the trajectory, and each track's log variance
+    is taken on it once; the uninformative prior's is a constant.
     A cell's own :func:`integration_grid` is a subset of the union grid,
     and its gain is integrated at those positions.
 

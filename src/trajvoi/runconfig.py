@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
@@ -133,7 +134,7 @@ def _bounds(value) -> Tuple[float, float]:
 
 
 def _positive(values) -> bool:
-    return all(v > 0 for v in values)
+    return all(0 < v < math.inf for v in values)
 
 
 def _ratios(values) -> bool:
@@ -159,7 +160,7 @@ SETTINGS = (
     ("segmentation", "max_gap_s", "segmentation.max_gap", _float),
     ("segmentation", "default_sigma_m", "segmentation.default_sigma", _float),
     ("degradation", "noise_levels_m", "noise_levels_m", _floats,
-     (_positive, "noise_levels_m entries must be > 0")),
+     (_positive, "noise_levels_m entries must be finite and > 0")),
     ("degradation", "truncation_ratios", "truncation_ratios", _floats,
      (_ratios, "truncation_ratios entries must be in (0, 1]")),
     ("degradation", "subsampling_ratios", "subsampling_ratios", _floats,
@@ -169,7 +170,7 @@ SETTINGS = (
     ("degradation", "prior_seed", "prior_seed", _optional(_int)),
     ("priors", "uninformative", "prior_uninformative", _bool),
     ("priors", "perturbation_noise_m", "prior_noise_m", _floats,
-     (_positive, "perturbation prior noise entries must be > 0")),
+     (_positive, "perturbation prior noise entries must be finite and > 0")),
     ("priors", "truncation_ratios", "prior_truncation_ratios", _floats,
      (_ratios, "prior truncation ratios entries must be in (0, 1]")),
     ("priors", "subsampling_ratios", "prior_subsampling_ratios", _floats,

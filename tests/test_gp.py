@@ -447,6 +447,129 @@ def test_a_failing_training_raises_its_error():
         train_length_scales(good + [backwards], cfg)
 
 
+def drive_golden_search(shape, whole, grid_size=32, bounds=(0.01, 10.0)):
+    """Run one golden-section search on the scores ``shape`` gives each log
+    length scale, sending it the scores of its whole yielded list or of
+    only the probes it needs. Returns the scale, every probe it was sent a
+    score for, and the length of the predicted path of each yield."""
+    grid = np.exp(np.linspace(math.log(bounds[0]), math.log(bounds[1]),
+                              grid_size))
+    search = gp._golden_search(grid, np.array([shape(math.log(l))
+                                               for l in grid]), bounds)
+    scored, paths, got = [], [], None
+    try:
+        while True:
+            needed, path = search.send(got)
+            paths.append(len(path))
+            asked = needed + path if whole else needed
+            scored += asked
+            got = [shape(math.log(l)) for l in asked]
+    except StopIteration as done:
+        return done.value, scored, paths
+
+
+GOLDEN_SHAPES = {
+    "monotone up": lambda x: x,
+    "monotone down": lambda x: -x,
+    "interior peak": lambda x: -(x - 0.3) ** 2,
+    "tie": lambda x: 1.0,
+    # pinned-like at first, the peak sits inside the top grid cell, so the
+    # predicted path "up" breaks part way
+    "breaks mid-path": lambda x: -(x - (math.log(10.0) - 0.05)) ** 2,
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_SHAPES)
+def test_golden_search_lookahead_changes_no_decision(name):
+    shape = GOLDEN_SHAPES[name]
+    alone, used, narrow = drive_golden_search(shape, whole=False)
+    ahead, scored, whole = drive_golden_search(shape, whole=True)
+    assert ahead == alone
+    # sent only its needed probes, a search scores each once (two in the
+    # first round); every one of them was scored in the whole-list run, as
+    # the same float
+    assert len(used) == len(set(used)) == len(narrow) + 1
+    assert set(used) <= set(scored)
+    if name == "interior peak":
+        # an interior grid optimum predicts nothing, so wastes no probe
+        assert scored == used and not any(whole)
+    elif name == "breaks mid-path":
+        # once its prediction breaks, a search predicts no more
+        assert 1 < len(whole) < len(narrow)
+        assert whole[0] and not any(whole[1:])
+    else:
+        assert len(whole) == 1
+
+
+def pinned_walks(count, rng):
+    """Trainings of slow Brownian walks with 3 m noise, which train to the
+    10 h upper bound under sigma_f = 7500 m, as the suite's walks do."""
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(20, 80))
+        ts = np.sort(rng.uniform(0, 2 * HOUR, n))
+        steps = rng.normal(0, 0.3 * np.sqrt(np.diff(ts, prepend=ts[0])),
+                           (2, n))
+        out.append(Training(ts, list(np.cumsum(steps, axis=1)),
+                            np.full(n, 3.0)))
+    return out
+
+
+def count_passes(monkeypatch):
+    """Record the lane count of every evidence pass."""
+    passes = []
+    real = gp._lane_lmls
+
+    def counted(lanes):
+        passes.append(lanes.track.size)
+        return real(lanes)
+
+    monkeypatch.setattr(gp, "_lane_lmls", counted)
+    return passes
+
+
+def test_pinned_trainings_take_two_passes_when_wide(monkeypatch):
+    # a pinned search's comparisons all go "up", so a batch wide enough to
+    # score each predicted path closes after the grid pass and one round;
+    # a narrower batch runs all 12 rounds of its [grid[30], grid[31]]
+    # bracket (0.618^12 x 0.223 < 1e-3), one pass each, as it always did
+    cfg = GpConfig()
+    passes = count_passes(monkeypatch)
+    for count, want in ((gp.FLOAT_LANES_BELOW, 2), (40, 2),
+                        (gp.FLOAT_LANES_BELOW - 1, 13), (1, 13)):
+        passes.clear()
+        batch = pinned_walks(count, np.random.default_rng(count))
+        assert train_length_scales(batch, cfg) \
+            == [cfg.length_scale_bounds[1]] * count
+        assert len(passes) == want
+        assert all(passes)
+    passes.clear()
+    # nothing to train makes no pass
+    fit_tracks([(batch[0], 1.0), (Training([], [], []), None)], cfg)
+    assert passes == []
+
+
+def test_interior_trainings_in_a_wide_batch_equal_each_alone(monkeypatch):
+    # searches whose best grid point is interior predict no path: each
+    # decides as it would alone, and scores no probe it does not compare
+    rng = np.random.default_rng(40)
+    batch = []
+    for l in np.exp(rng.uniform(math.log(0.1), math.log(2.0), 14)):
+        ts, xs = sample_matern_path(rng, int(rng.integers(30, 90)), l=l,
+                                    sigma_f=100.0, noise=2.0)
+        batch.append(Training(ts, [xs], np.full(ts.size, 2.0)))
+    cfg = GpConfig(sigma_f=100.0)
+    passes = count_passes(monkeypatch)
+    got = train_length_scales(batch, cfg)
+    lo, hi = cfg.length_scale_bounds
+    assert all(lo < l < hi for l in got)
+    # a two-cell bracket (log width 0.446) takes 13 rounds, 14 probes
+    assert sum(passes[1:]) == 14 * len(batch)
+    monkeypatch.undo()
+    for training, l in zip(batch, got):
+        assert l == train_length_scale(*training[:3], cfg)
+
+
 def lone_track_lml(fixes, lam, var):
     """The log evidence of one track at one scale, its filter written out
     on floats, each channel's terms summed over one contiguous array."""

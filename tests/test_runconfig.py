@@ -1,5 +1,6 @@
 """YAML run configuration: defaults, coercion, rejection, hashing."""
 
+import math
 import os
 import subprocess
 import sys
@@ -107,6 +108,12 @@ segmentation:
     ("integration:\n  day_seconds: .inf\n", "day_seconds"),
     ("segmentation:\n  default_sigma_m: .inf\n", "default_sigma"),
     ("segmentation:\n  default_sigma_m: .nan\n", "default_sigma"),
+    ("degradation:\n  noise_levels_m: [3, .inf]\n", "noise_levels_m"),
+    ("priors:\n  perturbation_noise_m: [.inf]\n", "perturbation prior noise"),
+    ("entropy_grid:\n  cell_size_m: .inf\n", "cell_size"),
+    ("entropy_grid:\n  bin_length_s: .inf\n", "bin_length"),
+    ("spp:\n  v0: .inf\n", "v0"),
+    ("spp:\n  sigma_ref_m: .inf\n", "sigma_ref"),
     ("jobs: [1, 2]\n", ""),
     # YAML types are taken strictly: no string for a list or a boolean,
     # no boolean or fraction for an integer, exactly two bounds
@@ -131,6 +138,12 @@ def test_load_config_rejects(tmp_path, text, fragment):
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, text))
     assert fragment in str(err.value)
+
+
+def test_infinite_max_gap_never_splits(tmp_path):
+    # the one setting where infinity means something: no gap is too long
+    cfg = load_config(write(tmp_path, "segmentation:\n  max_gap_s: .inf\n"))
+    assert cfg.segmentation.max_gap == math.inf
 
 
 def test_load_config_missing_file(tmp_path):
