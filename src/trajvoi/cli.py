@@ -28,7 +28,7 @@ import sys
 import time
 from concurrent import futures
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,6 +103,18 @@ def _applicable(spec: DegradationSpec,
     """Released priors only pair with their own degradation family (plus
     the identity release); the uninformative prior pairs with everything."""
     return prior is None or spec.kind in ("identity", prior.kind)
+
+
+def _distinct(items: list, label) -> Tuple[list, int]:
+    """``items`` less each whose ``label`` an earlier one has, and how many
+    were dropped: two specs of one label would write one file, or report
+    rows that cannot be told apart."""
+    kept, labels = [], set()
+    for item in items:
+        if label(item) not in labels:
+            labels.add(label(item))
+            kept.append(item)
+    return kept, len(items) - len(kept)
 
 
 def _describe(e: BaseException) -> str:
@@ -313,7 +325,11 @@ def cmd_ingest(cfg: RunConfig) -> int:
 def cmd_degrade(cfg: RunConfig) -> int:
     trajectories = _load_trajectories(cfg)
     out = Path(cfg.output_dir) / "degraded"
-    for spec in _degradation_specs(cfg):
+    specs, duplicates = _distinct(_degradation_specs(cfg),
+                                  DegradationSpec.label)
+    if duplicates:
+        log.warning("degrade: %d duplicate specs were dropped", duplicates)
+    for spec in specs:
         name = spec.label().replace(":", "_")
         degraded = [apply_spec(t, spec) for t in trajectories]
         dest = out / f"{name}.csv"
@@ -332,19 +348,10 @@ def cmd_voi(cfg: RunConfig) -> int:
     if not priors:
         raise ConfigError("no prior scenarios configured")
 
-    cells = []
-    seen = set()
-    duplicates = 0
-    for prior in priors:
-        for spec in specs:
-            if not _applicable(spec, prior):
-                continue
-            key = (spec.kind, spec.param, prior and prior.label())
-            if key in seen:
-                duplicates += 1
-                continue
-            seen.add(key)
-            cells.append((spec, prior))
+    cells, duplicates = _distinct(
+        [(spec, prior) for prior in priors for spec in specs
+         if _applicable(spec, prior)],
+        lambda cell: (cell[0].label(), cell[1] and cell[1].label()))
     dropped = duplicates * len(trajectories)
     if dropped:
         log.warning("voi: %d duplicate cells in the matrix were dropped",

@@ -257,7 +257,8 @@ _WAVE_LANES = 32
 _BLOCK = 1 << 11
 # Fewer running lanes than this step one by one on Python floats: a float
 # step costs ~2.2 us per lane, a numpy step ~30 us at up to ~30 lanes
-# (measured crossover).
+# (measured crossover). It decides how a pass steps, never which lanes
+# a pass runs.
 FLOAT_LANES_BELOW = 12
 
 
@@ -662,51 +663,53 @@ def _golden_step(a, b, c, d, up):
     return a, b, b - _INV_PHI * (b - a), d
 
 
-def _golden_search(grid, scores, bounds):
+def _top_path(grid) -> list:
+    """The log length scales a search whose bracket is the top grid cell,
+    [grid[-2], grid[-1]], probes when every comparison goes up, as one
+    pinned at the upper bound does: its two first probes, then each new
+    upper one, in the search's own arithmetic. Empty when that cell is
+    already within LENGTH_SCALE_REL_TOL."""
+    a, b = math.log(grid[-2]), math.log(grid[-1])
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    path, new = [], (c, d)
+    while (b - a) > LENGTH_SCALE_REL_TOL:
+        path += new
+        a, b, c, d = _golden_step(a, b, c, d, True)
+        new = (d,)
+    return path
+
+
+def _golden_search(grid, scores, bounds, seen: dict):
     """Refine the best grid point of a scan by golden-section search on log
     length scale, within the neighbouring grid cells, to a relative width
     of LENGTH_SCALE_REL_TOL, keeping the first best score seen anywhere.
 
-    A generator: when it lacks a score it yields two lists of length
-    scales, the probes it needs (both at first, one per round after) and
-    the probes its later rounds would need if every comparison went
-    toward the better-scoring end of the first bracket (the upper on a
-    tie). Only a search whose best grid point ends the grid, as one pinned
-    at a bound does, predicts that path, and only until a comparison goes
-    the other way: an interior optimum turns the search too often. It is
-    sent the scores of the needed probes and of any prefix of the
-    predicted ones, keeps every score it is sent, and runs rounds without
-    yielding while their probes are scored. It returns the best length
-    scale within ``bounds``."""
+    A generator: ``seen`` maps log length scales to scores already known,
+    and while a round's probes are among them it runs without yielding.
+    Otherwise it yields the length scales of the probes it needs (both at
+    first, one per round after), is sent their scores and adds them to
+    ``seen``. It returns the best length scale within ``bounds``."""
     best = (-math.inf, None)
     for f, l in zip(scores.tolist(), grid.tolist()):
         if f > best[0] or best[1] is None:
             best = (f, l)
     idx = int(np.argmax(scores))
-    lo, hi = max(idx - 1, 0), min(idx + 1, len(grid) - 1)
-    a, b = math.log(grid[lo]), math.log(grid[hi])
+    a = math.log(grid[max(idx - 1, 0)])
+    b = math.log(grid[min(idx + 1, len(grid) - 1)])
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    up = bool(scores[hi] >= scores[lo])  # the predicted way
-    predicting = idx in (0, len(grid) - 1)
-    seen: dict = {}                     # log length scale -> score
     new = (c, d)                        # the probes not yet compared
     while (b - a) > LENGTH_SCALE_REL_TOL:
         needed = [x for x in new if x not in seen]
         if needed:
-            path, ahead = [], _golden_step(a, b, c, d, up)
-            while predicting and ahead[1] - ahead[0] > LENGTH_SCALE_REL_TOL:
-                path.append(ahead[3] if up else ahead[2])
-                ahead = _golden_step(*ahead, up)
-            got = yield ([math.exp(x) for x in needed],
-                         [math.exp(x) for x in path])
-            seen.update(zip(needed + path, got))
+            got = yield [math.exp(x) for x in needed]
+            seen.update(zip(needed, got))
         for x in new:
             best = (seen[x], math.exp(x)) if seen[x] > best[0] else best
-        went_up = not seen[c] > seen[d]
-        predicting = predicting and went_up == up
-        a, b, c, d = _golden_step(a, b, c, d, went_up)
-        new = (d,) if went_up else (c,)
+        up = not seen[c] > seen[d]
+        a, b, c, d = _golden_step(a, b, c, d, up)
+        new = (d,) if up else (c,)
     return min(max(best[1], bounds[0]), bounds[1])
 
 
@@ -718,18 +721,16 @@ def train_length_scales(trainings: Sequence[Training], cfg: GpConfig) -> list:
     ``cfg.length_scale_bounds`` finds each training's best grid cell, and
     golden-section search refines within the neighbouring cells to a
     relative width of LENGTH_SCALE_REL_TOL; the result never scores below any
-    grid point. All trainings advance in lockstep: the scans of the whole
-    batch are one lane pass (a lane per training and grid point), and each
-    round of the searches is one more, over the searches still open, each
-    keeping its own bracket. While at least FLOAT_LANES_BELOW searches are
-    open a round runs as numpy lanes, where a lane more costs little, so it
-    also scores each search's predicted path: a search pinned at a bound
-    then closes after that one pass. Narrower rounds score only the probes
-    each search needs. Every lane's evidence is bitwise that of a pass of
-    its own, so the searches decide as they would alone. With fewer than
-    two training points the geometric middle of the bounds is returned
-    (the evidence carries no length-scale information there). A training
-    whose inputs are unusable raises.
+    grid point. All trainings advance in lockstep. The scans of the whole
+    batch are one lane pass, a lane per training and grid point, and it
+    also scores each training at the probes of :func:`_top_path`: a search
+    pinned at the upper bound then closes without another pass. Each round
+    of the searches still open is one more pass, over the probes they
+    need, each search keeping its own bracket. Every lane's evidence is
+    bitwise that of a pass of its own, so the searches decide as they
+    would alone. With fewer than two training points the geometric middle
+    of the bounds is returned (the evidence carries no length-scale
+    information there). A training whose inputs are unusable raises.
     """
     bounds, grid_size, var = (cfg.length_scale_bounds, cfg.grid_size,
                               cfg.sigma_f ** 2)
@@ -740,14 +741,19 @@ def train_length_scales(trainings: Sequence[Training], cfg: GpConfig) -> list:
     if not ready:
         return results
     tracks = [_track_inputs(trainings[i], var) for i in ready]
-    scores = _lane_lmls(_Lanes.of(
-        tracks, np.repeat(np.arange(len(ready)), grid_size),
-        np.tile(SQRT3 / grid, len(ready)), var))
+    path = _top_path(grid)
+    # each training's scan: the grid, then the path's probes at the lam a
+    # round would give them
+    lams = np.concatenate([SQRT3 / grid, [SQRT3 / math.exp(x) for x in path]])
+    scans = _lane_lmls(_Lanes.of(
+        tracks, np.repeat(np.arange(len(ready)), lams.size),
+        np.tile(lams, len(ready)), var)).reshape(len(ready), lams.size)
     # (track, training, search, the scores it was sent)
-    searches = [(k, i, _golden_search(grid, scores[k * grid_size:
-                                                   (k + 1) * grid_size],
-                                      bounds), None)
-                for k, i in enumerate(ready)]
+    searches = []
+    for k, (i, scan) in enumerate(zip(ready, scans)):
+        seen = dict(zip(path, scan[grid_size:].tolist()))
+        searches.append((k, i, _golden_search(grid, scan[:grid_size], bounds,
+                                              seen), None))
     while searches:
         still_open = []
         for k, i, search, got in searches:
@@ -757,9 +763,6 @@ def train_length_scales(trainings: Sequence[Training], cfg: GpConfig) -> list:
                 results[i] = done.value
         if not still_open:
             break
-        wide = len(still_open) >= FLOAT_LANES_BELOW
-        still_open = [(k, i, search, needed + path if wide else needed)
-                      for k, i, search, (needed, path) in still_open]
         wanted = [(k, l) for k, _, _, ls in still_open for l in ls]
         scores = _lane_lmls(_Lanes.of(
             tracks, [k for k, _ in wanted], [SQRT3 / l for _, l in wanted],

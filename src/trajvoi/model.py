@@ -15,6 +15,9 @@ from typing import Tuple
 import numpy as np
 
 EARTH_RADIUS_M = 6_371_000.0  # mean Earth radius
+# Latitudes the equirectangular projection takes, origin and fixes alike,
+# lie strictly inside this bound: cos(lat) vanishes at a pole.
+MAX_ABS_LAT = 89.0
 
 
 # a fix's values, in the order they are checked
@@ -101,8 +104,9 @@ class ProjectionConfig:
     def __post_init__(self):
         if not (-180.0 <= self.lon0 <= 180.0):
             raise ValueError(f"lon0 out of range: {self.lon0}")
-        if not (-90.0 <= self.lat0 <= 90.0):
-            raise ValueError(f"lat0 out of range: {self.lat0}")
+        if not abs(self.lat0) < MAX_ABS_LAT:
+            raise ValueError(f"lat0 out of range: |lat0| must be < "
+                             f"{MAX_ABS_LAT:g} degrees, got {self.lat0}")
 
 
 @dataclass(frozen=True)
@@ -142,10 +146,10 @@ def project(lon, lat, cfg: ProjectionConfig):
     lat = np.asarray(lat, dtype=float)
     if not (np.isfinite(lon).all() and np.isfinite(lat).all()):
         raise ValueError("project: lon/lat must be finite")
-    polar = np.abs(lat) >= 89.0
+    polar = np.abs(lat) >= MAX_ABS_LAT
     if polar.any():
-        raise ValueError(f"project: |lat| must be < 89 degrees, got "
-                         f"{float(lat.flat[np.argmax(polar)])}")
+        raise ValueError(f"project: |lat| must be < {MAX_ABS_LAT:g} degrees, "
+                         f"got {float(lat.flat[np.argmax(polar)])}")
     x = EARTH_RADIUS_M * math.cos(math.radians(cfg.lat0)) * np.radians(lon - cfg.lon0)
     y = EARTH_RADIUS_M * np.radians(lat - cfg.lat0)
     return x, y

@@ -17,7 +17,7 @@ import numpy as np
 import synth
 from trajvoi import cli, gp, infogain
 from trajvoi.baselines import EntropyGridConfig, SppConfig
-from trajvoi.degrade import apply_spec
+from trajvoi.degrade import DegradationSpec, apply_spec
 from trajvoi.infogain import (VOI_CSV_FIELDS, PriorKnowledge, VoiReport,
                               VoiRow, evaluate_voi)
 from trajvoi.ingest import read_trajectory_csv, write_trajectory_csv
@@ -214,6 +214,29 @@ def test_voi_duplicate_cells_warn_but_pass(tmp_path, caplog):
     perturb_100 = [r for r in report.rows
                    if r.kind == "perturbation" and r.prior == "uninformative"]
     assert len(perturb_100) == 1
+
+
+def test_specs_of_one_label_are_duplicates(tmp_path, caplog):
+    # 0.2 and 0.2000001 both label as truncation:0.2: the second would
+    # overwrite the first's file and give a report row like the first's
+    config, traj_csv, out = write_config(tmp_path)
+    config.write_text(config.read_text().replace(
+        "truncation_ratios: [0.5]", "truncation_ratios: [0.2, 0.2000001]"))
+    write_trajectory_csv(small_fleet()[:1], traj_csv)
+    for command in ("degrade", "voi"):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="trajvoi"):
+            assert cli.entrypoint([command, "--config", str(config)]) == 0
+        assert any("duplicate" in r.message for r in caplog.records)
+    (traj,) = small_fleet()[:1]
+    kept = apply_spec(traj, DegradationSpec(kind="truncation", ratio=0.2))
+    assert (read_trajectory_csv(out / "degraded" / "truncation_0.2.csv")[0].t
+            == kept.t).all()
+    report = VoiReport.from_jsonl((out / "voi_report.jsonl").read_text())
+    keys = [(r.prior, r.kind, f"{r.param:g}") for r in report.rows]
+    assert len(keys) == len(set(keys))
+    assert [r.param for r in report.rows
+            if r.kind == "truncation" and r.prior == "uninformative"] == [0.2]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

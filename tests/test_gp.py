@@ -447,25 +447,29 @@ def test_a_failing_training_raises_its_error():
         train_length_scales(good + [backwards], cfg)
 
 
-def drive_golden_search(shape, whole, grid_size=32, bounds=(0.01, 10.0)):
-    """Run one golden-section search on the scores ``shape`` gives each log
-    length scale, sending it the scores of its whole yielded list or of
-    only the probes it needs. Returns the scale, every probe it was sent a
-    score for, and the length of the predicted path of each yield."""
-    grid = np.exp(np.linspace(math.log(bounds[0]), math.log(bounds[1]),
+def golden_grid(grid_size=32, bounds=(0.01, 10.0)):
+    return np.exp(np.linspace(math.log(bounds[0]), math.log(bounds[1]),
                               grid_size))
+
+
+def drive_golden_search(shape, seeded, grid_size=32, bounds=(0.01, 10.0)):
+    """Run one golden-section search on the scores ``shape`` gives each log
+    length scale, sending it the scores of the probes it asks for, and with
+    ``seeded`` starting it with the scores of the top cell's pinned path, as
+    a grid scan scores them. Returns the scale and every length scale it
+    asked for, in order."""
+    grid = golden_grid(grid_size, bounds)
+    seen = {x: shape(x) for x in gp._top_path(grid)} if seeded else {}
     search = gp._golden_search(grid, np.array([shape(math.log(l))
-                                               for l in grid]), bounds)
-    scored, paths, got = [], [], None
+                                               for l in grid]), bounds, seen)
+    asked, got = [], None
     try:
         while True:
-            needed, path = search.send(got)
-            paths.append(len(path))
-            asked = needed + path if whole else needed
-            scored += asked
-            got = [shape(math.log(l)) for l in asked]
+            needed = search.send(got)
+            asked += needed
+            got = [shape(math.log(l)) for l in needed]
     except StopIteration as done:
-        return done.value, scored, paths
+        return done.value, asked
 
 
 GOLDEN_SHAPES = {
@@ -474,31 +478,49 @@ GOLDEN_SHAPES = {
     "interior peak": lambda x: -(x - 0.3) ** 2,
     "tie": lambda x: 1.0,
     # pinned-like at first, the peak sits inside the top grid cell, so the
-    # predicted path "up" breaks part way
+    # pinned path "up" breaks part way
     "breaks mid-path": lambda x: -(x - (math.log(10.0) - 0.05)) ** 2,
 }
+
+
+@pytest.mark.parametrize("grid_size, bounds", [
+    (2, (0.01, 10.0)), (32, (0.01, 10.0)),
+    # top cells already narrower than the tolerance: no probe at all
+    (2, (1.0, 1.0005)), (32, (1.0, 1.01))])
+def test_top_path_is_what_a_pinned_search_asks_for(grid_size, bounds):
+    # sent only its needed probes, a search pinned at the upper bound asks
+    # for the path's probes, in order, as the same floats
+    scale, asked = drive_golden_search(GOLDEN_SHAPES["monotone up"], False,
+                                       grid_size, bounds)
+    path = gp._top_path(golden_grid(grid_size, bounds))
+    assert asked == [math.exp(x) for x in path]
+    assert len(path) == len(set(path))
+    assert bool(path) == (bounds[1] / bounds[0] > 1.001 ** (grid_size - 1))
+    assert scale == bounds[1]
+    # seeded with the path's scores, it asks for nothing
+    assert drive_golden_search(GOLDEN_SHAPES["monotone up"], True,
+                               grid_size, bounds) == (scale, [])
 
 
 @pytest.mark.parametrize("name", GOLDEN_SHAPES)
 def test_golden_search_lookahead_changes_no_decision(name):
     shape = GOLDEN_SHAPES[name]
-    alone, used, narrow = drive_golden_search(shape, whole=False)
-    ahead, scored, whole = drive_golden_search(shape, whole=True)
-    assert ahead == alone
-    # sent only its needed probes, a search scores each once (two in the
-    # first round); every one of them was scored in the whole-list run, as
-    # the same float
-    assert len(used) == len(set(used)) == len(narrow) + 1
-    assert set(used) <= set(scored)
-    if name == "interior peak":
-        # an interior grid optimum predicts nothing, so wastes no probe
-        assert scored == used and not any(whole)
+    alone, asked = drive_golden_search(shape, seeded=False)
+    seeded, rest = drive_golden_search(shape, seeded=True)
+    assert seeded == alone
+    # sent only its needed probes, a search asks for each once; seeded, it
+    # asks for the same probes less those of the path
+    assert len(asked) == len(set(asked))
+    path = {math.exp(x) for x in gp._top_path(golden_grid())}
+    assert rest == [l for l in asked if l not in path]
+    if name == "monotone up":
+        assert rest == []
     elif name == "breaks mid-path":
-        # once its prediction breaks, a search predicts no more
-        assert 1 < len(whole) < len(narrow)
-        assert whole[0] and not any(whole[1:])
+        # the path holds its probes until its first comparison down
+        assert 0 < len(rest) < len(asked)
     else:
-        assert len(whole) == 1
+        # a search whose bracket is not the top cell never meets the path
+        assert rest == asked
 
 
 def pinned_walks(count, rng):
@@ -528,21 +550,20 @@ def count_passes(monkeypatch):
     return passes
 
 
-def test_pinned_trainings_take_two_passes_when_wide(monkeypatch):
-    # a pinned search's comparisons all go "up", so a batch wide enough to
-    # score each predicted path closes after the grid pass and one round;
-    # a narrower batch runs all 12 rounds of its [grid[30], grid[31]]
-    # bracket (0.618^12 x 0.223 < 1e-3), one pass each, as it always did
+def test_pinned_trainings_take_one_pass(monkeypatch):
+    # the grid scan also scores the top cell's pinned path, 13 probes for
+    # the [grid[30], grid[31]] bracket (0.618^12 x 0.223 < 1e-3), so a
+    # pinned search closes in that pass, whatever the batch's width
     cfg = GpConfig()
+    path = gp._top_path(golden_grid())
+    assert len(path) == 13
     passes = count_passes(monkeypatch)
-    for count, want in ((gp.FLOAT_LANES_BELOW, 2), (40, 2),
-                        (gp.FLOAT_LANES_BELOW - 1, 13), (1, 13)):
+    for count in (1, gp.FLOAT_LANES_BELOW - 1, gp.FLOAT_LANES_BELOW, 40):
         passes.clear()
         batch = pinned_walks(count, np.random.default_rng(count))
         assert train_length_scales(batch, cfg) \
             == [cfg.length_scale_bounds[1]] * count
-        assert len(passes) == want
-        assert all(passes)
+        assert passes == [count * (cfg.grid_size + len(path))]
     passes.clear()
     # nothing to train makes no pass
     fit_tracks([(batch[0], 1.0), (Training([], [], []), None)], cfg)

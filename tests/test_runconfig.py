@@ -114,6 +114,9 @@ segmentation:
     ("entropy_grid:\n  bin_length_s: .inf\n", "bin_length"),
     ("spp:\n  v0: .inf\n", "v0"),
     ("spp:\n  sigma_ref_m: .inf\n", "sigma_ref"),
+    # cos(lat0) is ~0 at a pole: every x would collapse to ~1e-13 m
+    ("projection:\n  lat0: 90\n", "lat0"),
+    ("projection:\n  lat0: -89\n", "lat0"),
     ("jobs: [1, 2]\n", ""),
     # YAML types are taken strictly: no string for a list or a boolean,
     # no boolean or fraction for an integer, exactly two bounds
