@@ -241,19 +241,19 @@ def _track_inputs(training: Training, var: float) -> _Fixes:
 # channels stacked on one axis. Lanes are sorted longest first, so the lanes
 # still running at a step are a prefix. Every lane sees exactly the
 # arithmetic of a pass of its own, so its results are bitwise those of one;
-# a single track is a batch of one.
+# a single track is a batch of one. An evidence pass keeps only each lane's
+# running sums, added in fix order as it steps, so it runs all its lanes at
+# once; a smoother pass keeps every fix's state, so it runs them in waves.
 
-# Lane-fixes one wave of an evidence pass may span. A pass runs its lanes in
-# consecutive waves under this budget: the evidence terms of every fix (3
-# floats) must be kept until the end, to be summed pairwise like a lone
-# track's, so the budget bounds a wave's buffers. A smoother pass keeps 14
-# floats per fix, and its waves span a fifth (as lanes x longest lane).
-LANE_FIX_BUDGET = 1 << 16
+# Lane-fixes (lanes x longest lane) one wave of a smoother pass may span:
+# the pass keeps 14 floats per lane-fix, so this bounds a wave's buffers
+# near 1.5 MB.
+LANE_FIX_BUDGET = (1 << 16) // 5
 # Lanes a wave takes whatever their length, a grid scan's worth: on long
 # tracks, splitting a pass thinner would step far more than it saves.
 _WAVE_LANES = 32
 # Lane-fixes one numpy operation takes at a time outside the step loop:
-# the transitions of a block of steps, or a block of evidence sums.
+# the transitions of a block of steps.
 _BLOCK = 1 << 11
 # Fewer running lanes than this step one by one on Python floats: a float
 # step costs ~2.2 us per lane, a numpy step ~30 us at up to ~30 lanes
@@ -289,42 +289,39 @@ class _Lanes(NamedTuple):
 
 
 class _Run(NamedTuple):
-    """A filter pass over a wave of lanes, step-major. The innovations of
-    step k are those of its running lanes, from ``rows[k]`` on; the kept
-    states have a row per step with a column per lane (and padding for
-    lanes with fewer fixes)."""
+    """A filter pass over lanes sorted longest first. An evidence pass
+    holds each lane's sums over its fixes so far, of log(2 pi S) for the
+    innovation variances S and, per channel, of V^2 / S for the
+    innovations V. A kept pass holds instead the states the smoother
+    needs, step-major: a row per step with a column per lane (and padding
+    for lanes with fewer fixes)."""
 
     active: np.ndarray           # lanes still running at each step
-    rows: np.ndarray             # where each step's innovations start
-    S: Optional[np.ndarray]      # (lane-fixes,) innovation variances
-    V: Optional[np.ndarray]      # (channels, lane-fixes) innovations
+    logs: Optional[np.ndarray]   # (lanes,) sums of log(2 pi S)
+    quads: Optional[np.ndarray]  # (channels, lanes) sums of V^2 / S
     AQ: Optional[np.ndarray]     # (steps, 7, lanes) transition into a fix
     P: Optional[np.ndarray]      # (steps, 3, lanes) filtered covariance
     M: Optional[np.ndarray]      # (steps, 2, channels, lanes) filtered means
 
 
-def _waves(lanes: _Lanes, budget: int, keep: bool = False):
+def _waves(lanes: _Lanes):
     """The lanes' indices, longest lane first, in consecutive waves of at
-    most ``budget`` lane-fixes, or with ``keep`` lanes x longest lane, but
-    of at least _WAVE_LANES lanes."""
+    most LANE_FIX_BUDGET lanes x longest lane, but of at least _WAVE_LANES
+    lanes."""
     sizes = lanes.sizes()
     order = np.argsort(-sizes, kind="stable")
     start = 0
     while start < order.size:
-        if keep:
-            stop = start + budget // max(int(sizes[order[start]]), 1)
-        else:
-            stop = start + int(np.searchsorted(
-                np.cumsum(sizes[order[start:]]), budget, side="right"))
-        stop = max(stop, start + _WAVE_LANES)
+        stop = start + max(LANE_FIX_BUDGET // max(int(sizes[order[start]]), 1),
+                           _WAVE_LANES)
         yield order[start:stop]
         start = stop
 
 
 def _kalman_filter(lanes: _Lanes, keep: bool = False) -> _Run:
     """Kalman filter over every fix of every lane (sorted longest first),
-    from the stationary prior. The run holds the innovations the evidence
-    sums; with ``keep`` it holds instead what the smoother needs: the
+    from the stationary prior. The run holds each lane's evidence sums;
+    with ``keep`` it holds instead what the smoother needs: the
     transitions and the filtered states.
 
     Numpy steps serve the lanes while at least FLOAT_LANES_BELOW of them
@@ -333,11 +330,10 @@ def _kalman_filter(lanes: _Lanes, keep: bool = False) -> _Run:
     steps, m = int(ns[0]), ns.size
     channels = int(lanes.channels().max())
     active = np.searchsorted(-ns, -np.arange(steps))
-    run = _Run(active, np.cumsum(active) - active,
+    run = _Run(active,
                *((None, None, np.zeros((steps, 7, m)), np.zeros((steps, 3, m)),
                   np.zeros((steps, 2, channels, m))) if keep else
-                 (np.empty(ns.sum()), np.zeros((channels, ns.sum())))
-                 + (None,) * 3))
+                 (np.zeros(m), np.zeros((channels, m))) + (None,) * 3))
     switch = _float_switch(run)
     state = _numpy_lanes(run, lanes, channels, switch) if switch else None
     for i in range(run.active[switch] if switch < steps else 0):
@@ -357,7 +353,8 @@ def _float_lane(run: _Run, i: int, fixes: _Fixes, lam: float, var: float,
     """Lane ``i`` of ``run`` from fix ``start`` on, from ``state`` (the
     covariance and channel means, or None for the stationary prior), on
     Python floats, which step far faster than numpy arrays of a few
-    elements: the covariance first, then each channel's means."""
+    elements: the covariance first, then each channel's means. Its
+    evidence sums go on from where the numpy steps left them."""
     dt, noise, resids = fixes
     n, keep, channels = dt.size, run.P is not None, len(resids)
     A, Q = _transition(dt[start:], lam, var)
@@ -380,7 +377,7 @@ def _float_lane(run: _Run, i: int, fixes: _Fixes, lam: float, var: float,
             P00.append(p00)
             P01.append(p01)
             P11.append(p11)
-    at = run.rows[start:n] + i
+    S = np.array(S)
     for c, ((f, d), y) in enumerate(zip(means, resids[:, start:].tolist())):
         V, F, D = [], [], []
         for a00, a01, a10, a11, k0, k1, yk in zip(*aq[:4], K0, K1, y):
@@ -392,13 +389,24 @@ def _float_lane(run: _Run, i: int, fixes: _Fixes, lam: float, var: float,
         if keep:
             run.M[start:n, 0, c, i], run.M[start:n, 1, c, i] = F, D
         else:
-            run.V[c, at] = V
+            V = np.array(V)
+            run.quads[c, i] = _add_in_order(run.quads[c, i], V * V / S)
     if keep:
         run.AQ[start:n, :, i] = np.array(aq).T
         run.P[start:n, 0, i], run.P[start:n, 1, i], run.P[start:n, 2, i] = \
             P00, P01, P11
     else:
-        run.S[at] = S
+        # np.log as the numpy steps take it: math.log may round otherwise
+        run.logs[i] = _add_in_order(run.logs[i], np.log(2.0 * math.pi * S))
+
+
+def _add_in_order(total, terms: np.ndarray) -> float:
+    """``total`` plus each of ``terms`` in turn, the order in which numpy
+    steps add a lane's terms (builtin sum() compensates on CPython 3.12+)."""
+    total = float(total)
+    for x in terms.tolist():
+        total += x
+    return total
 
 
 def _numpy_lanes(run: _Run, lanes: _Lanes, channels: int, stop: int):
@@ -421,8 +429,8 @@ def _numpy_lanes(run: _Run, lanes: _Lanes, channels: int, stop: int):
     p00, p01, p11 = np.full(lam.size, var), np.zeros(lam.size), var * lam * lam
     f, d = np.zeros((channels, lam.size)), np.zeros((channels, lam.size))
     # Python ints index far faster than numpy scalars in the step loop
-    active, rows = run.active.tolist(), run.rows.tolist()
-    S, V, kept_AQ, P, M = run.S, run.V, run.AQ, run.P, run.M
+    active = run.active.tolist()
+    logs, quads, kept_AQ, P, M = run.logs, run.quads, run.AQ, run.P, run.M
     k = 0
     while k < stop:
         width = active[k]
@@ -445,8 +453,8 @@ def _numpy_lanes(run: _Run, lanes: _Lanes, channels: int, stop: int):
             f, d, v = _mean_step(f, d, a00, a01, a10, a11, k0, k1,
                                  block[j, 2:, :n])
             if P is None:
-                S[rows[step]:rows[step] + n] = s
-                V[:, rows[step]:rows[step] + n] = v
+                logs[:n] += np.log(2.0 * math.pi * s)
+                quads[:, :n] += v * v / s
             else:
                 kept_AQ[step, :, :n] = AQ[j, :, :n]
                 P[step, 0, :n], P[step, 1, :n], P[step, 2, :n] = p00, p01, p11
@@ -455,33 +463,14 @@ def _numpy_lanes(run: _Run, lanes: _Lanes, channels: int, stop: int):
     return p00, p01, p11, f, d
 
 
-def _lmls(run: _Run, lanes: _Lanes) -> np.ndarray:
-    """Each lane's log evidence, summed over its fixes and channels."""
-    ns = lanes.sizes()
-    channels = lanes.channels().astype(float)
-    out = np.empty(ns.size)
-    i = 0
-    while i < ns.size:
-        # a block of lanes of one length, each with its fixes last and
-        # contiguous, so that each sums pairwise exactly as a lone track
-        n = ns[i]
-        j = min(int(np.searchsorted(-ns, -n, side="right")),
-                i + max(1, _BLOCK // n))
-        at = run.rows[:n] + np.arange(i, j)[:, None]
-        S = run.S[at]
-        V = np.ascontiguousarray(run.V[:, at])
-        out[i:j] = -0.5 * (channels[i:j] * np.log(2.0 * math.pi * S).sum(axis=-1)
-                           + (V * V / S).sum(axis=-1).sum(axis=0))
-        i = j
-    return out
-
-
 def _lane_lmls(lanes: _Lanes) -> np.ndarray:
-    """The log evidence of every lane, in waves under the budget."""
-    out = np.empty(lanes.track.size)
-    for wave in _waves(lanes, LANE_FIX_BUDGET):
-        wave_lanes = lanes.take(wave)
-        out[wave] = _lmls(_kalman_filter(wave_lanes), wave_lanes)
+    """The log evidence of every lane, summed over its fixes and channels,
+    from one filter pass over them all."""
+    order = np.argsort(-lanes.sizes(), kind="stable")
+    lanes = lanes.take(order)
+    run = _kalman_filter(lanes)
+    out = np.empty(order.size)
+    out[order] = -0.5 * (lanes.channels() * run.logs + run.quads.sum(axis=0))
     return out
 
 
@@ -547,7 +536,7 @@ def _track_states(lanes: _Lanes) -> list:
     fix, on the right the smoothed state at each fix and then a placeholder
     prior."""
     out = [None] * lanes.track.size
-    for wave in _waves(lanes, LANE_FIX_BUDGET // 5, keep=True):
+    for wave in _waves(lanes):
         wave_lanes = lanes.take(wave)
         run = _kalman_filter(wave_lanes, keep=True)
         args = [(lanes.tracks[t], float(lam), lanes.var)

@@ -72,20 +72,6 @@ class PltParseResult:
     lines_skipped: int = 0
 
 
-def _parse_plt_line(line: str) -> Tuple[float, float, float]:
-    parts = line.split(",")
-    if len(parts) < 7:
-        raise ValueError("short line")
-    lat = float(parts[0])
-    lon = float(parts[1])
-    stamp = datetime.strptime(parts[5].strip() + " " + parts[6].strip(),
-                              "%Y-%m-%d %H:%M:%S")
-    t = stamp.replace(tzinfo=timezone.utc).timestamp()
-    if not (math.isfinite(lat) and math.isfinite(lon)):
-        raise ValueError("non-finite coordinate")
-    return lon, lat, t
-
-
 _UNSEEN = object()   # not in the memo yet; None is a remembered answer
 
 
@@ -151,19 +137,22 @@ def parse_plt(file_bytes: bytes) -> PltParseResult:
         try:
             if len(parts) < 7:
                 raise ValueError("short line")
+            lat = float(parts[0])
+            lon = float(parts[1])
+            if not (math.isfinite(lat) and math.isfinite(lon)):
+                raise ValueError("non-finite coordinate")
             day = days.get(parts[5], _UNSEEN)
             if day is _UNSEEN:
                 day = days[parts[5]] = _day_start(parts[5])
             clock = _clock_seconds(parts[6])
             if day is None or clock is None:
-                lon, lat, t = _parse_plt_line(line)
+                stamp = datetime.strptime(
+                    parts[5].strip() + " " + parts[6].strip(),
+                    "%Y-%m-%d %H:%M:%S")
+                t = stamp.replace(tzinfo=timezone.utc).timestamp()
             else:
-                lat = float(parts[0])
-                lon = float(parts[1])
                 t = float(day + clock)
-                if not (math.isfinite(lat) and math.isfinite(lon)):
-                    raise ValueError("non-finite coordinate")
-        except (ValueError, IndexError):
+        except ValueError:
             skipped += 1
             continue
         lons.append(lon)

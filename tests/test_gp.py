@@ -593,7 +593,7 @@ def test_interior_trainings_in_a_wide_batch_equal_each_alone(monkeypatch):
 
 def lone_track_lml(fixes, lam, var):
     """The log evidence of one track at one scale, its filter written out
-    on floats, each channel's terms summed over one contiguous array."""
+    on floats, each sum of terms accumulated in fix order."""
     dt, noise, resids = fixes
     A, Q = gp._transition(dt, lam, var)
     p00, p01, p11 = var, 0.0, var * lam * lam
@@ -620,17 +620,20 @@ def lone_track_lml(fixes, lam, var):
             f, d = a00 * f + a01 * d, a10 * f + a11 * d
             V[-1].append(yk - f)
             f, d = f + k0 * V[-1][-1], d + k1 * V[-1][-1]
-    S, V = np.array(S), np.array(V)
-    return -0.5 * (len(resids) * np.log(2.0 * math.pi * S).sum()
-                   + (V * V / S).sum(axis=-1).sum(axis=0))
+    S, V = np.array(S), np.array(V).reshape(len(resids), len(S))
+    logs = np.add.accumulate(np.log(2.0 * math.pi * S))[-1]
+    quads = np.add.accumulate(V * V / S, axis=-1)[:, -1]
+    return -0.5 * (len(resids) * logs + quads.sum(axis=0))
 
 
-def test_lanes_match_a_lone_float_filter():
-    # ragged lanes over many tracks, numpy steps and a float tail, each
-    # summed pairwise over its own fixes exactly as a lone track is
+def test_lanes_match_a_lone_float_filter(monkeypatch):
+    # ragged lanes over many tracks, numpy steps and a float tail: the 4
+    # lanes of the one longest track finish on floats from step 300, going
+    # on with the sums the numpy steps began, and each lane sums in fix
+    # order exactly as a lone track does
     rng = np.random.default_rng(5)
     tracks, track, lams = [], [], []
-    for k, n in enumerate([1, 2, 7, 8, 9, 100, 128, 129, 300] * 3):
+    for k, n in enumerate([1, 2, 7, 8, 9, 100, 128, 129, 300] * 3 + [320]):
         ts = np.sort(rng.uniform(0, 9 * HOUR, n))
         ts[n // 3:n // 3 + 3] = ts[n // 3]
         values = [np.cumsum(rng.normal(0, 40, n)) for _ in range(1 + k % 2)]
@@ -639,7 +642,42 @@ def test_lanes_match_a_lone_float_filter():
         for l in rng.uniform(0.02, 8.0, 4):
             track.append(k)
             lams.append(gp.SQRT3 / l)
+    starts = []
+    real = gp._float_lane
+
+    def spied(run, i, fixes, lam, var, start=0, state=None):
+        starts.append(start)
+        return real(run, i, fixes, lam, var, start, state)
+
+    monkeypatch.setattr(gp, "_float_lane", spied)
     got = gp._lane_lmls(gp._Lanes.of(tracks, track, lams, 800.0 ** 2))
+    assert starts == [300] * 4
+    for k, lam, lml in zip(track, lams, got):
+        assert lml == lone_track_lml(tracks[k], lam, 800.0 ** 2)
+
+
+def test_an_evidence_pass_is_one_filter_call(monkeypatch):
+    # 45 lanes of 1,600 fixes each (72,000 lane-fixes) keep only running
+    # sums, so they run as one pass however many fixes they span
+    rng = np.random.default_rng(12)
+    tracks = []
+    for k in range(3):
+        ts = np.sort(rng.uniform(0, 40 * HOUR, 1600))
+        values = [np.cumsum(rng.normal(0, 40, 1600)) for _ in range(1 + k % 2)]
+        tracks.append(gp._track_inputs(
+            Training(ts, values, rng.uniform(0, 9, 1600)), 800.0 ** 2))
+    track = np.repeat(np.arange(3), 15)
+    lams = gp.SQRT3 / np.exp(rng.uniform(math.log(0.01), math.log(10.0), 45))
+    calls = []
+    real = gp._kalman_filter
+
+    def counted(lanes, keep=False):
+        calls.append(lanes.track.size)
+        return real(lanes, keep)
+
+    monkeypatch.setattr(gp, "_kalman_filter", counted)
+    got = gp._lane_lmls(gp._Lanes.of(tracks, track, lams, 800.0 ** 2))
+    assert calls == [45]
     for k, lam, lml in zip(track, lams, got):
         assert lml == lone_track_lml(tracks[k], lam, 800.0 ** 2)
 
