@@ -136,16 +136,19 @@ def _baseline_failed(traj: Trajectory, error: BaseException):
                       "error": _describe(error)})
 
 
-# Fixes a voi or baselines task aims to carry. A task takes a chunk of
-# trajectories, whose trainings and tracks run as the lanes of shared
-# filter passes (see gp), so more fixes per chunk amortise each pass over
-# more lanes, at the cost of holding the chunk's tracks at once.
+# Fixes per chunk from which _chunks sets the chunk count; a chunk's own
+# fixes follow its trajectories' sizes. A chunk's trainings and tracks run
+# as the lanes of shared filter passes (see gp), so more fixes per chunk
+# amortise each pass over more lanes, at the cost of holding the chunk's
+# tracks at once.
 CHUNK_FIXES = 4096
 
 
 def _chunks(trajectories: Sequence[Trajectory], jobs: int) -> list:
-    """Consecutive chunks of about CHUNK_FIXES fixes, and at least ``jobs``
-    of them when there are that many trajectories."""
+    """The trajectories in order, cut into chunks of equal count: with
+    c = max(ceil(fixes / CHUNK_FIXES), min(jobs, trajectories), 1), each
+    takes the next ceil(trajectories / c), the last perhaps fewer, however
+    many fixes they hold."""
     fixes = sum(len(t) for t in trajectories)
     count = max(-(-fixes // CHUNK_FIXES), min(jobs, len(trajectories)), 1)
     size = max(-(-len(trajectories) // count), 1)

@@ -242,16 +242,10 @@ def _track_inputs(training: Training, var: float) -> _Fixes:
 # still running at a step are a prefix. Every lane sees exactly the
 # arithmetic of a pass of its own, so its results are bitwise those of one;
 # a single track is a batch of one. An evidence pass keeps only each lane's
-# running sums, added in fix order as it steps, so it runs all its lanes at
-# once; a smoother pass keeps every fix's state, so it runs them in waves.
+# running sums, added in fix order as it steps; a smoother pass keeps every
+# fix's state, storing at each step only the lanes that run, so its buffers
+# hold exactly its lane-fixes. Either runs all its lanes at once.
 
-# Lane-fixes (lanes x longest lane) one wave of a smoother pass may span:
-# the pass keeps 14 floats per lane-fix, so this bounds a wave's buffers
-# near 1.5 MB.
-LANE_FIX_BUDGET = (1 << 16) // 5
-# Lanes a wave takes whatever their length, a grid scan's worth: on long
-# tracks, splitting a pass thinner would step far more than it saves.
-_WAVE_LANES = 32
 # Lane-fixes one numpy operation takes at a time outside the step loop:
 # the transitions of a block of steps.
 _BLOCK = 1 << 11
@@ -289,33 +283,21 @@ class _Lanes(NamedTuple):
 
 
 class _Run(NamedTuple):
-    """A filter pass over lanes sorted longest first. An evidence pass
-    holds each lane's sums over its fixes so far, of log(2 pi S) for the
-    innovation variances S and, per channel, of V^2 / S for the
-    innovations V. A kept pass holds instead the states the smoother
-    needs, step-major: a row per step with a column per lane (and padding
-    for lanes with fewer fixes)."""
+    """A filter pass over lanes sorted longest first: step k advances lanes
+    0 to active[k] - 1. An evidence pass holds each lane's sums over its
+    fixes so far, of log(2 pi S) for the innovation variances S and, per
+    channel, of V^2 / S for the innovations V. A kept pass holds instead
+    the states the smoother needs, a column per lane-fix: step k's running
+    lanes sit side by side from column row[k], so lane i's fix k is column
+    row[k] + i."""
 
     active: np.ndarray           # lanes still running at each step
+    row: np.ndarray              # the first column of each step
     logs: Optional[np.ndarray]   # (lanes,) sums of log(2 pi S)
     quads: Optional[np.ndarray]  # (channels, lanes) sums of V^2 / S
-    AQ: Optional[np.ndarray]     # (steps, 7, lanes) transition into a fix
-    P: Optional[np.ndarray]      # (steps, 3, lanes) filtered covariance
-    M: Optional[np.ndarray]      # (steps, 2, channels, lanes) filtered means
-
-
-def _waves(lanes: _Lanes):
-    """The lanes' indices, longest lane first, in consecutive waves of at
-    most LANE_FIX_BUDGET lanes x longest lane, but of at least _WAVE_LANES
-    lanes."""
-    sizes = lanes.sizes()
-    order = np.argsort(-sizes, kind="stable")
-    start = 0
-    while start < order.size:
-        stop = start + max(LANE_FIX_BUDGET // max(int(sizes[order[start]]), 1),
-                           _WAVE_LANES)
-        yield order[start:stop]
-        start = stop
+    AQ: Optional[np.ndarray]     # (7, lane-fixes) transition into a fix
+    P: Optional[np.ndarray]      # (3, lane-fixes) filtered covariance
+    M: Optional[np.ndarray]      # (2, channels, lane-fixes) filtered means
 
 
 def _kalman_filter(lanes: _Lanes, keep: bool = False) -> _Run:
@@ -330,9 +312,10 @@ def _kalman_filter(lanes: _Lanes, keep: bool = False) -> _Run:
     steps, m = int(ns[0]), ns.size
     channels = int(lanes.channels().max())
     active = np.searchsorted(-ns, -np.arange(steps))
-    run = _Run(active,
-               *((None, None, np.zeros((steps, 7, m)), np.zeros((steps, 3, m)),
-                  np.zeros((steps, 2, channels, m))) if keep else
+    fixes = int(ns.sum())
+    run = _Run(active, np.cumsum(active) - active,
+               *((None, None, np.zeros((7, fixes)), np.zeros((3, fixes)),
+                  np.zeros((2, channels, fixes))) if keep else
                  (np.zeros(m), np.zeros((channels, m))) + (None,) * 3))
     switch = _float_switch(run)
     state = _numpy_lanes(run, lanes, channels, switch) if switch else None
@@ -357,6 +340,7 @@ def _float_lane(run: _Run, i: int, fixes: _Fixes, lam: float, var: float,
     evidence sums go on from where the numpy steps left them."""
     dt, noise, resids = fixes
     n, keep, channels = dt.size, run.P is not None, len(resids)
+    cols = run.row[start:n] + i
     A, Q = _transition(dt[start:], lam, var)
     aq = [x.tolist() for x in A + Q]
     if state is None:
@@ -387,14 +371,13 @@ def _float_lane(run: _Run, i: int, fixes: _Fixes, lam: float, var: float,
                 F.append(f)
                 D.append(d)
         if keep:
-            run.M[start:n, 0, c, i], run.M[start:n, 1, c, i] = F, D
+            run.M[:, c, cols] = F, D
         else:
             V = np.array(V)
             run.quads[c, i] = _add_in_order(run.quads[c, i], V * V / S)
     if keep:
-        run.AQ[start:n, :, i] = np.array(aq).T
-        run.P[start:n, 0, i], run.P[start:n, 1, i], run.P[start:n, 2, i] = \
-            P00, P01, P11
+        run.AQ[:, cols] = aq
+        run.P[:, cols] = P00, P01, P11
     else:
         # np.log as the numpy steps take it: math.log may round otherwise
         run.logs[i] = _add_in_order(run.logs[i], np.log(2.0 * math.pi * S))
@@ -429,7 +412,7 @@ def _numpy_lanes(run: _Run, lanes: _Lanes, channels: int, stop: int):
     p00, p01, p11 = np.full(lam.size, var), np.zeros(lam.size), var * lam * lam
     f, d = np.zeros((channels, lam.size)), np.zeros((channels, lam.size))
     # Python ints index far faster than numpy scalars in the step loop
-    active = run.active.tolist()
+    active, row = run.active.tolist(), run.row.tolist()
     logs, quads, kept_AQ, P, M = run.logs, run.quads, run.AQ, run.P, run.M
     k = 0
     while k < stop:
@@ -456,9 +439,10 @@ def _numpy_lanes(run: _Run, lanes: _Lanes, channels: int, stop: int):
                 logs[:n] += np.log(2.0 * math.pi * s)
                 quads[:, :n] += v * v / s
             else:
-                kept_AQ[step, :, :n] = AQ[j, :, :n]
-                P[step, 0, :n], P[step, 1, :n], P[step, 2, :n] = p00, p01, p11
-                M[step, 0, :, :n], M[step, 1, :, :n] = f, d
+                cols = slice(row[step], row[step] + n)
+                kept_AQ[:, cols] = AQ[j, :, :n]
+                P[0, cols], P[1, cols], P[2, cols] = p00, p01, p11
+                M[0, :, cols], M[1, :, cols] = f, d
         k = end
     return p00, p01, p11, f, d
 
@@ -485,22 +469,25 @@ def _rts_smoother(run: _Run, lanes: _Lanes):
         _float_smooth(run, i, lanes.tracks[lanes.track[i]], stop)
     for k in range(stop - 1, -1, -1):
         n = run.active[k + 1]
-        aq = run.AQ[k + 1, :, :n]
+        now = slice(run.row[k], run.row[k] + n)
+        after = slice(run.row[k + 1], run.row[k + 1] + n)
+        aq = run.AQ[:, after]
         [(f, d)], (p00, p01, p11) = _rts_step(
-            [tuple(M[k, :, :, :n])], tuple(P[k, :, :n]), aq[:4], aq[4:],
-            [tuple(M[k + 1, :, :, :n])], tuple(P[k + 1, :, :n]))
-        M[k, 0, :, :n], M[k, 1, :, :n] = f, d
-        P[k, 0, :n], P[k, 1, :n], P[k, 2, :n] = p00, p01, p11
+            [tuple(M[:, :, now])], tuple(P[:, now]), aq[:4], aq[4:],
+            [tuple(M[:, :, after])], tuple(P[:, after]))
+        M[0, :, now], M[1, :, now] = f, d
+        P[0, now], P[1, now], P[2, now] = p00, p01, p11
 
 
 def _float_smooth(run: _Run, i: int, fixes: _Fixes, stop: int):
     """Lane ``i`` of the smoother back to fix ``stop``, on Python floats."""
     n, channels = fixes.dt.size, len(fixes.resids)
-    P = [run.P[stop:n, j, i].tolist() for j in range(3)]
-    AQ = [run.AQ[stop:n, j, i].tolist() for j in range(7)]
+    cols = run.row[stop:n] + i
+    P = run.P.take(cols, axis=1).tolist()
+    AQ = run.AQ.take(cols, axis=1).tolist()
     # per fix, each channel's (f, f'); a track may have no channels
-    means = [tuple(zip(f, d))
-             for f, d in run.M[stop:n, :, :channels, i].tolist()]
+    means = [tuple(zip(f, d)) for f, d in run.M[:, :channels].take(
+        cols, axis=2).transpose(2, 0, 1).tolist()]
     covs = list(zip(*P))
     steps = list(zip(zip(*AQ[:4]), zip(*AQ[4:])))
     state = means[-1], covs[-1]
@@ -509,22 +496,22 @@ def _float_smooth(run: _Run, i: int, fixes: _Fixes, stop: int):
         state = _rts_step(means[k], covs[k], *steps[k + 1], *state)
         smoothed.append(state)
     smoothed.reverse()
-    for j, p in enumerate(zip(*(cov for _, cov in smoothed))):
-        run.P[stop:n, j, i] = p
+    run.P[:, cols] = list(zip(*(cov for _, cov in smoothed)))
     for c, channel in enumerate(zip(*(ms for ms, _ in smoothed))):
-        run.M[stop:n, 0, c, i], run.M[stop:n, 1, c, i] = zip(*channel)
+        run.M[:, c, cols] = list(zip(*channel))
 
 
-def _lane_states(run: _Run, col: int, fixes: _Fixes, lam: float, var: float,
+def _lane_states(run: _Run, i: int, fixes: _Fixes, lam: float, var: float,
                  first: bool):
-    """Lane ``col``'s state at each fix of a kept run, with the stationary
+    """Lane ``i``'s state at each fix of a kept run, with the stationary
     prior added first or last: (means (2, channels, states), covariances
     (3, states))."""
     n, channels = fixes.dt.size, len(fixes.resids)
+    cols = run.row[:n] + i
     parts = [(np.zeros((2, channels, 1)),
               np.array([[var], [0.0], [var * lam ** 2]])),
-             (run.M[:n, :, :channels, col].transpose(1, 2, 0),
-              run.P[:n, :, col].T)]
+             (run.M[:, :channels].take(cols, axis=2),
+              run.P.take(cols, axis=1))]
     if not first:
         parts.reverse()
     return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
@@ -534,17 +521,19 @@ def _track_states(lanes: _Lanes) -> list:
     """For each lane (one per track), the states its queries start from:
     on the left the stationary prior and then the filtered state at each
     fix, on the right the smoothed state at each fix and then a placeholder
-    prior."""
-    out = [None] * lanes.track.size
-    for wave in _waves(lanes):
-        wave_lanes = lanes.take(wave)
-        run = _kalman_filter(wave_lanes, keep=True)
-        args = [(lanes.tracks[t], float(lam), lanes.var)
-                for t, lam in zip(wave_lanes.track, wave_lanes.lam)]
-        left = [_lane_states(run, col, *a, True) for col, a in enumerate(args)]
-        _rts_smoother(run, wave_lanes)
-        for col, (i, a) in enumerate(zip(wave, args)):
-            out[i] = left[col], _lane_states(run, col, *a, False)
+    prior. One filter and one smoother pass serve every lane."""
+    if not lanes.track.size:
+        return []
+    order = np.argsort(-lanes.sizes(), kind="stable")
+    lanes = lanes.take(order)
+    run = _kalman_filter(lanes, keep=True)
+    args = [(lanes.tracks[t], float(lam), lanes.var)
+            for t, lam in zip(lanes.track, lanes.lam)]
+    left = [_lane_states(run, i, *a, True) for i, a in enumerate(args)]
+    _rts_smoother(run, lanes)
+    out = [None] * order.size
+    for i, (slot, a) in enumerate(zip(order.tolist(), args)):
+        out[slot] = left[i], _lane_states(run, i, *a, False)
     return out
 
 
@@ -804,11 +793,11 @@ def fit_tracks(requests: Sequence[Tuple[Training, Optional[float]]],
 
     The length scales left None are trained first, in one
     :func:`train_length_scales` call; then every track's filter and
-    smoother run as the lanes of shared passes. A training without fixes
-    gives the pure prior: mean 0 everywhere and variance sigma_f^2.
-    A training without channels gives a track of the variance alone,
-    bitwise that of the same fixes with channels. A request whose inputs
-    are unusable raises.
+    smoother run as the lanes of one filter pass and one smoother pass. A
+    training without fixes gives the pure prior: mean 0 everywhere and
+    variance sigma_f^2. A training without channels gives a track of the
+    variance alone, bitwise that of the same fixes with channels. A
+    request whose inputs are unusable raises.
     """
     scales = [l for _, l in requests]
     untrained = [i for i, l in enumerate(scales) if l is None]

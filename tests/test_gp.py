@@ -682,6 +682,45 @@ def test_an_evidence_pass_is_one_filter_call(monkeypatch):
         assert lml == lone_track_lml(tracks[k], lam, 800.0 ** 2)
 
 
+def test_a_smoother_pass_is_one_filter_call(monkeypatch):
+    # one long track and 60 short ones: a kept pass stores only the lanes
+    # running at each step, so all 61 lanes run as one pass whose state
+    # arrays hold exactly their fixes, with no padding to the longest
+    rng = np.random.default_rng(25)
+    requests = []
+    for n in [2000] + rng.integers(1, 9, 60).tolist():
+        ts = np.sort(rng.uniform(0, 30 * HOUR, n))
+        ts[n // 2:n // 2 + 2] = ts[n // 2]
+        channels = [np.cumsum(rng.normal(0, 40, n)) for _ in range(2)]
+        requests.append((Training(ts, channels, rng.uniform(0, 9, n)),
+                         float(rng.uniform(0.05, 5.0))))
+    kept = []
+    real = gp._kalman_filter
+
+    def spied(lanes, keep=False):
+        run = real(lanes, keep)
+        if keep:
+            kept.append(run)
+        return run
+
+    monkeypatch.setattr(gp, "_kalman_filter", spied)
+    tracks = fit_tracks(requests, GpConfig(sigma_f=800.0))
+    assert len(kept) == 1
+    run = kept[0]
+    fixes = sum(np.size(training.times) for training, _ in requests)
+    assert run.AQ.shape == (7, fixes)
+    assert run.P.shape == (3, fixes)
+    assert run.M.shape == (2, 2, fixes)
+    monkeypatch.undo()
+    q = np.linspace(-HOUR, 31 * HOUR, 400)
+    for (training, l), track in zip(requests, tracks):
+        (mx, my), var = lone_gp(*training[:3], 800.0, l).predict(q)
+        got = track.query(q)
+        assert np.array_equal(got.mean_x, mx)
+        assert np.array_equal(got.mean_y, my)
+        assert np.array_equal(got.var, var)
+
+
 def test_batched_tracks_predict_like_lone_tracks():
     # enough tracks that the batch filters and smooths them with numpy
     # steps, where a lone track runs on floats
