@@ -136,24 +136,46 @@ def _baseline_failed(traj: Trajectory, error: BaseException):
                       "error": _describe(error)})
 
 
-# Fixes per chunk from which _chunks sets the chunk count; a chunk's own
-# fixes follow its trajectories' sizes. A chunk's trainings and tracks run
-# as the lanes of shared filter passes (see gp), so more fixes per chunk
-# amortise each pass over more lanes, at the cost of holding the chunk's
-# tracks at once.
+# Fixes per chunk: a chunk's trainings and tracks run as the lanes of
+# shared filter passes (see gp), so more fixes per chunk amortise each pass
+# over more lanes, at the cost of holding all of the chunk's tracks at once
+# while its cells are scored.
 CHUNK_FIXES = 4096
+# Fixes a trajectory counts for at least, in a chunk's budget: each of its
+# distinct tracks (about 25 under the reference matrix) holds about 1.6 kB
+# of objects, whatever its size, about what 32 fixes of its states take.
+TRAJECTORY_FIXES = 32
 
 
 def _chunks(trajectories: Sequence[Trajectory], jobs: int) -> list:
-    """The trajectories in order, cut into chunks of equal count: with
-    c = max(ceil(fixes / CHUNK_FIXES), min(jobs, trajectories), 1), each
-    takes the next ceil(trajectories / c), the last perhaps fewer, however
-    many fixes they hold."""
-    fixes = sum(len(t) for t in trajectories)
-    count = max(-(-fixes // CHUNK_FIXES), min(jobs, len(trajectories)), 1)
-    size = max(-(-len(trajectories) // count), 1)
-    return [list(trajectories[i:i + size])
-            for i in range(0, len(trajectories), size)]
+    """The trajectories in order, cut into chunks of consecutive ones: each
+    holds at most CHUNK_FIXES fixes unless one trajectory alone holds more,
+    each trajectory counting for at least TRAJECTORY_FIXES, and there are
+    at least k = min(jobs, trajectories) chunks. Trajectories fill a chunk
+    until the next would take it past min(CHUNK_FIXES, ceil(fixes / k)),
+    so that k workers get about equal shares. While there are fewer than
+    k chunks, the one of most fixes among those of two or more
+    trajectories is cut where its halves' fixes are closest."""
+    def fixes(chunk) -> int:
+        return sum(max(len(t), TRAJECTORY_FIXES) for t in chunk)
+
+    k = min(jobs, len(trajectories))
+    cap = min(CHUNK_FIXES, -(-fixes(trajectories) // max(k, 1)))
+    chunks: list = []
+    held = 0
+    for traj in trajectories:
+        if not chunks or held + fixes([traj]) > cap:
+            chunks.append([])
+            held = 0
+        chunks[-1].append(traj)
+        held += fixes([traj])
+    while len(chunks) < k:
+        i = max((i for i, chunk in enumerate(chunks) if len(chunk) > 1),
+                key=lambda i: fixes(chunks[i]))
+        ends = np.cumsum([fixes([t]) for t in chunks[i]])
+        cut = 1 + int(np.argmin(np.abs(2 * ends[:-1] - ends[-1])))
+        chunks[i:i + 1] = [chunks[i][:cut], chunks[i][cut:]]
+    return chunks
 
 
 def _voi_task(task):
@@ -164,8 +186,9 @@ def _voi_task(task):
     that needs it, should it fail), and each cell's release is combined
     with its prior; a cell whose release or fusion fails has that
     exception as its outcome. The other cells are scored together (one
-    training call for the task, one batch of variance-only tracks per
-    trajectory; see infogain.score_cells), and a failure there raises."""
+    training call and one batch of variance-only tracks for the task; see
+    infogain.score_cells): a cell whose inputs the GP refuses has that
+    exception as its outcome, and a failure in a shared pass raises."""
     items, gp_cfg, integration = task
     releases: dict = {}
 
@@ -188,7 +211,7 @@ def _voi_task(task):
         except Exception as e:
             outcomes.append(e)
     for k, row in zip(scored, score_cells(to_score, gp_cfg, integration)):
-        outcomes[k] = ("ok", row)
+        outcomes[k] = row if isinstance(row, Exception) else ("ok", row)
     return outcomes
 
 

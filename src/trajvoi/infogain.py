@@ -18,7 +18,8 @@ The prior is either uninformative (location anywhere in the region,
 standard deviation ``gp.sigma0_m`` per coordinate) or an earlier, more
 degraded release of the same trajectory. :func:`score_cells` is the one
 place the gain is integrated: it fits each distinct reconstruction of a
-trajectory's cells once, for its variance alone.
+batch of cells once, for its variance alone, all in one smoother pass, and
+reads each cell's integration grid off a union grid by position.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 import numpy as np
 
 from .degrade import DegradationSpec
-from .gp import (GaussianTrack, GpConfig, Training, fit_tracks,
-                 point_training, train_length_scales)
+from .gp import (GaussianTrack, GpConfig, Training, _track_inputs,
+                 fit_tracks, point_training, train_length_scales)
 # importable from here by name, where per-layer tracing wraps it
 from .gp import train_length_scale  # noqa: F401
 from .model import Trajectory
@@ -162,6 +163,20 @@ def ig_at(prior_track: GaussianTrack, posterior_track: GaussianTrack,
             - np.log2(posterior_track.query(times, means=False).var))
 
 
+def _day_grid(day_start: float, cfg: IntegrationConfig) -> np.ndarray:
+    """The uniform grid over the day, ending at the day's end: a shorter
+    last step where the step does not divide the day."""
+    n = math.ceil(cfg.day_seconds / cfg.grid_step)
+    return np.minimum(day_start + cfg.grid_step * np.arange(n + 1),
+                      day_start + cfg.day_seconds)
+
+
+def _in_day(times: np.ndarray, day_start: float,
+            cfg: IntegrationConfig) -> np.ndarray:
+    return times[(times >= day_start)
+                 & (times <= day_start + cfg.day_seconds)]
+
+
 def integration_grid(day_start: float, cfg: IntegrationConfig,
                      extra_times: Sequence[float] = ()) -> np.ndarray:
     """Uniform grid over the day, augmented with the measurement times.
@@ -170,14 +185,33 @@ def integration_grid(day_start: float, cfg: IntegrationConfig,
     not divide the day. Extra times outside the day are dropped; duplicates
     collapse.
     """
-    day_end = day_start + cfg.day_seconds
-    n = math.ceil(cfg.day_seconds / cfg.grid_step)
-    grid = np.minimum(day_start + cfg.grid_step * np.arange(n + 1), day_end)
+    grid = _day_grid(day_start, cfg)
     if not cfg.include_measurement_times:
         return grid
-    extra = np.asarray(extra_times, dtype=float)
-    extra = extra[(extra >= day_start) & (extra <= day_end)]
-    return np.unique(np.concatenate([grid, extra]))
+    return np.unique(np.concatenate([grid, _in_day(
+        np.asarray(extra_times, dtype=float), day_start, cfg)]))
+
+
+def _union_grid(day_start: float, cfg: IntegrationConfig, times):
+    """The union grid ``integration_grid(day_start, cfg, times)`` and the
+    positions on it that every cell's grid holds, as a mask: the uniform
+    grid's, or all of them without measurement times."""
+    union = integration_grid(day_start, cfg, times)
+    if not cfg.include_measurement_times:
+        return union, np.ones(union.size, dtype=bool)
+    marks = np.zeros(union.size, dtype=bool)
+    marks[np.searchsorted(union, _day_grid(day_start, cfg))] = True
+    return union, marks
+
+
+def _grid_positions(union: np.ndarray, marks: np.ndarray, day_start: float,
+                    cfg: IntegrationConfig, times: np.ndarray) -> np.ndarray:
+    """The positions of ``integration_grid(day_start, cfg, times)`` on a
+    union grid from :func:`_union_grid` whose times include ``times``."""
+    if cfg.include_measurement_times:
+        marks = marks.copy()
+        marks[np.searchsorted(union, _in_day(times, day_start, cfg))] = True
+    return np.flatnonzero(marks)
 
 
 @dataclass(frozen=True)
@@ -293,17 +327,45 @@ def _release_training(omega: Trajectory) -> Training:
         _linear_residuals(training.times, v) for v in training.channels])
 
 
-def _train(cells: Sequence[tuple], gp_cfg: GpConfig) -> dict:
-    """The length scales of many cells, each an (evidence, prior, ...)
-    tuple, trained in one :func:`~trajvoi.gp.train_length_scales` call:
-    each distinct released prior's, about its own least-squares lines, and
-    each evidence's under the uninformative prior, about zero. Returns the
-    length scale of each, keyed by released prior, or by the index of a
-    cell under the uninformative prior."""
-    priors = list(dict.fromkeys(cell[1] for cell in cells
-                                if cell[1].kind == "released"))
-    uninformed = [i for i, cell in enumerate(cells)
-                  if cell[1].kind == "uninformative"]
+def _unusable(cells: Sequence[tuple], gp_cfg: GpConfig) -> list:
+    """Per cell, each an (evidence, prior, ...) tuple, the exception its
+    inputs raise when it is scored alone, or None. A lone cell meets a
+    released prior's training (its fixes about their least-squares lines)
+    and the prior's track first, then its evidence's track; each distinct
+    prior and evidence is checked once."""
+    var = float(gp_cfg.sigma_f) ** 2
+    checked: dict = {}
+
+    def check(key, training):
+        if key not in checked:
+            try:
+                _track_inputs(training(), var)
+                checked[key] = None
+            except Exception as e:
+                checked[key] = e
+        return checked[key]
+
+    failed = []
+    for evidence, prior, *_ in cells:
+        error = None
+        if prior.kind == "released":
+            error = check(prior, lambda: _release_training(prior.released))
+        failed.append(error or check(evidence, lambda: Training(
+            evidence.t, [], evidence.sigma, evidence.trajectory_id)))
+    return failed
+
+
+def _train(cells: Sequence[tuple], scored: Sequence[int],
+           gp_cfg: GpConfig) -> dict:
+    """The length scales of the ``scored`` cells, each an (evidence, prior,
+    ...) tuple, trained in one :func:`~trajvoi.gp.train_length_scales`
+    call: each distinct released prior's, about its own least-squares
+    lines, and each evidence's under the uninformative prior, about zero.
+    Returns the length scale of each, keyed by released prior, or by the
+    index of a cell under the uninformative prior."""
+    priors = list(dict.fromkeys(cells[i][1] for i in scored
+                                if cells[i][1].kind == "released"))
+    uninformed = [i for i in scored if cells[i][1].kind == "uninformative"]
     trainings = ([_release_training(prior.released) for prior in priors]
                  + [point_training(cells[i][0]) for i in uninformed])
     return dict(zip(priors + uninformed,
@@ -325,70 +387,93 @@ def score_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge, str,
     """Score many cells, each the evidence ``combine(z, prior)`` of a
     release Z, its prior, and the release's kind and parameter.
 
-    A cell's gain needs only the variances of its two reconstructions,
-    which depend on the fix times, the fix noise and the length scale,
-    never on the coordinates. The length scales are trained in one
-    :func:`_train` call, and a released prior's serves both tracks of each
-    of its cells, so the gain isolates what the new data adds rather than
-    what refitting does. Then, one trajectory's run of cells at a time,
-    each distinct (times, noise, length scale) track is fit once, without
-    coordinate channels, in one :func:`~trajvoi.gp.fit_tracks` call. For
-    each day a cell covers, one union grid holds the uniform day grid and
-    every evidence time of the trajectory, and each track's log variance
-    is taken on it once; the uninformative prior's is a constant.
-    A cell's own :func:`integration_grid` is a subset of the union grid,
-    and its gain is integrated at those positions.
+    First each cell's inputs are checked as it would meet them alone
+    (:func:`_unusable`); a cell that fails is left out of the shared
+    passes. A cell's gain needs only the variances of its two
+    reconstructions, which depend on the fix times, the fix noise and the
+    length scale, never on the coordinates. The length scales are trained
+    in one :func:`_train` call, and a released prior's serves both tracks
+    of each of its cells, so the gain isolates what the new data adds
+    rather than what refitting does. Each distinct (times, noise, length
+    scale) track of the batch, whichever trajectories share it, is then
+    fit once, without coordinate channels, in one
+    :func:`~trajvoi.gp.fit_tracks` call.
 
-    A generator: per cell, in order, it yields its :class:`VoiRow`. A cell
-    whose fit fails raises, ending the batch.
+    The gains are integrated one trajectory's run of cells at a time. For
+    each day a cell covers, one union grid holds the uniform day grid and
+    every evidence time of the run, and each track's log variance is taken
+    on it once; the uninformative prior's is a constant. A cell's own
+    :func:`integration_grid` is a subset of the union grid, read off it by
+    position, and its gain is integrated there. A track is dropped once
+    the last run that uses it is scored.
+
+    A generator: per cell, in order, it yields its :class:`VoiRow`, or the
+    exception its inputs raise. A failure in a shared pass raises, ending
+    the batch.
     """
     flat_var = float(gp_cfg.sigma_f) ** 2
-    trained = _train(cells, gp_cfg)
-    for run in _trajectory_runs(cells):
-        # the (variance-only training, length scale) of each distinct track
-        requests: dict = {}
+    failed = _unusable(cells, gp_cfg)
+    trained = _train(cells, [i for i, e in enumerate(failed) if e is None],
+                     gp_cfg)
+    runs = list(_trajectory_runs(cells))
+    # the (variance-only training, length scale) of each distinct track,
+    # and the last run that uses it
+    requests: dict = {}
+    last_run: dict = {}
+    # per scored cell: its length scale, prior track key (None for the
+    # uninformative prior) and posterior track key
+    plans: dict = {}
 
-        def track(fixes: Trajectory, l: float):
-            key = (fixes.t.tobytes(), fixes.sigma.tobytes(), l)
-            requests.setdefault(key, (Training(
-                fixes.t, [], fixes.sigma, fixes.trajectory_id), l))
-            return key
+    def track(fixes: Trajectory, l: float, r: int):
+        key = (fixes.t.tobytes(), fixes.sigma.tobytes(), l)
+        requests.setdefault(key, (Training(
+            fixes.t, [], fixes.sigma, fixes.trajectory_id), l))
+        last_run[key] = r
+        return key
 
-        # per cell: its length scale, prior track key (None for the
-        # uninformative prior), posterior track key and evidence times
-        plans = []
+    for r, run in enumerate(runs):
         for i in run:
+            if failed[i] is not None:
+                continue
             evidence, prior = cells[i][:2]
             if prior.kind == "uninformative":
-                l = trained[i]
-                plans.append((l, None, track(evidence, l), evidence.t))
-                continue
-            l = trained[prior]
-            plans.append((l, track(prior.released, l), track(evidence, l),
-                          np.concatenate([evidence.t, prior.released.t])))
-        tracks = dict(zip(requests, fit_tracks(list(requests.values()),
-                                               gp_cfg)))
-        every_time = np.concatenate([tr.times for tr, _ in requests.values()])
+                l, prior_key = trained[i], None
+            else:
+                l = trained[prior]
+                prior_key = track(prior.released, l, r)
+            plans[i] = (l, prior_key, track(evidence, l, r))
+    tracks = dict(zip(requests, fit_tracks(list(requests.values()), gp_cfg)))
+    for r, run in enumerate(runs):
+        keys = dict.fromkeys(key for i in run if i in plans
+                             for key in plans[i][1:] if key is not None)
         grids: dict = {}
         log_vars: dict = {}
 
         def log_var(day_start: float, key) -> np.ndarray:
             if (day_start, key) not in log_vars:
-                grid = grids[day_start]
+                grid = grids[day_start][0]
                 log_vars[day_start, key] = np.log2(
                     np.full(grid.shape, flat_var) if key is None
                     else tracks[key].query(grid, means=False).var)
             return log_vars[day_start, key]
 
-        for i, (l, prior_key, posterior_key, data_times) in zip(run, plans):
+        for i in run:
+            if i not in plans:
+                yield failed[i]
+                continue
             evidence, prior, kind, param = cells[i]
+            l, prior_key, posterior_key = plans[i]
+            data_times = evidence.t if prior_key is None \
+                else np.concatenate([evidence.t, prior.released.t])
             day_start = covering_day_start(float(data_times.min()),
                                            integration.day_seconds)
             if day_start not in grids:
-                grids[day_start] = integration_grid(day_start, integration,
-                                                    every_time)
-            ts = integration_grid(day_start, integration, data_times)
-            at = np.searchsorted(grids[day_start], ts)
+                grids[day_start] = _union_grid(day_start, integration, (
+                    np.concatenate([requests[key][0].times for key in keys])))
+            union, marks = grids[day_start]
+            at = _grid_positions(union, marks, day_start, integration,
+                                 data_times)
+            ts = union[at]
             igs = (log_var(day_start, prior_key)[at]
                    - log_var(day_start, posterior_key)[at])
             yield VoiRow(trajectory_id=evidence.trajectory_id,
@@ -399,8 +484,9 @@ def score_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge, str,
                          day_end=day_start + integration.day_seconds,
                          trace=tuple(zip(ts.tolist(), igs.tolist()))
                          if keep_trace else None)
-        # hold no track of this trajectory while fitting the next
-        tracks = log_vars = None
+        for key in keys:
+            if last_run[key] == r:
+                del tracks[key]
 
 
 def evaluate_voi(z: Trajectory, kind: str, param: float,
@@ -409,8 +495,11 @@ def evaluate_voi(z: Trajectory, kind: str, param: float,
                  keep_trace: bool = False) -> VoiRow:
     """Score one release against one prior (one report row):
     :func:`score_cells` on a batch of one."""
-    return next(score_cells([(combine(z, prior), prior, kind, param)],
-                            gp_cfg, integration, keep_trace))
+    row = next(score_cells([(combine(z, prior), prior, kind, param)],
+                           gp_cfg, integration, keep_trace))
+    if isinstance(row, Exception):
+        raise row
+    return row
 
 
 # --- degradation equivalence ------------------------------------------------

@@ -325,6 +325,63 @@ def test_voi_fits_each_prior_and_applies_each_spec_once(suite, tmp_path,
         == (27, 1, 27)
 
 
+def test_a_voi_task_fits_its_tracks_in_one_pass(suite, tmp_path,
+                                               monkeypatch):
+    # four walks in one chunk: one fit_tracks call, one kept filter pass
+    config, _ = reference_matrix_config(tmp_path, suite[:4])
+    counts = {"fit calls": 0, "kept passes": 0}
+    real_fit, real_filter = infogain.fit_tracks, gp._kalman_filter
+
+    def counted_fit(*args):
+        counts["fit calls"] += 1
+        return real_fit(*args)
+
+    def counted_filter(lanes, keep=False):
+        counts["kept passes"] += keep
+        return real_filter(lanes, keep)
+    monkeypatch.setattr(infogain, "fit_tracks", counted_fit)
+    monkeypatch.setattr(gp, "_kalman_filter", counted_filter)
+    assert len(cli._chunks(suite[:4], 1)) == 1
+    assert cli.entrypoint(["voi", "--config", str(config)]) == 0
+    assert counts == {"fit calls": 1, "kept passes": 1}
+
+
+def sized(sizes):
+    """Trajectories of these numbers of fixes."""
+    return [synth.make_trajectory(np.zeros(n), DAY + np.arange(n),
+                                  trajectory_id=f"t{k}")
+            for k, n in enumerate(sizes)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 5])
+@pytest.mark.parametrize("sizes", [
+    [40000] + [10] * 1000, [10] * 1000 + [40000], [3] * 7, [5000],
+    [4096, 1, 4095, 2, 2000, 2000, 97, 6000, 1], []])
+def test_chunks_cut_in_order_by_fixes(sizes, jobs):
+    trajectories = sized(sizes)
+    chunks = cli._chunks(trajectories, jobs)
+    assert [t for chunk in chunks for t in chunk] == trajectories
+    assert all(chunk for chunk in chunks)
+    assert all(sum(max(len(t), cli.TRAJECTORY_FIXES) for t in chunk)
+               <= max(cli.CHUNK_FIXES, max(map(len, chunk)))
+               for chunk in chunks)
+    assert len(chunks) >= min(jobs, len(trajectories))
+
+
+def test_chunks_fill_up_to_the_fix_budget():
+    # a trajectory larger than the budget gets a chunk of its own, and the
+    # small ones, each counting for 32 fixes, fill chunks of 128. With two
+    # workers a chunk takes at most half the fixes (3 of 7 trajectories);
+    # with three, 400 of 1,200 fixes make two chunks, and the first is cut
+    # in two
+    chunks = cli._chunks(sized([40000] + [10] * 1000), 1)
+    assert [len(chunk) for chunk in chunks] == [1] + [128] * 7 + [104]
+    for sizes, jobs, lengths in (([3] * 7, 1, [7]), ([3] * 7, 2, [3, 3, 1]),
+                                 ([100, 100, 1000], 3, [1, 1, 1])):
+        assert [len(chunk) for chunk in cli._chunks(sized(sizes), jobs)] \
+            == lengths
+
+
 def test_outputs_do_not_depend_on_chunking(suite, tmp_path, monkeypatch):
     # the whole fleet in one chunk, whose lanes run together, or one
     # trajectory per chunk
@@ -343,10 +400,10 @@ def test_outputs_do_not_depend_on_chunking(suite, tmp_path, monkeypatch):
 
 
 def test_voi_bad_trajectory_fails_only_its_cells(tmp_path, caplog):
-    # a fix whose noise variance overflows fails the chunk's training; the
-    # chunk then runs again in halves, and only the halves holding cells of
-    # the trajectory at fault are split further. Every cell comes out as it
-    # does when its trajectory runs alone
+    # a fix whose noise variance overflows fails the cells that meet it,
+    # each with the exception it raises alone, and no task runs again in
+    # halves. Every cell comes out as it does when its trajectory runs
+    # alone
     fleet = small_fleet()
     bad = synth.make_trajectory([0.0, 10.0, 20.0],
                                 [DAY + 3 * H + 60.0 * k for k in range(3)],
@@ -367,12 +424,7 @@ def test_voi_bad_trajectory_fails_only_its_cells(tmp_path, caplog):
             [r.getMessage() for r in caplog.records
              if "halves again" in r.getMessage()])
     assert [r[0] for r in runs.values()] == [2, 0, 2]
-    # 40 cells, then the 20 of c and bad, then bad's 10 and its parts
-    failure = ("GpNumericalError: non-finite measurement noise for "
-               "trajectory 'bad'")
-    assert runs["all"][4] == [
-        f"a task of {n} items failed ({failure}); running its halves again"
-        for n in (40, 20, 10, 5, 2, 5, 2, 3, 2)]
+    assert runs["all"][4] == []
     assert runs["good"][4] == []
     assert [line for line in runs["all"][3]
             if '"trajectory_id": "bad"' not in line] == runs["good"][3]

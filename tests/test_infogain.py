@@ -1,6 +1,7 @@
 """Entropy, pointwise and integrated gain, priors, report serialization."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 from scipy.integrate import trapezoid
 
 from synth import DAY_START, HOUR, fixes, make_trajectory
+from trajvoi import infogain
 from trajvoi.degrade import DegradationSpec, apply_spec
 from trajvoi.gp import (GpConfig, fit_track, fit_tracks, point_training,
                         train_length_scales)
 from trajvoi.infogain import (IntegrationConfig, PriorKnowledge, VoiReport,
-                              VoiRow, VOI_CSV_FIELDS, _release_training,
+                              VoiRow, VOI_CSV_FIELDS, _grid_positions,
+                              _release_training, _union_grid,
                               combine, covering_day_start, curves_by_family,
                               evaluate_voi, gaussian_entropy, ig_at,
                               integration_grid, match_equivalents,
@@ -303,11 +306,11 @@ def test_gain_pinned_to_its_last_bit(case, ig):
     assert repr(pinned_cell(case).ig_bit_seconds) == repr(ig)
 
 
-def mixed_cells():
-    """Cells of two trajectories, as (evidence, prior, kind, param), under
-    the uninformative prior and under released priors of each family. The
-    second trajectory's first fix falls two minutes before UTC midnight, and
-    its subsampled releases at 0.3 and 0.5 start after it."""
+def mixed_cells(*more):
+    """Cells of two trajectories and of ``more``, as (evidence, prior, kind,
+    param), under the uninformative prior and under released priors of each
+    family. The second trajectory's first fix falls two minutes before UTC
+    midnight, and its subsampled releases at 0.3 and 0.5 start after it."""
     rng = np.random.default_rng(3)
     late = make_trajectory(np.cumsum(rng.normal(0, 20, 30)),
                            DAY_START + 86400.0 - 120.0
@@ -324,7 +327,7 @@ def mixed_cells():
               (noise[200], [identity, noise[50]]),
               (trunc[0.5], [trunc[0.2], identity])]
     cells = []
-    for s in (pinned_walk(), late):
+    for s in (pinned_walk(), late, *more):
         for prior_spec, specs in matrix:
             prior = PriorKnowledge.uninformative() if prior_spec is None \
                 else PriorKnowledge.from_release(apply_spec(s, prior_spec),
@@ -382,6 +385,89 @@ def test_batch_scoring_equals_scoring_each_cell_alone(
     assert all(r.ig_bit_seconds == 0.0 for r in nested)
     assert sorted({r.day_start - DAY_START for r in batch
                    if r.trajectory_id == "late"}) == [0.0, 86400.0]
+
+
+def test_batch_scoring_equals_scoring_each_trajectory_alone(monkeypatch):
+    # "twin" has the pinned walk's fixes under another id, so the two share
+    # tracks, and the pinned walk's cells come in two runs around the
+    # others': a track lives until the last run that uses it
+    cells = mixed_cells(replace(pinned_walk(), trajectory_id="twin"))
+    assert len(cells) == 33
+    cells = cells[:5] + cells[11:] + cells[5:11]
+    fitted = []
+    real_fit = infogain.fit_tracks
+
+    def counted_fit(requests, *args):
+        fitted.append(len(requests))
+        return real_fit(requests, *args)
+
+    monkeypatch.setattr(infogain, "fit_tracks", counted_fit)
+    batch = list(score_cells(cells, GpConfig(), keep_trace=True))
+    by_id: dict = {}
+    for i, cell in enumerate(cells):
+        by_id.setdefault(cell[0].trajectory_id, []).append(i)
+    alone = [None] * len(cells)
+    for run in by_id.values():
+        for i, row in zip(run, score_cells([cells[i] for i in run],
+                                           GpConfig(), keep_trace=True)):
+            alone[i] = row
+    assert [repr(row) for row in batch] == [repr(row) for row in alone]
+    # one fit call for the batch, holding fewer tracks than the three
+    # trajectories fit alone
+    assert len(fitted) == 1 + len(by_id) == 4
+    assert fitted[0] < sum(fitted[1:])
+
+
+# a step of a day / 61 divides the day in 62 steps, not 61: the last two
+# grid points are both the day's end
+@pytest.mark.parametrize("cfg", [
+    IntegrationConfig(),
+    IntegrationConfig(grid_step=7 * 60.0 + 0.3),
+    IntegrationConfig(grid_step=86400.0 / 61),
+    IntegrationConfig(include_measurement_times=False),
+    IntegrationConfig(grid_step=86400.0 / 61,
+                      include_measurement_times=False)])
+def test_cells_read_their_grids_off_the_union_grid(cfg):
+    day, end = DAY_START, DAY_START + 86400.0
+    rng = np.random.default_rng(4)
+    cells = [np.array([day + 10.0, day + 10.0, day + 3600.0]),
+             day + np.array([60.0, 120.0, 420.3, 86400.0 / 61]),
+             np.array([day + 100.5, end]),
+             np.array([day - 5.0, day + 500.25, end + 30.0, end + 86400.0]),
+             np.sort(day + rng.uniform(0.0, 86400.0, 50)).round(1),
+             np.array([end - 1e-6])]
+    union, marks = _union_grid(day, cfg, np.concatenate(cells))
+    for times in cells:
+        at = _grid_positions(union, marks, day, cfg, times)
+        assert union[at].tobytes() == integration_grid(day, cfg,
+                                                       times).tobytes()
+
+
+def test_a_cell_whose_inputs_fail_gets_its_own_exception():
+    # a fix whose noise variance overflows, met by an evidence's track or
+    # by a released prior's training: each cell that meets it yields the
+    # exception it raises alone, and every other cell its row
+    bad = make_trajectory(np.arange(6) * 10.0,
+                          DAY_START + 9 * HOUR + np.arange(6) * 60.0,
+                          sigmas=[3.0, 3.0, 3.0, 3.0, 1e200, 3.0],
+                          trajectory_id="bad")
+    identity = DegradationSpec(kind="identity")
+    head, shorter = (DegradationSpec(kind="truncation", ratio=r)
+                     for r in (0.5, 0.2))
+    cells = mixed_cells()
+    for prior_spec, spec in ((None, identity), (head, identity),
+                             (head, shorter), (identity, head)):
+        prior = PriorKnowledge.uninformative() if prior_spec is None \
+            else PriorKnowledge.from_release(apply_spec(bad, prior_spec),
+                                             prior_spec)
+        cells.insert(11, (combine(apply_spec(bad, spec), prior), prior,
+                          spec.kind, spec.param))
+    batch = list(score_cells(cells))
+    assert [i for i, row in enumerate(batch)
+            if isinstance(row, Exception)] == [11, 13, 14]
+    for cell, row in zip(cells, batch):
+        (alone,) = score_cells([cell])
+        assert repr(row) == repr(alone)
 
 
 # --- report rows -------------------------------------------------------------
