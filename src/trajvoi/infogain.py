@@ -173,6 +173,9 @@ def _day_grid(day_start: float, cfg: IntegrationConfig) -> np.ndarray:
 
 def _in_day(times: np.ndarray, day_start: float,
             cfg: IntegrationConfig) -> np.ndarray:
+    """The times in the day that join its grid, if measurement times do."""
+    if not cfg.include_measurement_times:
+        return times[:0]
     return times[(times >= day_start)
                  & (times <= day_start + cfg.day_seconds)]
 
@@ -182,23 +185,18 @@ def integration_grid(day_start: float, cfg: IntegrationConfig,
     """Uniform grid over the day, augmented with the measurement times.
 
     The grid ends at the day's end, a shorter last step where the step does
-    not divide the day. Extra times outside the day are dropped; duplicates
-    collapse.
+    not divide the day. Extra times outside the day, or all of them without
+    measurement times, are dropped; duplicates collapse.
     """
-    grid = _day_grid(day_start, cfg)
-    if not cfg.include_measurement_times:
-        return grid
-    return np.unique(np.concatenate([grid, _in_day(
+    return np.unique(np.concatenate([_day_grid(day_start, cfg), _in_day(
         np.asarray(extra_times, dtype=float), day_start, cfg)]))
 
 
 def _union_grid(day_start: float, cfg: IntegrationConfig, times):
     """The union grid ``integration_grid(day_start, cfg, times)`` and the
-    positions on it that every cell's grid holds, as a mask: the uniform
-    grid's, or all of them without measurement times."""
+    positions on it that every cell's grid holds, the uniform grid's, as a
+    mask."""
     union = integration_grid(day_start, cfg, times)
-    if not cfg.include_measurement_times:
-        return union, np.ones(union.size, dtype=bool)
     marks = np.zeros(union.size, dtype=bool)
     marks[np.searchsorted(union, _day_grid(day_start, cfg))] = True
     return union, marks
@@ -208,9 +206,8 @@ def _grid_positions(union: np.ndarray, marks: np.ndarray, day_start: float,
                     cfg: IntegrationConfig, times: np.ndarray) -> np.ndarray:
     """The positions of ``integration_grid(day_start, cfg, times)`` on a
     union grid from :func:`_union_grid` whose times include ``times``."""
-    if cfg.include_measurement_times:
-        marks = marks.copy()
-        marks[np.searchsorted(union, _in_day(times, day_start, cfg))] = True
+    marks = marks.copy()
+    marks[np.searchsorted(union, _in_day(times, day_start, cfg))] = True
     return np.flatnonzero(marks)
 
 
@@ -306,13 +303,15 @@ def _linear_residuals(times, values) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if t.size == 0:
         raise ValueError("no fixes to fit a line through")
-    tc = t - t.mean()
-    denom = float(tc @ tc)
-    if t.size < 2 or denom == 0.0:
-        slope, intercept = 0.0, float(v.mean())
-    else:
-        slope = float(tc @ (v - v.mean())) / denom
-        intercept = float(v.mean() - slope * t.mean())
+    # a line whose sums overflow is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        tc = t - t.mean()
+        denom = float(tc @ tc)
+        if t.size < 2 or denom == 0.0:
+            slope, intercept = 0.0, float(v.mean())
+        else:
+            slope = float(tc @ (v - v.mean())) / denom
+            intercept = float(v.mean() - slope * t.mean())
     if not (math.isfinite(slope) and math.isfinite(intercept)):
         raise ValueError("least-squares line coefficients must be finite")
     return v - (intercept + slope * t)
@@ -327,58 +326,6 @@ def _release_training(omega: Trajectory) -> Training:
         _linear_residuals(training.times, v) for v in training.channels])
 
 
-def _unusable(cells: Sequence[tuple], gp_cfg: GpConfig) -> list:
-    """Per cell, each an (evidence, prior, ...) tuple, the exception its
-    inputs raise when it is scored alone, or None. A lone cell meets a
-    released prior's training (its fixes about their least-squares lines)
-    and the prior's track first, then its evidence's track; each distinct
-    prior and evidence is checked once."""
-    var = float(gp_cfg.sigma_f) ** 2
-    checked: dict = {}
-
-    def check(key, training):
-        if key not in checked:
-            try:
-                _track_inputs(training(), var)
-                checked[key] = None
-            except Exception as e:
-                checked[key] = e
-        return checked[key]
-
-    failed = []
-    for evidence, prior, *_ in cells:
-        error = None
-        if prior.kind == "released":
-            error = check(prior, lambda: _release_training(prior.released))
-        failed.append(error or check(evidence, lambda: Training(
-            evidence.t, [], evidence.sigma, evidence.trajectory_id)))
-    return failed
-
-
-def _train(cells: Sequence[tuple], scored: Sequence[int],
-           gp_cfg: GpConfig) -> dict:
-    """The length scales of the ``scored`` cells, each an (evidence, prior,
-    ...) tuple, trained in one :func:`~trajvoi.gp.train_length_scales`
-    call: each distinct released prior's, about its own least-squares
-    lines, and each evidence's under the uninformative prior, about zero.
-    Returns the length scale of each, keyed by released prior, or by the
-    index of a cell under the uninformative prior."""
-    priors = list(dict.fromkeys(cells[i][1] for i in scored
-                                if cells[i][1].kind == "released"))
-    uninformed = [i for i in scored if cells[i][1].kind == "uninformative"]
-    trainings = ([_release_training(prior.released) for prior in priors]
-                 + [point_training(cells[i][0]) for i in uninformed])
-    return dict(zip(priors + uninformed,
-                    train_length_scales(trainings, gp_cfg)))
-
-
-def _trajectory_runs(cells: Sequence[tuple]):
-    """The indices of the cells, in runs of one trajectory's cells."""
-    for _, run in groupby(range(len(cells)),
-                          key=lambda i: cells[i][0].trajectory_id):
-        yield list(run)
-
-
 def score_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge, str,
                                       float]],
                 gp_cfg: GpConfig = GpConfig(),
@@ -387,16 +334,18 @@ def score_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge, str,
     """Score many cells, each the evidence ``combine(z, prior)`` of a
     release Z, its prior, and the release's kind and parameter.
 
-    First each cell's inputs are checked as it would meet them alone
-    (:func:`_unusable`); a cell that fails is left out of the shared
-    passes. A cell's gain needs only the variances of its two
-    reconstructions, which depend on the fix times, the fix noise and the
-    length scale, never on the coordinates. The length scales are trained
-    in one :func:`_train` call, and a released prior's serves both tracks
-    of each of its cells, so the gain isolates what the new data adds
-    rather than what refitting does. Each distinct (times, noise, length
-    scale) track of the batch, whichever trajectories share it, is then
-    fit once, without coordinate channels, in one
+    One planning pass meets each cell's inputs as a lone cell does: a
+    released prior's training (its fixes about their least-squares lines),
+    then the evidence's track. Each distinct input is built and checked
+    once; a cell whose input fails is left out of the shared passes. One
+    :func:`~trajvoi.gp.train_length_scales` call trains the length scale
+    of each evidence under the uninformative prior and of each distinct
+    released prior. A released prior's serves both tracks of its cells, so
+    the gain isolates what the new data adds, not what refitting does. A
+    cell's gain needs only the variances of its two reconstructions, which
+    depend on the fix times, the fix noise and the length scale, never on
+    the coordinates: each distinct (times, noise, length scale) track of
+    the batch is fit once, without coordinate channels, in one
     :func:`~trajvoi.gp.fit_tracks` call.
 
     The gains are integrated one trajectory's run of cells at a time. For
@@ -412,39 +361,65 @@ def score_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge, str,
     the batch.
     """
     flat_var = float(gp_cfg.sigma_f) ** 2
-    failed = _unusable(cells, gp_cfg)
-    trained = _train(cells, [i for i, e in enumerate(failed) if e is None],
-                     gp_cfg)
-    runs = list(_trajectory_runs(cells))
+    checked: dict = {}
+    detrended: dict = {}        # each released prior's training, once built
+
+    def failure(key, make):
+        # the exception that building an input's training, or checking its
+        # GP inputs, raises, or None; each distinct input once
+        if key not in checked:
+            try:
+                _track_inputs(make(), flat_var)
+                checked[key] = None
+            except Exception as e:
+                checked[key] = e
+        return checked[key]
+
+    def bare(fixes: Trajectory) -> Training:
+        return Training(fixes.t, [], fixes.sigma, fixes.trajectory_id)
+
+    # per cell, the exception its inputs raise, or the key of its training:
+    # its released prior, or its index under the uninformative prior
+    plans: list = []
+    trainings: dict = {}
+    for i, (evidence, prior, *_) in enumerate(cells):
+        released = prior.kind == "released"
+        error = failure(prior, lambda: detrended.setdefault(
+            prior, _release_training(prior.released))) if released else None
+        error = error or failure(evidence, lambda: bare(evidence))
+        plans.append(error or (prior if released else i))
+        if error is None:
+            trainings[plans[i]] = detrended[prior] if released \
+                else point_training(evidence)
+    trained = dict(zip(trainings, train_length_scales(
+        list(trainings.values()), gp_cfg)))
+    del detrended, trainings    # released before the tracks are fit
     # the (variance-only training, length scale) of each distinct track,
     # and the last run that uses it
     requests: dict = {}
     last_run: dict = {}
-    # per scored cell: its length scale, prior track key (None for the
-    # uninformative prior) and posterior track key
-    plans: dict = {}
 
     def track(fixes: Trajectory, l: float, r: int):
         key = (fixes.t.tobytes(), fixes.sigma.tobytes(), l)
-        requests.setdefault(key, (Training(
-            fixes.t, [], fixes.sigma, fixes.trajectory_id), l))
+        requests.setdefault(key, (bare(fixes), l))
         last_run[key] = r
         return key
 
+    runs = [list(run) for _, run in groupby(
+        range(len(cells)), key=lambda i: cells[i][0].trajectory_id)]
+    # a scored cell's plan becomes its length scale, prior track key (None
+    # for the uninformative prior) and posterior track key
     for r, run in enumerate(runs):
         for i in run:
-            if failed[i] is not None:
-                continue
-            evidence, prior = cells[i][:2]
-            if prior.kind == "uninformative":
-                l, prior_key = trained[i], None
-            else:
-                l = trained[prior]
-                prior_key = track(prior.released, l, r)
-            plans[i] = (l, prior_key, track(evidence, l, r))
+            if not isinstance(plans[i], Exception):
+                evidence, prior = cells[i][:2]
+                l = trained[plans[i]]
+                plans[i] = (l, track(prior.released, l, r)
+                            if prior.kind == "released" else None,
+                            track(evidence, l, r))
     tracks = dict(zip(requests, fit_tracks(list(requests.values()), gp_cfg)))
     for r, run in enumerate(runs):
-        keys = dict.fromkeys(key for i in run if i in plans
+        keys = dict.fromkeys(key for i in run if isinstance(plans[i], tuple)
                              for key in plans[i][1:] if key is not None)
         grids: dict = {}
         log_vars: dict = {}
@@ -458,8 +433,8 @@ def score_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge, str,
             return log_vars[day_start, key]
 
         for i in run:
-            if i not in plans:
-                yield failed[i]
+            if isinstance(plans[i], Exception):
+                yield plans[i]
                 continue
             evidence, prior, kind, param = cells[i]
             l, prior_key, posterior_key = plans[i]

@@ -72,6 +72,26 @@ class RunConfig:
     jobs: int = 1
     limit: Optional[int] = None
 
+    def __post_init__(self):
+        for ok, value, message in (
+                (_positive, self.noise_levels_m,
+                 "noise_levels_m entries must be finite and > 0"),
+                (_ratios, self.truncation_ratios,
+                 "truncation_ratios entries must be in (0, 1]"),
+                (_ratios, self.subsampling_ratios,
+                 "subsampling_ratios entries must be in (0, 1]"),
+                (_positive, self.prior_noise_m,
+                 "perturbation prior noise entries must be finite and > 0"),
+                (_ratios, self.prior_truncation_ratios,
+                 "prior truncation ratios entries must be in (0, 1]"),
+                (_ratios, self.prior_subsampling_ratios,
+                 "prior subsampling ratios entries must be in (0, 1]"),
+                (lambda n: n >= 1, self.jobs, "jobs must be >= 1"),
+                (lambda n: n is None or n >= 0, self.limit,
+                 "limit must be >= 0")):
+            if not ok(value):
+                raise ValueError(message)
+
     def effective_prior_seed(self) -> int:
         return (self.seed + PRIOR_SEED_OFFSET if self.prior_seed is None
                 else self.prior_seed)
@@ -79,7 +99,7 @@ class RunConfig:
     def to_dict(self) -> dict:
         """The settings in the YAML layout, the prior seed spelled out."""
         out: dict = {}
-        for section, key, attr, *_ in SETTINGS:
+        for section, key, attr, _ in SETTINGS:
             part = out.setdefault(section, {}) if section else out
             part[key] = attrgetter(attr)(self)
         out["degradation"]["prior_seed"] = self.effective_prior_seed()
@@ -145,8 +165,7 @@ _bool, _text = _exactly(bool), _exactly(str)
 
 # One row per setting, in the order of to_dict: YAML section (None at the
 # top level), YAML key, RunConfig attribute ("gp.sigma_f" for a field of a
-# section), coercion, and any (test, message) check on the coerced value
-# that the field's own dataclass does not make. Defaults stay on the fields.
+# section) and coercion. Defaults and checks stay on the dataclasses.
 SETTINGS = (
     (None, "plt_root", "plt_root", _optional(_text)),
     (None, "trajectories_csv", "trajectories_csv", _text),
@@ -159,22 +178,16 @@ SETTINGS = (
     ("projection", "lat0", "projection.lat0", _float),
     ("segmentation", "max_gap_s", "segmentation.max_gap", _float),
     ("segmentation", "default_sigma_m", "segmentation.default_sigma", _float),
-    ("degradation", "noise_levels_m", "noise_levels_m", _floats,
-     (_positive, "noise_levels_m entries must be finite and > 0")),
-    ("degradation", "truncation_ratios", "truncation_ratios", _floats,
-     (_ratios, "truncation_ratios entries must be in (0, 1]")),
-    ("degradation", "subsampling_ratios", "subsampling_ratios", _floats,
-     (_ratios, "subsampling_ratios entries must be in (0, 1]")),
+    ("degradation", "noise_levels_m", "noise_levels_m", _floats),
+    ("degradation", "truncation_ratios", "truncation_ratios", _floats),
+    ("degradation", "subsampling_ratios", "subsampling_ratios", _floats),
     ("degradation", "include_identity", "include_identity", _bool),
     ("degradation", "seed", "seed", _int),
     ("degradation", "prior_seed", "prior_seed", _optional(_int)),
     ("priors", "uninformative", "prior_uninformative", _bool),
-    ("priors", "perturbation_noise_m", "prior_noise_m", _floats,
-     (_positive, "perturbation prior noise entries must be finite and > 0")),
-    ("priors", "truncation_ratios", "prior_truncation_ratios", _floats,
-     (_ratios, "prior truncation ratios entries must be in (0, 1]")),
-    ("priors", "subsampling_ratios", "prior_subsampling_ratios", _floats,
-     (_ratios, "prior subsampling ratios entries must be in (0, 1]")),
+    ("priors", "perturbation_noise_m", "prior_noise_m", _floats),
+    ("priors", "truncation_ratios", "prior_truncation_ratios", _floats),
+    ("priors", "subsampling_ratios", "prior_subsampling_ratios", _floats),
     ("gp", "sigma0_m", "gp.sigma_f", _float),
     ("gp", "length_scale_bounds_h", "gp.length_scale_bounds", _bounds),
     ("gp", "grid_size", "gp.grid_size", _int),
@@ -186,9 +199,8 @@ SETTINGS = (
     ("entropy_grid", "bin_length_s", "entropy_grid.bin_length", _float),
     ("spp", "v0", "spp.v0", _float),
     ("spp", "sigma_ref_m", "spp.sigma_ref", _float),
-    (None, "jobs", "jobs", _int, (lambda n: n >= 1, "jobs must be >= 1")),
-    (None, "limit", "limit", _optional(_int),
-     (lambda n: n is None or n >= 0, "limit must be >= 0")),
+    (None, "jobs", "jobs", _int),
+    (None, "limit", "limit", _optional(_int)),
 )
 
 
@@ -232,8 +244,8 @@ def load_config(path: Optional[str] = None,
 
 
 def _apply(cfg: RunConfig, raw: dict) -> RunConfig:
-    """``cfg`` with the settings of the YAML mapping ``raw``; each section
-    dataclass is rebuilt, so it checks its own fields."""
+    """``cfg`` with the settings of the YAML mapping ``raw``; it and each
+    section dataclass are rebuilt, so each checks its own fields."""
     changes: dict = {}
     sections = dict.fromkeys(section for section, *_ in SETTINGS if section)
     for name in (None, *sections):          # None: the top level
@@ -247,16 +259,13 @@ def _apply(cfg: RunConfig, raw: dict) -> RunConfig:
         if set(given) - known:
             raise ConfigError(f"unknown keys in {name or 'top level'!r}: "
                               f"{sorted(set(given) - known)}")
-        for _, key, attr, coerce, *check in rows:
+        for _, key, attr, coerce in rows:
             if key not in given:
                 continue
             try:
                 value = coerce(given[key])
             except (TypeError, ValueError) as e:
                 raise ConfigError(f"{name + '.' if name else ''}{key}: {e}")
-            for test, message in check:         # none or one
-                if not test(value):
-                    raise ConfigError(message)
             owner, _, field_name = attr.rpartition(".")
             changes.setdefault(owner, {})[field_name] = value
     top = changes.pop("", {})

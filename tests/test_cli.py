@@ -285,8 +285,14 @@ def test_voi_fits_each_prior_and_applies_each_spec_once(suite, tmp_path,
     # uninformative prior's constant variance is never queried.
     config, _ = reference_matrix_config(tmp_path, suite[1:2])
     counts = {"trainings": 0, "training calls": 0, "apply_spec": 0,
-              "tracks": 0, "fit calls": 0, "queries": 0}
+              "tracks": 0, "fit calls": 0, "queries": 0, "detrendings": 0}
     real_fit, real_query = infogain.fit_tracks, gp.GaussianTrack.query
+    real_residuals = infogain._linear_residuals
+
+    def counted_residuals(*args):
+        counts["detrendings"] += 1
+        return real_residuals(*args)
+    monkeypatch.setattr(infogain, "_linear_residuals", counted_residuals)
 
     def counted_fit(requests, *args):
         counts["tracks"] += len(requests)
@@ -320,6 +326,8 @@ def test_voi_fits_each_prior_and_applies_each_spec_once(suite, tmp_path,
     assert cli.entrypoint(["voi", "--config", str(config)]) == 0
     assert counts["trainings"] == 23
     assert counts["training calls"] == 1
+    # each released prior is detrended once, a line per channel
+    assert counts["detrendings"] == 6 * 2
     assert counts["apply_spec"] <= 19
     assert (counts["tracks"], counts["fit calls"], counts["queries"]) \
         == (27, 1, 27)

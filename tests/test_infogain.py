@@ -1,6 +1,7 @@
 """Entropy, pointwise and integrated gain, priors, report serialization."""
 
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -468,6 +469,32 @@ def test_a_cell_whose_inputs_fail_gets_its_own_exception():
     for cell, row in zip(cells, batch):
         (alone,) = score_cells([cell])
         assert repr(row) == repr(alone)
+
+
+def test_a_released_prior_whose_line_overflows_fails_without_warnings(
+        capfd):
+    # fixes at +-1e308 m: the least-squares line through a released
+    # prior's fixes overflows, and each of its cells yields the ValueError
+    # that refuses it, with no numpy warning on the way
+    xs = np.array([1e308, -1e308, 1e308, -1e308, 1e308, 1e308])
+    huge = make_trajectory(xs, DAY_START + 9 * HOUR + np.arange(6) * 60.0,
+                           ys=-xs, trajectory_id="huge")
+    identity = DegradationSpec(kind="identity")
+    head = DegradationSpec(kind="truncation", ratio=0.5)
+    cells = []
+    for prior_spec, spec in ((head, identity), (identity, head),
+                             (identity, identity)):
+        prior = PriorKnowledge.from_release(apply_spec(huge, prior_spec),
+                                            prior_spec)
+        cells.append((combine(apply_spec(huge, spec), prior), prior,
+                      spec.kind, spec.param))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        batch = list(score_cells(cells))
+    assert [repr(row) for row in batch] == [repr(ValueError(
+        "least-squares line coefficients must be finite"))] * 3
+    assert caught == []
+    assert capfd.readouterr() == ("", "")
 
 
 # --- report rows -------------------------------------------------------------

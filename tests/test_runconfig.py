@@ -149,6 +149,20 @@ def test_infinite_max_gap_never_splits(tmp_path):
     assert cfg.segmentation.max_gap == math.inf
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("jobs", 0, "jobs must be >= 1"),
+    ("limit", -1, "limit must be >= 0"),
+    ("noise_levels_m", [0.0], "noise_levels_m entries must be finite and > 0"),
+    ("prior_truncation_ratios", [1.5],
+     "prior truncation ratios entries must be in (0, 1]"),
+])
+def test_run_config_checks_its_own_fields(field, value, message):
+    # built directly, not only through load_config
+    with pytest.raises(ValueError) as err:
+        RunConfig(**{field: value})
+    assert str(err.value) == message
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "nope.yaml"))
