@@ -20,6 +20,7 @@ configuration error or unreadable input file, 2 some cells (voi) or rows
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -27,6 +28,7 @@ import logging
 import sys
 import time
 from concurrent import futures
+from itertools import compress
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -34,13 +36,15 @@ import numpy as np
 
 from . import analysis, infogain
 from .baselines import (BASELINE_CSV_FIELDS, baseline_row, correctness_value)
-from .degrade import DegradationSpec, apply_spec
-from .gp import fit_tracks, point_training
+from .degrade import DegradationSpec, apply_spec, kept_fixes
+from .gp import (GpNumericalError, _track_inputs, fit_tracks,
+                 point_training)
 from .infogain import (PriorKnowledge, VoiReport, curves_by_family,
                        match_equivalents, param_at_ig, score_cells)
 # not called here; the per-layer tracer (bench/tracing.py) wraps this name
 from .infogain import evaluate_voi  # noqa: F401
-from .ingest import (PltFormatError, ingest_plt_tree, read_trajectory_csv,
+from .ingest import (PltFormatError, csv_heads, csv_rows, ingest_plt_tree,
+                     moved_rows, open_trajectory_csv, read_trajectory_csv,
                      write_trajectory_csv)
 from .model import Trajectory
 from .runconfig import ConfigError, RunConfig, load_config
@@ -217,14 +221,27 @@ def _voi_task(task):
 
 def _baseline_task(task):
     """Baseline metrics of a chunk of trajectories, one outcome each, or
-    raise. The identity GPs (zero mean, length scale trained on each
-    trajectory) are fit together in one fit_tracks call."""
+    raise. Each trajectory's GP inputs are checked first, as a voi task
+    checks its cells' (see infogain.score_cells): one the GP refuses has
+    that exception as its outcome. The identity GPs of the others (zero
+    mean, length scale trained on each trajectory) are fit together in
+    one fit_tracks call."""
     chunk, grid, spp, gp_cfg = task
-    tracks = fit_tracks([(point_training(traj), None) for traj in chunk],
-                        gp_cfg)
-    return [("ok", baseline_row(traj, grid, spp,
-                                correctness_value(traj, track)))
-            for traj, track in zip(chunk, tracks)]
+    outcomes, fit = [], []
+    for traj in chunk:
+        training = point_training(traj)
+        try:
+            _track_inputs(training, gp_cfg.sigma_f ** 2)
+        except (ValueError, GpNumericalError) as e:
+            outcomes.append(e)
+            continue
+        fit.append((len(outcomes), traj, training))
+        outcomes.append(None)
+    tracks = fit_tracks([(training, None) for *_, training in fit], gp_cfg)
+    for (k, traj, _), track in zip(fit, tracks):
+        outcomes[k] = ("ok", baseline_row(traj, grid, spp,
+                                          correctness_value(traj, track)))
+    return outcomes
 
 
 def _halves(task) -> list:
@@ -348,20 +365,53 @@ def cmd_ingest(cfg: RunConfig) -> int:
     return 0
 
 
+def _check_noise_levels(specs: Sequence[DegradationSpec],
+                        trajectories: Sequence[Trajectory]) -> None:
+    """A ConfigError for the first perturbation level below the sigma of
+    a fix, naming the first trajectory that holds such a fix."""
+    largest = [float(traj.sigma.max()) for traj in trajectories]
+    for spec in specs:
+        for traj, sigma in zip(trajectories, largest):
+            if spec.kind == "perturbation" and sigma > spec.total_noise:
+                raise ConfigError(
+                    f"perturbation level {spec.total_noise:g} m is below the "
+                    f"sigma of a fix ({sigma:g} m) in trajectory "
+                    f"{traj.trajectory_id!r}")
+
+
 def cmd_degrade(cfg: RunConfig) -> int:
+    """One file per distinct spec, all written in one walk over the
+    trajectories: each trajectory's rows are formatted once, and a
+    truncation or subsampling file takes the rows it keeps; a perturbation
+    file formats only its moved positions."""
     trajectories = _load_trajectories(cfg)
-    out = Path(cfg.output_dir) / "degraded"
     specs, duplicates = _distinct(_degradation_specs(cfg),
                                   DegradationSpec.label)
     if duplicates:
         log.warning("degrade: %d duplicate specs were dropped", duplicates)
-    for spec in specs:
-        name = spec.label().replace(":", "_")
-        degraded = [apply_spec(t, spec) for t in trajectories]
-        dest = out / f"{name}.csv"
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        write_trajectory_csv(degraded, dest)
-        log.info("degrade: wrote %s (%d trajectories)", name, len(degraded))
+    _check_noise_levels(specs, trajectories)
+    out = Path(cfg.output_dir) / "degraded"
+    out.mkdir(parents=True, exist_ok=True)
+    names = [spec.label().replace(":", "_") for spec in specs]
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open_trajectory_csv(out / f"{name}.csv"))
+                 for name in names]
+        for traj in trajectories:
+            rows, heads = csv_rows(traj), None
+            for spec, fh in zip(specs, files):
+                if spec.kind == "perturbation":
+                    if heads is None:
+                        heads = csv_heads(traj)
+                    z = apply_spec(traj, spec)
+                    fh.write("".join(moved_rows(heads, z.x, z.y,
+                                                spec.total_noise)))
+                    continue
+                index = kept_fixes(traj, spec)
+                fh.write("".join(rows[index] if isinstance(index, slice)
+                                 else compress(rows, index.tolist())))
+    for name in names:
+        log.info("degrade: wrote %s (%d trajectories)", name,
+                 len(trajectories))
     return 0
 
 

@@ -94,28 +94,41 @@ def perturb(S: Trajectory, total_noise: float, seed: int) -> Trajectory:
                    sigma=np.full(len(S), float(total_noise)))
 
 
+def kept_fixes(S: Trajectory, spec: DegradationSpec):
+    """The fixes of S that the release ``spec`` keeps, as an index for
+    ``S.take``: a slice, or a boolean mask under subsampling.
+
+    Truncation keeps the temporally first floor(ratio * |S|) fixes, at
+    least one. Subsampling keeps the fixes whose uniform is below the
+    ratio (nested across ratios, see above), or the fix of the least
+    uniform when none is. Identity keeps every fix, and so does
+    perturbation, which moves them.
+    """
+    if spec.kind == "truncation":
+        return slice(0, max(1, math.floor(spec.ratio * len(S))))
+    if spec.kind == "subsampling":
+        u = _stream(spec.seed, S.trajectory_id).random(len(S))
+        keep = u < spec.ratio
+        if not keep.any():
+            keep[int(np.argmin(u))] = True
+        return keep
+    return slice(None)
+
+
 def truncate(S: Trajectory, ratio: float) -> Trajectory:
     """Keep the temporally first floor(ratio * |S|) points, at least one."""
-    if not (0.0 < ratio <= 1.0):
-        raise ValueError(f"truncate: ratio must be in (0, 1], got {ratio}")
-    return S.take(slice(0, max(1, math.floor(ratio * len(S)))))
+    return S.take(kept_fixes(S, DegradationSpec(kind="truncation",
+                                                ratio=ratio)))
 
 
 def subsample(S: Trajectory, ratio: float, seed: int) -> Trajectory:
     """Keep each point independently with probability ratio, at least one.
 
-    Retention at ratio r keeps exactly the points whose per-point uniform is
-    below r, so for a fixed seed the result at a smaller ratio is a subset
-    of the result at any larger ratio.
+    For a fixed seed the result at a smaller ratio is a subset of the
+    result at any larger ratio (see :func:`kept_fixes`).
     """
-    if not (0.0 < ratio <= 1.0):
-        raise ValueError(f"subsample: ratio must be in (0, 1], got {ratio}")
-    rng = _stream(seed, S.trajectory_id)
-    u = rng.random(len(S))
-    keep = u < ratio
-    if not keep.any():
-        keep[int(np.argmin(u))] = True
-    return S.take(keep)
+    return S.take(kept_fixes(S, DegradationSpec(kind="subsampling",
+                                                ratio=ratio, seed=seed)))
 
 
 def apply_spec(S: Trajectory, spec: DegradationSpec) -> Trajectory:
@@ -124,6 +137,4 @@ def apply_spec(S: Trajectory, spec: DegradationSpec) -> Trajectory:
         return S
     if spec.kind == "perturbation":
         return perturb(S, spec.total_noise, spec.seed)
-    if spec.kind == "truncation":
-        return truncate(S, spec.ratio)
-    return subsample(S, spec.ratio, spec.seed)
+    return S.take(kept_fixes(S, spec))

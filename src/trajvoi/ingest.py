@@ -203,27 +203,56 @@ def segment(records,
             for k, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
 
+# A row of the flat CSV format, after its ids: t keeps millisecond
+# fixed-point precision, because epoch-scale values would lose whole seconds
+# at 9 significant digits; x, y and sigma use 9 significant digits.
+# %-formatting writes a float as format() does, and faster.
+_TIME, _POSITION, _SIGMA = "%.3f,", "%.9g,%.9g,", "%.9g\n"
+
+
+def _ids(traj: Trajectory) -> str:
+    """The ``trajectory_id,owner_id,`` text of a trajectory's rows, as a
+    %-format: csv quotes an id only where it must (a comma, a quote or a
+    line break), and the row end it writes is cut off."""
+    ids = io.StringIO()
+    csv.writer(ids).writerow((traj.trajectory_id, traj.owner_id))
+    return (ids.getvalue()[:-2] + ",").replace("%", "%%")
+
+
+def csv_rows(traj: Trajectory) -> List[str]:
+    """A trajectory's rows of the flat CSV format, one per fix."""
+    row = _ids(traj) + _TIME + _POSITION + _SIGMA
+    return list(map(row.__mod__, zip(traj.t.tolist(), traj.x.tolist(),
+                                     traj.y.tolist(), traj.sigma.tolist())))
+
+
+def csv_heads(traj: Trajectory) -> List[str]:
+    """Per fix, the ``trajectory_id,owner_id,t,`` text its row opens with."""
+    return list(map((_ids(traj) + _TIME).__mod__, traj.t.tolist()))
+
+
+def moved_rows(heads: List[str], x: np.ndarray, y: np.ndarray,
+               sigma: float) -> List[str]:
+    """The rows of fixes that open with ``heads`` (see :func:`csv_heads`),
+    moved to ``x``, ``y``, each with standard deviation ``sigma``."""
+    row = "%s" + _POSITION + _SIGMA % sigma
+    return list(map(row.__mod__, zip(heads, x.tolist(), y.tolist())))
+
+
+def open_trajectory_csv(path):
+    """A new flat CSV file at ``path``, open for writing, its header
+    written."""
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    fh.write(",".join(TRAJECTORY_CSV_FIELDS) + "\n")
+    return fh
+
+
 def write_trajectory_csv(trajectories: Iterable[Trajectory], path) -> None:
     """Write trajectories to the flat CSV interchange format, one
-    trajectory's rows at a time.
-
-    Deterministic formatting: x, y and sigma use 9 significant digits;
-    t keeps millisecond fixed-point precision because epoch-scale values
-    would lose whole seconds at 9 significant digits.
-    """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(TRAJECTORY_CSV_FIELDS) + "\n")
+    trajectory's rows at a time (see :func:`csv_rows`)."""
+    with open_trajectory_csv(path) as fh:
         for traj in trajectories:
-            # csv quotes an id only where it must (a comma, a quote or a
-            # line break), once per trajectory; "\r\n" ends its row
-            ids = io.StringIO()
-            csv.writer(ids).writerow((traj.trajectory_id, traj.owner_id))
-            # %-formatting writes a float as format() does, and faster
-            row = ((ids.getvalue()[:-2] + ",").replace("%", "%%")
-                   + "%.3f,%.9g,%.9g,%.9g\n")
-            fh.write("".join(map(row.__mod__, zip(
-                traj.t.tolist(), traj.x.tolist(), traj.y.tolist(),
-                traj.sigma.tolist()))))
+            fh.write("".join(csv_rows(traj)))
 
 
 def _full_rows(reader, width: int) -> Iterable[List[str]]:

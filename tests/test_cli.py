@@ -20,7 +20,8 @@ from trajvoi.baselines import EntropyGridConfig, SppConfig
 from trajvoi.degrade import DegradationSpec, apply_spec
 from trajvoi.infogain import (VOI_CSV_FIELDS, PriorKnowledge, VoiReport,
                               VoiRow, evaluate_voi)
-from trajvoi.ingest import read_trajectory_csv, write_trajectory_csv
+from trajvoi.ingest import (TRAJECTORY_CSV_FIELDS, read_trajectory_csv,
+                            write_trajectory_csv)
 from trajvoi.runconfig import load_config
 
 DAY = synth.DAY_START
@@ -541,6 +542,35 @@ def test_baselines_bad_trajectory_fails_only_its_row(tmp_path, caplog):
         "noise for trajectory 'bad'"]
 
 
+def test_baselines_check_each_trajectory_before_the_shared_fit(
+        suite, tmp_path, caplog):
+    # a fix whose noise variance overflows fails its trajectory's check,
+    # so the task is not run again in halves and the other rows come out
+    # as in a run without that trajectory
+    walks = list(suite[:20])
+    sigma = walks[7].sigma.copy()
+    sigma[len(sigma) // 2] = 1e200
+    walks[7] = replace(walks[7], sigma=sigma)
+    assert walks[7].trajectory_id == "synth_007"
+    runs = {}
+    for name, trajectories in (("all", walks),
+                               ("good", walks[:7] + walks[8:])):
+        (tmp_path / name).mkdir()
+        config, traj_csv, out = write_config(tmp_path / name)
+        write_trajectory_csv(trajectories, traj_csv)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="trajvoi"):
+            runs[name] = (
+                cli.entrypoint(["baselines", "--config", str(config)]),
+                (out / "baselines.csv").read_text(),
+                [r.getMessage() for r in caplog.records])
+    assert runs["good"] == (0, runs["good"][1], [])
+    assert runs["all"] == (2, runs["good"][1], [
+        "baselines: synth_007 failed: GpNumericalError: non-finite "
+        "measurement noise for trajectory 'synth_007'"])
+    assert runs["all"][1].count("\n") == 20
+
+
 def test_ids_with_commas_survive_voi_baselines_analyze(tmp_path):
     # report CSVs quote an id where it must be, as the trajectory CSV does
     ids = ["a,b", "c", "d"]
@@ -707,6 +737,78 @@ def test_degrade_writes_one_csv_per_spec(tmp_path):
     # the identity copy reproduces the input file exactly
     assert (out / "degraded" / "identity.csv").read_bytes() \
         == traj_csv.read_bytes()
+
+
+def degrade_fleet():
+    """Trajectories whose degraded rows are easy to get wrong: ids that
+    need CSV quoting or hold a %, repeated timestamps, awkward magnitudes
+    and a lone fix."""
+    return [
+        synth.make_trajectory([0.0, 7.5, -2.25e-5, 3.3e9],
+                              [DAY, DAY, DAY + 60.0, DAY + 60.0],
+                              ys=[1.0 / 3.0, 0.0, -0.0, 5e-324],
+                              sigmas=[3.0, 0.0, 2.5, 3.0],
+                              trajectory_id='a,"b"', owner_id="o,1"),
+        synth.make_trajectory([10.0 * k for k in range(12)],
+                              [DAY + H + 30.0 * k for k in range(12)],
+                              trajectory_id="p%d%%", owner_id="own%r"),
+        synth.make_trajectory([5.0], [DAY + 2 * H], trajectory_id="lone"),
+        synth.make_trajectory([1.0, 2.0, 3.0],
+                              [DAY + 3 * H + k for k in range(3)],
+                              trajectory_id="three", owner_id="001"),
+    ]
+
+
+def test_degrade_files_equal_per_spec_writes(tmp_path, caplog):
+    # each file degrade writes in its one pass holds what writing that
+    # spec's releases alone would
+    config, traj_csv, out = write_config(tmp_path)
+    config.write_text(config.read_text()
+                      .replace("noise_levels_m: [100]",
+                               "noise_levels_m: [100, 3.5]")
+                      .replace("truncation_ratios: [0.5]",
+                               "truncation_ratios: [0.5, 0.05, 0.5]", 1)
+                      .replace("subsampling_ratios: [0.5]",
+                               "subsampling_ratios: [0.5, 0.000001]", 1))
+    write_trajectory_csv(degrade_fleet(), traj_csv)
+    with caplog.at_level(logging.WARNING, logger="trajvoi"):
+        assert cli.entrypoint(["degrade", "--config", str(config)]) == 0
+    assert [r.getMessage() for r in caplog.records] \
+        == ["degrade: 1 duplicate specs were dropped"]
+    trajectories = read_trajectory_csv(traj_csv)
+    specs, _ = cli._distinct(cli._degradation_specs(load_config(config)),
+                             DegradationSpec.label)
+    assert len(specs) == 7
+    assert sorted(p.name for p in (out / "degraded").iterdir()) == sorted(
+        spec.label().replace(":", "_") + ".csv" for spec in specs)
+    for spec in specs:
+        want = tmp_path / "want.csv"
+        write_trajectory_csv([apply_spec(t, spec) for t in trajectories],
+                             want)
+        got = out / "degraded" / (spec.label().replace(":", "_") + ".csv")
+        assert got.read_bytes() == want.read_bytes(), spec
+    # one fix per trajectory: truncation 0.05 keeps one of at most 19
+    # fixes, and subsampling 1e-06 keeps none by its uniforms, so the one
+    # of the least uniform
+    for name in ("truncation_0.05.csv", "subsampling_1e-06.csv"):
+        assert [len(t) for t in read_trajectory_csv(
+            out / "degraded" / name)] == [1, 1, 1, 1]
+    assert cli.entrypoint(["degrade", "--config", str(config),
+                           "--limit", "0"]) == 0
+    header = ",".join(TRAJECTORY_CSV_FIELDS) + "\n"
+    assert {p.read_text() for p in (out / "degraded").iterdir()} == {header}
+
+
+def test_degrade_refuses_a_noise_level_below_a_sigma(tmp_path, capsys):
+    config, traj_csv, out = write_config(tmp_path)
+    config.write_text(config.read_text().replace(
+        "noise_levels_m: [100]", "noise_levels_m: [100, 2.75]"))
+    write_trajectory_csv(degrade_fleet(), traj_csv)
+    assert cli.entrypoint(["degrade", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: perturbation level 2.75 m is below the sigma of a fix (3 m) "
+        "in trajectory 'a,\"b\"'"]
+    assert not (out / "degraded").exists()
 
 
 def test_ingest_command(tmp_path):

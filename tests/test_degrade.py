@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from synth import fixes, make_trajectory
-from trajvoi.degrade import (DegradationSpec, apply_spec, perturb, subsample,
-                             truncate)
+from trajvoi.degrade import (DegradationSpec, apply_spec, kept_fixes, perturb,
+                             subsample, truncate)
 
 
 def walk(n=100, sigma=3.0, trajectory_id="w"):
@@ -171,3 +171,28 @@ def test_apply_spec_dispatch():
     assert len(apply_spec(s, DegradationSpec(kind="truncation", ratio=0.5))) == 5
     z = apply_spec(s, DegradationSpec(kind="subsampling", ratio=0.5, seed=1))
     assert 1 <= len(z) <= 10
+
+
+@pytest.mark.parametrize("spec", [
+    DegradationSpec(kind="identity"),
+    DegradationSpec(kind="truncation", ratio=0.35),
+    DegradationSpec(kind="truncation", ratio=0.001),
+    DegradationSpec(kind="subsampling", ratio=0.35, seed=4),
+    DegradationSpec(kind="subsampling", ratio=0.001, seed=4),
+])
+def test_apply_spec_takes_the_kept_fixes(spec):
+    s = walk(n=40)
+    index = kept_fixes(s, spec)
+    assert fixes(apply_spec(s, spec)) == fixes(s.take(index))
+    assert len(s.take(index)) >= 1
+
+
+def test_kept_masks_nest_across_ratios():
+    s = walk(n=300)
+    for seed in range(5):
+        masks = [kept_fixes(s, DegradationSpec(kind="subsampling", ratio=r,
+                                               seed=seed))
+                 for r in (0.05, 0.2, 0.4, 0.6, 0.8, 1.0)]
+        for small, large in zip(masks, masks[1:]):
+            assert not (small & ~large).any()
+        assert masks[-1].all()
