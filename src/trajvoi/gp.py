@@ -17,10 +17,13 @@ Matern 3/2 is exactly the stationary solution of a linear SDE in the state
 (position, velocity) (Hartikainen & Sarkka 2010), so inference is exact in
 O(n) over the n fixes: a Kalman filter forward over the fixes gives the log
 evidence, and a Rauch-Tung-Striebel (RTS) smoother back over them gives the
-posterior at every fix. A query time then takes one RTS step from the fixes
-on either side of it. Fixes may share a timestamp (a step of zero length);
-the noise floor keeps the innovation variance positive even when their
-noise is zero.
+posterior at every fix. A query time between two fixes takes one RTS step
+from the fixes on either side of it. Before the first fix it takes one
+backward step from the stationary prior to the first fix, and from the
+last fix on, where the RTS gain is 0, one forward propagation of the last
+filtered state. Fixes may share a timestamp (a step of zero length); the
+noise floor keeps the innovation variance positive even when their noise
+is zero.
 
 Both coordinates share the fix times, the per-fix noise and the length
 scale, so they share the covariance recursion: one filter and smoother
@@ -54,7 +57,8 @@ LENGTH_SCALE_REL_TOL = 1e-3
 
 
 class GpNumericalError(RuntimeError):
-    """The fixes of a track give no usable noise variance (non-finite)."""
+    """The fixes of a track give no usable noise variance, or a channel
+    value whose square is not finite."""
 
     def __init__(self, message: str, trajectory_id: str = ""):
         super().__init__(message)
@@ -221,16 +225,21 @@ def _track_inputs(training: Training, var: float) -> _Fixes:
     if np.any(dt < 0):
         raise ValueError(f"fix times of trajectory {trajectory_id!r} must be "
                          f"non-decreasing")
+    resids = np.array(channels, dtype=float).reshape(len(channels), t.size)
     # a square that overflows is refused below, not warned about
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         noise = (np.asarray(sigmas, dtype=float) ** 2
                  + NOISE_FLOOR_REL * var)
+        squares = resids * resids
     if not np.all(np.isfinite(noise)):
         raise GpNumericalError(
             f"non-finite measurement noise for trajectory {trajectory_id!r}",
             trajectory_id=trajectory_id)
-    return _Fixes(dt, noise, np.array(channels, dtype=float).reshape(
-        len(channels), t.size))
+    if not np.all(np.isfinite(squares)):
+        raise GpNumericalError(
+            f"a channel value of trajectory {trajectory_id!r} has no finite "
+            f"square", trajectory_id=trajectory_id)
+    return _Fixes(dt, noise, resids)
 
 
 # --- lanes --------------------------------------------------------------------
@@ -433,16 +442,19 @@ def _numpy_lanes(run: _Run, lanes: _Lanes, channels: int, stop: int):
             p00, p01, p11, s, k0, k1 = _filter_step(
                 p00, p01, p11, a00, a01, a10, a11, q00, q01, q11,
                 block[j, 1, :n])
-            f, d, v = _mean_step(f, d, a00, a01, a10, a11, k0, k1,
-                                 block[j, 2:, :n])
             if P is None:
                 logs[:n] += np.log(2.0 * math.pi * s)
-                quads[:, :n] += v * v / s
             else:
                 cols = slice(row[step], row[step] + n)
                 kept_AQ[:, cols] = AQ[j, :, :n]
                 P[0, cols], P[1, cols], P[2, cols] = p00, p01, p11
-                M[0, :, cols], M[1, :, cols] = f, d
+            if channels:            # lanes without channels have no means
+                f, d, v = _mean_step(f, d, a00, a01, a10, a11, k0, k1,
+                                     block[j, 2:, :n])
+                if P is None:
+                    quads[:, :n] += v * v / s
+                else:
+                    M[0, :, cols], M[1, :, cols] = f, d
         k = end
     return p00, p01, p11, f, d
 
@@ -467,15 +479,18 @@ def _rts_smoother(run: _Run, lanes: _Lanes):
     stop = max(_float_switch(run) - 1, 0)
     for i in range(run.active[stop + 1] if stop + 1 < run.active.size else 0):
         _float_smooth(run, i, lanes.tracks[lanes.track[i]], stop)
+    channels = M.shape[1]               # lanes without channels have no means
     for k in range(stop - 1, -1, -1):
         n = run.active[k + 1]
         now = slice(run.row[k], run.row[k] + n)
         after = slice(run.row[k + 1], run.row[k + 1] + n)
         aq = run.AQ[:, after]
-        [(f, d)], (p00, p01, p11) = _rts_step(
-            [tuple(M[:, :, now])], tuple(P[:, now]), aq[:4], aq[4:],
-            [tuple(M[:, :, after])], tuple(P[:, after]))
-        M[0, :, now], M[1, :, now] = f, d
+        means, (p00, p01, p11) = _rts_step(
+            [tuple(M[:, :, now])] if channels else [], tuple(P[:, now]),
+            aq[:4], aq[4:], [tuple(M[:, :, after])] if channels else [],
+            tuple(P[:, after]))
+        for f, d in means:
+            M[0, :, now], M[1, :, now] = f, d
         P[0, now], P[1, now], P[2, now] = p00, p01, p11
 
 
@@ -501,48 +516,74 @@ def _float_smooth(run: _Run, i: int, fixes: _Fixes, stop: int):
         run.M[:, c, cols] = list(zip(*channel))
 
 
-def _lane_states(run: _Run, i: int, fixes: _Fixes, lam: float, var: float,
-                 first: bool):
-    """Lane ``i``'s state at each fix of a kept run, with the stationary
-    prior added first or last: (means (2, channels, states), covariances
-    (3, states))."""
-    n, channels = fixes.dt.size, len(fixes.resids)
-    cols = run.row[:n] + i
-    parts = [(np.zeros((2, channels, 1)),
-              np.array([[var], [0.0], [var * lam ** 2]])),
-             (run.M[:, :channels].take(cols, axis=2),
-              run.P.take(cols, axis=1))]
-    if not first:
-        parts.reverse()
-    return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
+def _lane_states(run: _Run, i: int, fixes: _Fixes):
+    """Lane ``i``'s state at each fix of a kept run: (means (2, channels,
+    fixes), covariances (3, fixes))."""
+    cols = run.row[:fixes.dt.size] + i
+    return (run.M[:, :len(fixes.resids)].take(cols, axis=2),
+            run.P.take(cols, axis=1))
 
 
 def _track_states(lanes: _Lanes) -> list:
     """For each lane (one per track), the states its queries start from:
-    on the left the stationary prior and then the filtered state at each
-    fix, on the right the smoothed state at each fix and then a placeholder
-    prior. One filter and one smoother pass serve every lane."""
+    the filtered and the smoothed state at each fix. One filter and one
+    smoother pass serve every lane."""
     if not lanes.track.size:
         return []
     order = np.argsort(-lanes.sizes(), kind="stable")
     lanes = lanes.take(order)
     run = _kalman_filter(lanes, keep=True)
-    args = [(lanes.tracks[t], float(lam), lanes.var)
-            for t, lam in zip(lanes.track, lanes.lam)]
-    left = [_lane_states(run, i, *a, True) for i, a in enumerate(args)]
+    tracks = [lanes.tracks[t] for t in lanes.track]
+    filtered = [_lane_states(run, i, t) for i, t in enumerate(tracks)]
     _rts_smoother(run, lanes)
     out = [None] * order.size
-    for i, (slot, a) in enumerate(zip(order.tolist(), args)):
-        out[slot] = left[i], _lane_states(run, i, *a, False)
+    for i, (slot, t) in enumerate(zip(order.tolist(), tracks)):
+        out[slot] = filtered[i], _lane_states(run, i, t)
     return out
 
 
-def _states_at(states, idx, means: bool = True):
-    """The states at ``idx`` in the step bodies' form, over the queries:
-    channel means stacked as (channels, queries), or none."""
-    stacked, covs = states
-    return ([tuple(stacked[:, :, idx])] if means else [],
-            tuple(covs[:, idx]))
+class _Gaps(NamedTuple):
+    """What a query at sorted times ``q`` shares among tracks of equal fix
+    times, length scale and prior variance: ``idx[j]`` fixes lie at or
+    before q[j], so q[:before] lie before the first fix and q[end:] at or
+    after the last. A and Q are the transitions, in one call, first from
+    each of q[:end] to its next fix, then to each of q[before:] from its
+    last fix."""
+
+    idx: np.ndarray
+    before: int
+    end: int
+    A: tuple
+    Q: tuple
+
+
+def _gaps(t: np.ndarray, lam: float, var: float, q: np.ndarray) -> _Gaps:
+    """The gaps of sorted query times ``q`` about fix times ``t``."""
+    idx = np.searchsorted(t, q, side="right")
+    before, end = np.searchsorted(idx, [1, t.size]).tolist()
+    A, Q = _transition(np.concatenate([t[idx[:end]] - q[:end],
+                                       q[before:] - t[idx[before:] - 1]])
+                       / SECONDS_PER_HOUR, lam, var)
+    return _Gaps(idx, before, end, A, Q)
+
+
+def _sorted(times):
+    """Query times sorted, and the order that sorted them (None if they
+    already were)."""
+    q = np.atleast_1d(np.asarray(times, dtype=float))
+    if np.all(q[1:] >= q[:-1]):
+        return q, None
+    order = np.argsort(q, kind="stable")
+    return q[order], order
+
+
+def _unsorted(x: np.ndarray, order) -> np.ndarray:
+    """Values at sorted times put back in the times' own order."""
+    if order is None:
+        return x
+    out = np.empty_like(x)
+    out[order] = x
+    return out
 
 
 class CoordinateGP:
@@ -550,9 +591,9 @@ class CoordinateGP:
 
     The channels share timestamps and per-point noise, so one filter and
     smoother pass serves all of them; each channel keeps its own state
-    means. ``states`` are that pass's states at the fixes (see
-    :func:`fit_tracks`, which runs it), None only for a track without
-    fixes, whose ``channels`` means are 0.
+    means. ``states`` are that pass's filtered and smoothed states at the
+    fixes (see :func:`fit_tracks`, which runs it), None only for a track
+    without fixes, whose ``channels`` means are 0.
     """
 
     def __init__(self, times, channels: int, sigma_f: float,
@@ -563,42 +604,56 @@ class CoordinateGP:
         self.times = np.asarray(times, dtype=float)
         self.n_train = self.times.size
         self._lam = SQRT3 / self.length_scale
-        if not self.n_train:
-            return
-        # Indexed by the number of fixes at or before a query time: on the
-        # left the filtered state at the last such fix (the stationary prior
-        # before the first), on the right the smoothed state at the next fix
-        # (a placeholder past the last).
-        self._left, self._right = states
+        self._states = states
 
-    def predict(self, times, means: bool = True
-                ) -> Tuple[Optional[List[np.ndarray]], np.ndarray]:
-        """Posterior mean of each channel (None unless ``means``) and the
-        variance they share, at each time, for the latent coordinates."""
-        q = np.atleast_1d(np.asarray(times, dtype=float))
-        if self.n_train == 0:
-            return ([np.zeros(q.shape) for _ in range(self.channels)]
-                    if means else None,
-                    np.full(q.shape, self.sigma_f ** 2))
-        t, n, var = self.times, self.n_train, self.sigma_f ** 2
-        idx = np.searchsorted(t, q, side="right")
-        # Before the first fix the left state is the stationary prior, which
-        # any gap leaves as it is. Past the last fix the right gap is so long
-        # (lam gap = 1000) that the RTS gain is exactly 0.
-        gap_left = np.maximum(q - t[np.maximum(idx - 1, 0)], 0.0)
-        gap_right = np.where(idx < n, t[np.minimum(idx, n - 1)] - q,
-                             1e3 / self._lam * SECONDS_PER_HOUR)
-        A, Q = _transition(gap_left / SECONDS_PER_HOUR, self._lam, var)
-        left_means, P = _states_at(self._left, idx, means)
-        P, _ = _propagate(P, A, Q)
-        A_right, Q_right = _transition(gap_right / SECONDS_PER_HOUR,
-                                       self._lam, var)
-        right_means, right_P = _states_at(self._right, idx, means)
-        f, (P00,) = _rts_step([_apply(A, m) for m in left_means], P, A_right,
-                              Q_right, right_means, right_P,
+    def _at(self, gaps: _Gaps, means: bool):
+        """Each channel's posterior mean (None unless ``means``) and the
+        variance they share, at the sorted query times of ``gaps``.
+
+        From the last fix at or before a time, its filtered state is
+        propagated to the time. Up to the last fix, one RTS step then
+        conditions that on the smoothed state at the next fix; before the
+        first fix the state it conditions is the stationary prior, which
+        any gap leaves as it is. From the last fix on, the RTS gain is 0
+        and the propagated state is the posterior."""
+        var, lam = self.sigma_f ** 2, self._lam
+        (filtered_m, filtered_P), (smoothed_m, smoothed_P) = self._states
+        idx, before, end, A, Q = gaps
+        between = end - before
+        last = idx[before:] - 1
+        A_last, Q_last = [a[end:] for a in A], [x[end:] for x in Q]
+        P, _ = _propagate(tuple(filtered_P.take(last, axis=1)), A_last,
+                          Q_last)
+        # left of each time up to the last fix: the stationary prior before
+        # the first fix, else the propagated state
+        left_P = tuple(np.concatenate([np.full(before, p0), p[:between]])
+                       for p0, p in zip((var, 0.0, var * lam ** 2), P))
+        left_m, next_m = [], []
+        if means:                  # channels stacked as (channels, times)
+            moved = _apply(A_last, filtered_m.take(last, axis=2))
+            left_m = [tuple(np.concatenate(
+                [np.zeros((self.channels, before)), x[:, :between]], axis=1)
+                for x in moved)]
+            next_m = [tuple(smoothed_m.take(idx[:end], axis=2))]
+        f, (P00,) = _rts_step(left_m, left_P, [a[:end] for a in A],
+                              [x[:end] for x in Q], next_m,
+                              tuple(smoothed_P.take(idx[:end], axis=1)),
                               position_only=True)
         # guard against cancellation rounding; the latent variance is positive
-        return list(f[0]) if means else None, np.maximum(P00, 1e-12 * var)
+        return ([*np.concatenate([f[0], moved[0][:, between:]], axis=1)]
+                if means else None,
+                np.maximum(np.concatenate([P00, P[0][between:]]), 1e-12 * var))
+
+    def predict(self, times) -> Tuple[List[np.ndarray], np.ndarray]:
+        """Posterior mean of each channel and the variance they share, at
+        each time, for the latent coordinates."""
+        q, order = _sorted(times)
+        if self.n_train == 0:
+            return ([np.zeros(q.shape) for _ in range(self.channels)],
+                    np.full(q.shape, self.sigma_f ** 2))
+        f, var = self._at(_gaps(self.times, self._lam, self.sigma_f ** 2, q),
+                          True)
+        return [_unsorted(x, order) for x in f], _unsorted(var, order)
 
 
 def log_marginal_likelihood(times, channels, sigmas, cfg: GpConfig,
@@ -775,9 +830,38 @@ class GaussianTrack:
 
     def query(self, times, means: bool = True) -> TrackQuery:
         """The reconstruction at each time; without ``means``, only the
-        variance (the mean fields are None)."""
-        mx, var = self.gp.predict(times, means)
+        variance (the mean fields are None): :func:`track_variances` on a
+        batch of one."""
+        if not means:
+            return TrackQuery(None, None, track_variances([self], times)[0])
+        mx, var = self.gp.predict(times)
         return TrackQuery(*(mx or (None, None)), var)
+
+
+def track_variances(tracks: Sequence[GaussianTrack], times) -> list:
+    """The posterior variance of each track at each of ``times``.
+
+    The times are sorted once. Tracks of equal fix times, length scale and
+    prior scale share the gaps to their fixes, so each such group makes
+    one :func:`_transition` call; each track then propagates and smooths
+    its own states. Every variance is bitwise that of the track's own
+    ``predict``."""
+    q, order = _sorted(times)
+    out: list = [None] * len(tracks)
+    groups: dict = {}
+    for i, track in enumerate(tracks):
+        fit = track.gp
+        if not fit.n_train:
+            out[i] = np.full(q.shape, fit.sigma_f ** 2)
+        else:
+            groups.setdefault((fit.times.tobytes(), fit.length_scale,
+                               fit.sigma_f), []).append(i)
+    for members in groups.values():
+        first = tracks[members[0]].gp
+        gaps = _gaps(first.times, first._lam, first.sigma_f ** 2, q)
+        for i in members:
+            out[i] = tracks[i].gp._at(gaps, False)[1]
+    return [_unsorted(v, order) for v in out]
 
 
 def point_training(trajectory: Trajectory) -> Training:

@@ -36,7 +36,8 @@ import numpy as np
 
 from .degrade import DegradationSpec
 from .gp import (GaussianTrack, GpConfig, Training, _track_inputs,
-                 fit_tracks, point_training, train_length_scales)
+                 fit_tracks, point_training, track_variances,
+                 train_length_scales)
 # importable from here by name, where per-layer tracing wraps it
 from .gp import train_length_scale  # noqa: F401
 from .model import Trajectory
@@ -159,8 +160,8 @@ def ig_at(prior_track: GaussianTrack, posterior_track: GaussianTrack,
           times) -> np.ndarray:
     """Pointwise entropy reduction in bits at each query time, summed over
     the two coordinates: 2 * 0.5 * log2 of the shared variance ratio."""
-    return (np.log2(prior_track.query(times, means=False).var)
-            - np.log2(posterior_track.query(times, means=False).var))
+    prior, posterior = track_variances([prior_track, posterior_track], times)
+    return np.log2(prior) - np.log2(posterior)
 
 
 def _day_grid(day_start: float, cfg: IntegrationConfig) -> np.ndarray:
@@ -336,8 +337,10 @@ def score_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge, str,
 
     One planning pass meets each cell's inputs as a lone cell does: a
     released prior's training (its fixes about their least-squares lines),
-    then the evidence's track. Each distinct input is built and checked
-    once; a cell whose input fails is left out of the shared passes. One
+    then the evidence's track; under the uninformative prior, the
+    evidence's own training, whose channel values must have finite
+    squares too. Each distinct input is built and checked once; a cell
+    whose input fails is left out of the shared passes. One
     :func:`~trajvoi.gp.train_length_scales` call trains the length scale
     of each evidence under the uninformative prior and of each distinct
     released prior. A released prior's serves both tracks of its cells, so
@@ -350,11 +353,12 @@ def score_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge, str,
 
     The gains are integrated one trajectory's run of cells at a time. For
     each day a cell covers, one union grid holds the uniform day grid and
-    every evidence time of the run, and each track's log variance is taken
-    on it once; the uninformative prior's is a constant. A cell's own
-    :func:`integration_grid` is a subset of the union grid, read off it by
-    position, and its gain is integrated there. A track is dropped once
-    the last run that uses it is scored.
+    every evidence time of the run, and one
+    :func:`~trajvoi.gp.track_variances` call takes the variance of each of
+    the day's tracks on it; the uninformative prior's is a constant. A
+    cell's own :func:`integration_grid` is a subset of the union grid,
+    read off it by position, and its gain is integrated there. A track is
+    dropped once the last run that uses it is scored.
 
     A generator: per cell, in order, it yields its :class:`VoiRow`, or the
     exception its inputs raise. A failure in a shared pass raises, ending
@@ -384,9 +388,15 @@ def score_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge, str,
     trainings: dict = {}
     for i, (evidence, prior, *_) in enumerate(cells):
         released = prior.kind == "released"
-        error = failure(prior, lambda: detrended.setdefault(
-            prior, _release_training(prior.released))) if released else None
-        error = error or failure(evidence, lambda: bare(evidence))
+        if released:
+            error = failure(prior, lambda: detrended.setdefault(
+                prior, _release_training(prior.released))) or failure(
+                    evidence, lambda: bare(evidence))
+        else:
+            # the evidence trains its own scale on its channels; checking
+            # that training checks its track's inputs too
+            error = failure((evidence, "trained"),
+                            lambda: point_training(evidence))
         plans.append(error or (prior if released else i))
         if error is None:
             trainings[plans[i]] = detrended[prior] if released \
@@ -421,36 +431,45 @@ def score_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge, str,
     for r, run in enumerate(runs):
         keys = dict.fromkeys(key for i in run if isinstance(plans[i], tuple)
                              for key in plans[i][1:] if key is not None)
+        # each scored cell's evidence times and day, and the tracks of
+        # each day's cells
+        spans: dict = {}
+        days: dict = {}
+        for i in run:
+            if isinstance(plans[i], tuple):
+                evidence, prior = cells[i][:2]
+                data_times = evidence.t if plans[i][1] is None \
+                    else np.concatenate([evidence.t, prior.released.t])
+                day_start = covering_day_start(float(data_times.min()),
+                                               integration.day_seconds)
+                spans[i] = data_times, day_start
+                days.setdefault(day_start, {}).update(
+                    (key, None) for key in plans[i][1:] if key is not None)
+        # per day, the union grid and each track's log variance on it,
+        # from one track_variances call; the uninformative prior's is a
+        # constant
         grids: dict = {}
-        log_vars: dict = {}
-
-        def log_var(day_start: float, key) -> np.ndarray:
-            if (day_start, key) not in log_vars:
-                grid = grids[day_start][0]
-                log_vars[day_start, key] = np.log2(
-                    np.full(grid.shape, flat_var) if key is None
-                    else tracks[key].query(grid, means=False).var)
-            return log_vars[day_start, key]
-
+        for day_start, day_keys in days.items():
+            union, marks = _union_grid(day_start, integration, (
+                np.concatenate([requests[key][0].times for key in keys])))
+            variances = track_variances([tracks[key] for key in day_keys],
+                                        union)
+            log_var = {key: np.log2(v, out=v)       # each v is its own array
+                       for key, v in zip(day_keys, variances)}
+            log_var[None] = np.log2(np.full(union.shape, flat_var))
+            grids[day_start] = union, marks, log_var
         for i in run:
             if isinstance(plans[i], Exception):
                 yield plans[i]
                 continue
             evidence, prior, kind, param = cells[i]
             l, prior_key, posterior_key = plans[i]
-            data_times = evidence.t if prior_key is None \
-                else np.concatenate([evidence.t, prior.released.t])
-            day_start = covering_day_start(float(data_times.min()),
-                                           integration.day_seconds)
-            if day_start not in grids:
-                grids[day_start] = _union_grid(day_start, integration, (
-                    np.concatenate([requests[key][0].times for key in keys])))
-            union, marks = grids[day_start]
+            data_times, day_start = spans[i]
+            union, marks, log_var = grids[day_start]
             at = _grid_positions(union, marks, day_start, integration,
                                  data_times)
             ts = union[at]
-            igs = (log_var(day_start, prior_key)[at]
-                   - log_var(day_start, posterior_key)[at])
+            igs = log_var[prior_key][at] - log_var[posterior_key][at]
             yield VoiRow(trajectory_id=evidence.trajectory_id,
                          prior=prior.label, kind=kind, param=param,
                          ig_bit_seconds=float(np.trapezoid(igs, ts)),

@@ -7,6 +7,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -286,8 +287,9 @@ def test_voi_fits_each_prior_and_applies_each_spec_once(suite, tmp_path,
     # uninformative prior's constant variance is never queried.
     config, _ = reference_matrix_config(tmp_path, suite[1:2])
     counts = {"trainings": 0, "training calls": 0, "apply_spec": 0,
-              "tracks": 0, "fit calls": 0, "queries": 0, "detrendings": 0}
-    real_fit, real_query = infogain.fit_tracks, gp.GaussianTrack.query
+              "tracks": 0, "fit calls": 0, "detrendings": 0}
+    queried = []
+    real_fit, real_variances = infogain.fit_tracks, infogain.track_variances
     real_residuals = infogain._linear_residuals
 
     def counted_residuals(*args):
@@ -300,11 +302,11 @@ def test_voi_fits_each_prior_and_applies_each_spec_once(suite, tmp_path,
         counts["fit calls"] += 1
         return real_fit(requests, *args)
 
-    def counted_query(*args, **kwargs):
-        counts["queries"] += 1
-        return real_query(*args, **kwargs)
+    def counted_variances(tracks, times):
+        queried.extend(tracks)
+        return real_variances(tracks, times)
     monkeypatch.setattr(infogain, "fit_tracks", counted_fit)
-    monkeypatch.setattr(gp.GaussianTrack, "query", counted_query)
+    monkeypatch.setattr(infogain, "track_variances", counted_variances)
 
     def counted_trainings(module):
         real = module.train_length_scales
@@ -330,8 +332,67 @@ def test_voi_fits_each_prior_and_applies_each_spec_once(suite, tmp_path,
     # each released prior is detrended once, a line per channel
     assert counts["detrendings"] == 6 * 2
     assert counts["apply_spec"] <= 19
-    assert (counts["tracks"], counts["fit calls"], counts["queries"]) \
+    assert (counts["tracks"], counts["fit calls"], len(queried)) \
         == (27, 1, 27)
+    assert len({id(track) for track in queried}) == 27
+
+
+def test_voi_takes_one_transition_per_group_of_tracks(suite, tmp_path,
+                                                    monkeypatch):
+    # the 27 tracks of one walk's matrix fall into 11 groups of equal fix
+    # times and length scale, queried on the walk's one day: each group's
+    # gaps go through one _transition call
+    config, _ = reference_matrix_config(tmp_path, suite[1:2])
+    queries, groups = [], []
+    real_transition, real_fit = gp._transition, infogain.fit_tracks
+
+    def counted_transition(*args):
+        # the filter passes' own transitions are not queries
+        if sys._getframe(1).f_code.co_name not in ("_numpy_lanes",
+                                                   "_float_lane"):
+            queries.append(args[0].size)
+        return real_transition(*args)
+
+    def counted_fit(*args):
+        tracks = real_fit(*args)
+        groups.append(len({(t.gp.times.tobytes(), t.gp.length_scale)
+                           for t in tracks}))
+        return tracks
+    monkeypatch.setattr(gp, "_transition", counted_transition)
+    monkeypatch.setattr(infogain, "fit_tracks", counted_fit)
+    assert cli.entrypoint(["voi", "--config", str(config)]) == 0
+    assert groups == [11]
+    assert len(queries) == 11
+
+
+def test_channel_values_whose_squares_overflow_are_refused(tmp_path, capfd,
+                                                           caplog):
+    # six fixes at +-1e308 m: every cell that trains on the walk's own
+    # coordinates, and its baselines row, fails naming the walk, instead of
+    # training to the lower length-scale bound or writing an infinite
+    # distance, and no numpy warning is raised on the way
+    xs = np.array([1e308, -1e308, 1e308, -1e308, 1e308, 1e308])
+    huge = synth.make_trajectory(xs, [DAY + 9 * H + 60.0 * k
+                                      for k in range(6)],
+                                 ys=-xs, trajectory_id="huge")
+    config, out = reference_matrix_config(tmp_path, [huge])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        codes = [cli.entrypoint([command, "--config", str(config)])
+                 for command in ("voi", "baselines")]
+    assert caught == []
+    assert "Warning" not in capfd.readouterr().err
+    assert codes == [2, 2]
+    refused = "GpNumericalError: a channel value of trajectory 'huge' " \
+        "has no finite square"
+    errors = [json.loads(line) for line in
+              (out / "voi_errors.jsonl").read_text().splitlines()]
+    assert [e["error"] for e in errors if e["prior"] == "uninformative"] \
+        == [refused] * 17
+    rows = VoiReport.from_jsonl((out / "voi_report.jsonl").read_text()).rows
+    assert rows and all(r.prior != "uninformative" for r in rows)
+    assert (out / "baselines.csv").read_text().count("\n") == 1
+    assert f"baselines: huge failed: {refused}" in caplog.messages
 
 
 def test_a_voi_task_fits_its_tracks_in_one_pass(suite, tmp_path,

@@ -430,6 +430,101 @@ def test_batched_trainings_equal_each_training_alone(batch_and_cfg):
         assert got == train_length_scale(*training[:3], cfg)
 
 
+def two_sided_query(coordinate_gp, times, means=True):
+    """A fitted track's means and variance at ``times`` as every query once
+    took them, kept as the oracle the sliced query is checked against.
+    Each time propagates the filtered state at the last fix at or before
+    it (the stationary prior before the first fix), then takes one RTS
+    step to the smoothed state at the next fix; past the last fix that is
+    a placeholder prior so far away (lam gap = 1000) that the RTS gain is
+    0."""
+    g = coordinate_gp
+    q = np.atleast_1d(np.asarray(times, dtype=float))
+    t, n, var, lam = g.times, g.n_train, g.sigma_f ** 2, g._lam
+    if n == 0:
+        return ([np.zeros(q.shape) for _ in range(g.channels)]
+                if means else None, np.full(q.shape, var))
+    (filtered_m, filtered_P), (smoothed_m, smoothed_P) = g._states
+    prior_m = np.zeros((2, g.channels, 1))
+    prior_P = np.array([[var], [0.0], [var * lam ** 2]])
+    left_m = np.concatenate([prior_m, filtered_m], axis=2)
+    left_P = np.concatenate([prior_P, filtered_P], axis=1)
+    right_m = np.concatenate([smoothed_m, prior_m], axis=2)
+    right_P = np.concatenate([smoothed_P, prior_P], axis=1)
+    idx = np.searchsorted(t, q, side="right")
+    gap_left = np.maximum(q - t[np.maximum(idx - 1, 0)], 0.0)
+    gap_right = np.where(idx < n, t[np.minimum(idx, n - 1)] - q,
+                         1e3 / lam * HOUR)
+    A, Q = gp._transition(gap_left / HOUR, lam, var)
+    P, _ = gp._propagate(tuple(left_P[:, idx]), A, Q)
+    A_right, Q_right = gp._transition(gap_right / HOUR, lam, var)
+    f, (P00,) = gp._rts_step(
+        [gp._apply(A, tuple(left_m[:, :, idx]))] if means else [], P,
+        A_right, Q_right, [tuple(right_m[:, :, idx])] if means else [],
+        tuple(right_P[:, idx]), position_only=True)
+    return list(f[0]) if means else None, np.maximum(P00, 1e-12 * var)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ragged_trainings(), st.data())
+def test_sliced_queries_equal_the_two_sided_oracle(batch_and_cfg, data):
+    # times before, at, between and after the fixes, sorted or not, on
+    # tracks of 0 to 60 fixes; each track has a twin of equal times and
+    # other noise, without channels, and the two share their group when
+    # they share a length scale
+    batch, cfg = batch_and_cfg
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    requests = []
+    for training in batch:
+        scale = data.draw(st.sampled_from([0.05, 1.0, 10.0]))
+        twin = training._replace(channels=[],
+                                 sigmas=rng.permutation(training.sigmas))
+        requests += [(training, scale),
+                     (twin, data.draw(st.sampled_from([scale, 0.3])))]
+    tracks = fit_tracks(requests, cfg)
+    ts = np.concatenate([training.times for training in batch])
+    lo, hi = (ts.min(), ts.max()) if ts.size else (0.0, HOUR)
+    q = np.concatenate([ts, ts - 1.0, ts + 1.0, [lo - 10 * HOUR,
+                                                 hi + 10 * HOUR],
+                        rng.uniform(lo - 2 * HOUR, hi + 2 * HOUR, 50)])
+    q = np.sort(q) if data.draw(st.booleans()) else rng.permutation(q)
+    for track in tracks:
+        means, var = two_sided_query(track.gp, q)
+        got_means, got_var = track.gp.predict(q)
+        assert len(got_means) == len(means) == track.gp.channels
+        for got, want in zip(got_means, means):
+            assert np.array_equal(got, want)
+        assert np.array_equal(got_var, var)
+        assert np.array_equal(track.query(q, means=False).var, var)
+    for track, var in zip(tracks, gp.track_variances(tracks, q)):
+        assert np.array_equal(var, two_sided_query(track.gp, q, False)[1])
+
+
+def test_a_kept_pass_without_channels_steps_no_means(monkeypatch):
+    # a voi track is fit for its variance alone: with no channels, the
+    # numpy steps of its kept pass and the smoother run no mean recursion
+    rng = np.random.default_rng(29)
+    requests = []
+    for n in rng.integers(20, 60, 2 * gp.FLOAT_LANES_BELOW).tolist():
+        ts = np.sort(rng.uniform(0, 8 * HOUR, n))
+        requests.append((Training(ts, [], rng.uniform(0, 9, n)),
+                         float(rng.uniform(0.05, 5.0))))
+    calls = {"_numpy_lanes": 0, "_mean_step": 0}
+
+    def counted(name):
+        real = getattr(gp, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(gp, name, wrapper)
+
+    counted("_numpy_lanes")
+    counted("_mean_step")
+    fit_tracks(requests, GpConfig(sigma_f=500.0))
+    assert calls == {"_numpy_lanes": 1, "_mean_step": 0}
+
+
 def test_a_failing_training_raises_its_error():
     # a batch holding an unusable training raises; isolating the cells at
     # fault is the CLI's work
