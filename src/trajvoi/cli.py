@@ -37,8 +37,7 @@ import numpy as np
 from . import analysis, infogain
 from .baselines import (BASELINE_CSV_FIELDS, baseline_row, correctness_value)
 from .degrade import DegradationSpec, apply_spec, kept_fixes
-from .gp import (GpNumericalError, _track_inputs, fit_tracks,
-                 point_training)
+from .gp import GpNumericalError, fit_tracks, point_training
 from .infogain import (PriorKnowledge, VoiReport, curves_by_family,
                        match_equivalents, param_at_ig, score_cells)
 # not called here; the per-layer tracer (bench/tracing.py) wraps this name
@@ -221,17 +220,16 @@ def _voi_task(task):
 
 def _baseline_task(task):
     """Baseline metrics of a chunk of trajectories, one outcome each, or
-    raise. Each trajectory's GP inputs are checked first, as a voi task
-    checks its cells' (see infogain.score_cells): one the GP refuses has
-    that exception as its outcome. The identity GPs of the others (zero
-    mean, length scale trained on each trajectory) are fit together in
-    one fit_tracks call."""
+    raise. Each trajectory's training is built first, which checks it, as
+    a voi task builds its cells' (see infogain.score_cells): one the GP
+    refuses has that exception as its outcome. The identity GPs of the
+    others (zero mean, length scale trained on each trajectory) are fit
+    together in one fit_tracks call."""
     chunk, grid, spp, gp_cfg = task
     outcomes, fit = [], []
     for traj in chunk:
-        training = point_training(traj)
         try:
-            _track_inputs(training, gp_cfg.sigma_f ** 2)
+            training = point_training(traj, gp_cfg)
         except (ValueError, GpNumericalError) as e:
             outcomes.append(e)
             continue

@@ -33,6 +33,10 @@ means differ. Predictions are for the latent location, so the white-noise
 term is excluded at query time: reported variance is uncertainty about
 where the owner was, not about a hypothetical noisy re-measurement.
 
+A track's input is a :class:`Training`, converted and checked once by
+:meth:`Training.of`; every filter, smoother and training pass takes it as
+built.
+
 Public times are epoch seconds; only the state-space model works in hours.
 """
 
@@ -206,40 +210,46 @@ def _rts_step(means, P, A, Q, next_means, next_P, position_only=False):
              for m, rf, rd in residuals], smoothed_P)
 
 
-class _Fixes(NamedTuple):
-    """A track's filter inputs: the gap in hours before each fix (0 before
-    the first), each fix's noise variance with the floor, and each
-    channel's values (its residuals from the zero prior mean), shaped
+class Training(NamedTuple):
+    """A track's filter input under one prior scale, as :meth:`of` builds
+    and checks it: the fix times (epoch seconds), the gap in hours before
+    each fix (0 before the first), each fix's noise variance with the
+    floor, and each channel's values about the zero prior mean, shaped
     (channels, fixes)."""
 
+    times: np.ndarray
     dt: np.ndarray
     noise: np.ndarray
     resids: np.ndarray
 
-
-def _track_inputs(training: Training, var: float) -> _Fixes:
-    """A training's filter inputs under prior variance ``var``."""
-    times, channels, sigmas, trajectory_id = training
-    t = np.asarray(times, dtype=float)
-    dt = np.diff(t, prepend=t[:1]) / SECONDS_PER_HOUR
-    if np.any(dt < 0):
-        raise ValueError(f"fix times of trajectory {trajectory_id!r} must be "
-                         f"non-decreasing")
-    resids = np.array(channels, dtype=float).reshape(len(channels), t.size)
-    # a square that overflows is refused below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        noise = (np.asarray(sigmas, dtype=float) ** 2
-                 + NOISE_FLOOR_REL * var)
-        squares = resids * resids
-    if not np.all(np.isfinite(noise)):
-        raise GpNumericalError(
-            f"non-finite measurement noise for trajectory {trajectory_id!r}",
-            trajectory_id=trajectory_id)
-    if not np.all(np.isfinite(squares)):
-        raise GpNumericalError(
-            f"a channel value of trajectory {trajectory_id!r} has no finite "
-            f"square", trajectory_id=trajectory_id)
-    return _Fixes(dt, noise, resids)
+    @staticmethod
+    def of(times, channels, sigmas, cfg: GpConfig,
+           trajectory_id: str = "") -> "Training":
+        """The filter input of fixes at ``times`` with these channel values
+        and noise sigmas, under prior scale ``cfg.sigma_f``. Raises on times
+        out of order, and on a noise variance or a channel value whose
+        square is not finite, naming ``trajectory_id``."""
+        t = np.asarray(times, dtype=float)
+        dt = np.diff(t, prepend=t[:1]) / SECONDS_PER_HOUR
+        if np.any(dt < 0):
+            raise ValueError(f"fix times of trajectory {trajectory_id!r} "
+                             f"must be non-decreasing")
+        resids = np.array(channels, dtype=float).reshape(len(channels),
+                                                         t.size)
+        # a square that overflows is refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            noise = (np.asarray(sigmas, dtype=float) ** 2
+                     + NOISE_FLOOR_REL * cfg.sigma_f ** 2)
+            squares = resids * resids
+        if not np.all(np.isfinite(noise)):
+            raise GpNumericalError(
+                f"non-finite measurement noise for trajectory "
+                f"{trajectory_id!r}", trajectory_id=trajectory_id)
+        if not np.all(np.isfinite(squares)):
+            raise GpNumericalError(
+                f"a channel value of trajectory {trajectory_id!r} has no "
+                f"finite square", trajectory_id=trajectory_id)
+        return Training(t, dt, noise, resids)
 
 
 # --- lanes --------------------------------------------------------------------
@@ -269,7 +279,7 @@ class _Lanes(NamedTuple):
     """Lanes over some tracks, all at prior variance ``var``: lane i runs
     ``tracks[track[i]]`` at lam = sqrt(3) / length scale ``lam[i]``."""
 
-    tracks: Sequence[_Fixes]
+    tracks: Sequence[Training]
     track: np.ndarray
     lam: np.ndarray
     var: float
@@ -340,14 +350,14 @@ def _float_switch(run: _Run) -> int:
     return int(np.searchsorted(-run.active, -FLOAT_LANES_BELOW, side="right"))
 
 
-def _float_lane(run: _Run, i: int, fixes: _Fixes, lam: float, var: float,
+def _float_lane(run: _Run, i: int, fixes: Training, lam: float, var: float,
                 start: int = 0, state=None):
     """Lane ``i`` of ``run`` from fix ``start`` on, from ``state`` (the
     covariance and channel means, or None for the stationary prior), on
     Python floats, which step far faster than numpy arrays of a few
     elements: the covariance first, then each channel's means. Its
     evidence sums go on from where the numpy steps left them."""
-    dt, noise, resids = fixes
+    _, dt, noise, resids = fixes
     n, keep, channels = dt.size, run.P is not None, len(resids)
     cols = run.row[start:n] + i
     A, Q = _transition(dt[start:], lam, var)
@@ -414,7 +424,7 @@ def _numpy_lanes(run: _Run, lanes: _Lanes, channels: int, stop: int):
     inputs = np.concatenate([np.vstack([dt, noise, resids,
                                         np.zeros((channels - len(resids),
                                                   dt.size))])
-                             for dt, noise, resids in tracks], axis=1)
+                             for _, dt, noise, resids in tracks], axis=1)
     starts = np.cumsum([0] + [t.dt.size for t in tracks])
     first = starts[local]
     last = starts[local + 1] - 1
@@ -494,7 +504,7 @@ def _rts_smoother(run: _Run, lanes: _Lanes):
         P[0, now], P[1, now], P[2, now] = p00, p01, p11
 
 
-def _float_smooth(run: _Run, i: int, fixes: _Fixes, stop: int):
+def _float_smooth(run: _Run, i: int, fixes: Training, stop: int):
     """Lane ``i`` of the smoother back to fix ``stop``, on Python floats."""
     n, channels = fixes.dt.size, len(fixes.resids)
     cols = run.row[stop:n] + i
@@ -516,7 +526,7 @@ def _float_smooth(run: _Run, i: int, fixes: _Fixes, stop: int):
         run.M[:, c, cols] = list(zip(*channel))
 
 
-def _lane_states(run: _Run, i: int, fixes: _Fixes):
+def _lane_states(run: _Run, i: int, fixes: Training):
     """Lane ``i``'s state at each fix of a kept run: (means (2, channels,
     fixes), covariances (3, fixes))."""
     cols = run.row[:fixes.dt.size] + i
@@ -664,25 +674,13 @@ def log_marginal_likelihood(times, channels, sigmas, cfg: GpConfig,
     share."""
     if np.size(times) == 0:
         return 0.0
-    var = cfg.sigma_f ** 2
-    fixes = _track_inputs(Training(times, channels, sigmas, trajectory_id),
-                          var)
-    return float(_lane_lmls(_Lanes.of([fixes], [0], [SQRT3 / length_scale],
-                                      var))[0])
+    training = Training.of(times, channels, sigmas, cfg, trajectory_id)
+    return float(_lane_lmls(_Lanes.of([training], [0],
+                                      [SQRT3 / length_scale],
+                                      cfg.sigma_f ** 2))[0])
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-class Training(NamedTuple):
-    """What one length-scale training fits: the fix times, one value array
-    per coordinate channel (about a zero prior mean) and the per-fix
-    noise."""
-
-    times: object
-    channels: Sequence
-    sigmas: object
-    trajectory_id: str = ""
 
 
 def _golden_step(a, b, c, d, up):
@@ -763,46 +761,46 @@ def train_length_scales(trainings: Sequence[Training], cfg: GpConfig) -> list:
     bitwise that of a pass of its own, so the searches decide as they
     would alone. With fewer than two training points the geometric middle
     of the bounds is returned (the evidence carries no length-scale
-    information there). A training whose inputs are unusable raises.
+    information there). Each training is taken as :meth:`Training.of`
+    built it under ``cfg``: nothing is converted or checked again.
     """
     bounds, grid_size, var = (cfg.length_scale_bounds, cfg.grid_size,
                               cfg.sigma_f ** 2)
     lo, hi = bounds
     results: list = [math.sqrt(lo * hi)] * len(trainings)
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), grid_size))
-    ready = [i for i, tr in enumerate(trainings) if np.size(tr.times) >= 2]
+    ready = [i for i, tr in enumerate(trainings) if tr.times.size >= 2]
     if not ready:
         return results
-    tracks = [_track_inputs(trainings[i], var) for i in ready]
     path = _top_path(grid)
     # each training's scan: the grid, then the path's probes at the lam a
     # round would give them
     lams = np.concatenate([SQRT3 / grid, [SQRT3 / math.exp(x) for x in path]])
     scans = _lane_lmls(_Lanes.of(
-        tracks, np.repeat(np.arange(len(ready)), lams.size),
-        np.tile(lams, len(ready)), var)).reshape(len(ready), lams.size)
-    # (track, training, search, the scores it was sent)
+        trainings, np.repeat(ready, lams.size), np.tile(lams, len(ready)),
+        var)).reshape(len(ready), lams.size)
+    # (training, search, the scores it was sent)
     searches = []
-    for k, (i, scan) in enumerate(zip(ready, scans)):
+    for i, scan in zip(ready, scans):
         seen = dict(zip(path, scan[grid_size:].tolist()))
-        searches.append((k, i, _golden_search(grid, scan[:grid_size], bounds,
-                                              seen), None))
+        searches.append((i, _golden_search(grid, scan[:grid_size], bounds,
+                                           seen), None))
     while searches:
         still_open = []
-        for k, i, search, got in searches:
+        for i, search, got in searches:
             try:
-                still_open.append((k, i, search, search.send(got)))
+                still_open.append((i, search, search.send(got)))
             except StopIteration as done:
                 results[i] = done.value
         if not still_open:
             break
-        wanted = [(k, l) for k, _, _, ls in still_open for l in ls]
+        wanted = [(i, l) for i, _, ls in still_open for l in ls]
         scores = _lane_lmls(_Lanes.of(
-            tracks, [k for k, _ in wanted], [SQRT3 / l for _, l in wanted],
+            trainings, [i for i, _ in wanted], [SQRT3 / l for _, l in wanted],
             var)).tolist()
         searches, used = [], 0
-        for k, i, search, ls in still_open:
-            searches.append((k, i, search, scores[used:used + len(ls)]))
+        for i, search, ls in still_open:
+            searches.append((i, search, scores[used:used + len(ls)]))
             used += len(ls)
     return results
 
@@ -812,7 +810,7 @@ def train_length_scale(times, channels, sigmas, cfg: GpConfig,
     """The length scale maximizing the summed log evidence of one training:
     :func:`train_length_scales` on a batch of one."""
     return train_length_scales(
-        [Training(times, channels, sigmas, trajectory_id)], cfg)[0]
+        [Training.of(times, channels, sigmas, cfg, trajectory_id)], cfg)[0]
 
 
 class TrackQuery(NamedTuple):
@@ -864,10 +862,10 @@ def track_variances(tracks: Sequence[GaussianTrack], times) -> list:
     return [_unsorted(v, order) for v in out]
 
 
-def point_training(trajectory: Trajectory) -> Training:
+def point_training(trajectory: Trajectory, cfg: GpConfig) -> Training:
     """The training of both coordinates of a trajectory's fixes."""
-    return Training(trajectory.t, [trajectory.x, trajectory.y],
-                    trajectory.sigma, trajectory.trajectory_id)
+    return Training.of(trajectory.t, [trajectory.x, trajectory.y],
+                       trajectory.sigma, cfg, trajectory.trajectory_id)
 
 
 def fit_tracks(requests: Sequence[Tuple[Training, Optional[float]]],
@@ -880,8 +878,9 @@ def fit_tracks(requests: Sequence[Tuple[Training, Optional[float]]],
     smoother run as the lanes of one filter pass and one smoother pass. A
     training without fixes gives the pure prior: mean 0 everywhere and
     variance sigma_f^2. A training without channels gives a track of the
-    variance alone, bitwise that of the same fixes with channels. A
-    request whose inputs are unusable raises.
+    variance alone, bitwise that of the same fixes with channels. Each
+    training is taken as :meth:`Training.of` built it under ``cfg``:
+    nothing is converted or checked again.
     """
     scales = [l for _, l in requests]
     untrained = [i for i, l in enumerate(scales) if l is None]
@@ -889,11 +888,11 @@ def fit_tracks(requests: Sequence[Tuple[Training, Optional[float]]],
             [requests[i][0] for i in untrained], cfg)):
         scales[i] = l
     var = cfg.sigma_f ** 2
-    slots = [i for i, (tr, _) in enumerate(requests) if np.size(tr.times)]
+    slots = [i for i, (tr, _) in enumerate(requests) if tr.times.size]
     states = dict(zip(slots, _track_states(_Lanes.of(
-        [_track_inputs(requests[i][0], var) for i in slots],
-        range(len(slots)), [SQRT3 / float(scales[i]) for i in slots], var))))
-    return [GaussianTrack(CoordinateGP(tr.times, len(tr.channels),
+        [tr for tr, _ in requests], slots,
+        [SQRT3 / float(scales[i]) for i in slots], var))))
+    return [GaussianTrack(CoordinateGP(tr.times, len(tr.resids),
                                        cfg.sigma_f, scales[i], states.get(i)))
             for i, (tr, _) in enumerate(requests)]
 
@@ -909,7 +908,7 @@ def fit_track(trajectory: Optional[Trajectory], cfg: GpConfig,
     """
     if trajectory is None:
         none = np.empty(0)
-        training = Training(none, [none, none], none)
+        training = Training.of(none, [none, none], none, cfg)
     else:
-        training = point_training(trajectory)
+        training = point_training(trajectory, cfg)
     return fit_tracks([(training, length_scale)], cfg)[0]

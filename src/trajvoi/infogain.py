@@ -35,9 +35,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 import numpy as np
 
 from .degrade import DegradationSpec
-from .gp import (GaussianTrack, GpConfig, Training, _track_inputs,
-                 fit_tracks, point_training, track_variances,
-                 train_length_scales)
+from .gp import (GaussianTrack, GpConfig, Training, fit_tracks,
+                 point_training, track_variances, train_length_scales)
 # importable from here by name, where per-layer tracing wraps it
 from .gp import train_length_scale  # noqa: F401
 from .model import Trajectory
@@ -318,13 +317,13 @@ def _linear_residuals(times, values) -> np.ndarray:
     return v - (intercept + slope * t)
 
 
-def _release_training(omega: Trajectory) -> Training:
+def _release_training(omega: Trajectory, cfg: GpConfig) -> Training:
     """The length-scale training of a release that serves as a prior: its
     fixes about their own least-squares lines, since the GP's prior mean is
     zero."""
-    training = point_training(omega)
-    return training._replace(channels=[
-        _linear_residuals(training.times, v) for v in training.channels])
+    return Training.of(omega.t, [_linear_residuals(omega.t, v)
+                                 for v in (omega.x, omega.y)],
+                       omega.sigma, cfg, omega.trajectory_id)
 
 
 def score_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge, str,
@@ -335,21 +334,23 @@ def score_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge, str,
     """Score many cells, each the evidence ``combine(z, prior)`` of a
     release Z, its prior, and the release's kind and parameter.
 
-    One planning pass meets each cell's inputs as a lone cell does: a
-    released prior's training (its fixes about their least-squares lines),
-    then the evidence's track; under the uninformative prior, the
-    evidence's own training, whose channel values must have finite
-    squares too. Each distinct input is built and checked once; a cell
-    whose input fails is left out of the shared passes. One
-    :func:`~trajvoi.gp.train_length_scales` call trains the length scale
-    of each evidence under the uninformative prior and of each distinct
-    released prior. A released prior's serves both tracks of its cells, so
-    the gain isolates what the new data adds, not what refitting does. A
+    One planning pass builds each cell's training as a lone cell does:
+    under a released prior, the prior's (its fixes about their
+    least-squares lines); under the uninformative prior, the evidence's
+    own. Each distinct training is built once, by
+    :meth:`~trajvoi.gp.Training.of`, which is its check; a cell whose
+    training fails to build gets that exception as its outcome. One
+    :func:`~trajvoi.gp.train_length_scales` call trains them all. A
+    released prior's length scale serves both tracks of its cells, so the
+    gain isolates what the new data adds, not what refitting does. A
     cell's gain needs only the variances of its two reconstructions, which
     depend on the fix times, the fix noise and the length scale, never on
     the coordinates: each distinct (times, noise, length scale) track of
-    the batch is fit once, without coordinate channels, in one
-    :func:`~trajvoi.gp.fit_tracks` call.
+    the batch is built once, after the training, from the training
+    already made for its fixes or else from its fixes alone, and fit
+    without coordinate channels in one :func:`~trajvoi.gp.fit_tracks`
+    call. A cell whose evidence track fails to build gets that exception
+    as its outcome; a released cell meets its prior's error first.
 
     The gains are integrated one trajectory's run of cells at a time. For
     each day a cell covers, one union grid holds the uniform day grid and
@@ -357,78 +358,70 @@ def score_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge, str,
     :func:`~trajvoi.gp.track_variances` call takes the variance of each of
     the day's tracks on it; the uninformative prior's is a constant. A
     cell's own :func:`integration_grid` is a subset of the union grid,
-    read off it by position, and its gain is integrated there. A track is
-    dropped once the last run that uses it is scored.
+    read off it by position, and its gain is integrated there.
 
     A generator: per cell, in order, it yields its :class:`VoiRow`, or the
     exception its inputs raise. A failure in a shared pass raises, ending
     the batch.
     """
     flat_var = float(gp_cfg.sigma_f) ** 2
-    checked: dict = {}
-    detrended: dict = {}        # each released prior's training, once built
-
-    def failure(key, make):
-        # the exception that building an input's training, or checking its
-        # GP inputs, raises, or None; each distinct input once
-        if key not in checked:
-            try:
-                _track_inputs(make(), flat_var)
-                checked[key] = None
-            except Exception as e:
-                checked[key] = e
-        return checked[key]
-
-    def bare(fixes: Trajectory) -> Training:
-        return Training(fixes.t, [], fixes.sigma, fixes.trajectory_id)
-
-    # per cell, the exception its inputs raise, or the key of its training:
-    # its released prior, or its index under the uninformative prior
+    # each distinct training, or the exception building it raised: a
+    # released prior's by value, the evidence's own by object; per cell,
+    # its training's key, or that exception
+    built: dict = {}
     plans: list = []
-    trainings: dict = {}
-    for i, (evidence, prior, *_) in enumerate(cells):
+    for evidence, prior, *_ in cells:
         released = prior.kind == "released"
-        if released:
-            error = failure(prior, lambda: detrended.setdefault(
-                prior, _release_training(prior.released))) or failure(
-                    evidence, lambda: bare(evidence))
-        else:
-            # the evidence trains its own scale on its channels; checking
-            # that training checks its track's inputs too
-            error = failure((evidence, "trained"),
-                            lambda: point_training(evidence))
-        plans.append(error or (prior if released else i))
-        if error is None:
-            trainings[plans[i]] = detrended[prior] if released \
-                else point_training(evidence)
-    trained = dict(zip(trainings, train_length_scales(
+        key = prior if released else evidence
+        if key not in built:
+            try:
+                built[key] = _release_training(prior.released, gp_cfg) \
+                    if released else point_training(evidence, gp_cfg)
+            except Exception as e:
+                built[key] = e
+        plans.append(built[key] if isinstance(built[key], Exception)
+                     else key)
+    trainings = {key: training for key, training in built.items()
+                 if not isinstance(training, Exception)}
+    scales = dict(zip(trainings, train_length_scales(
         list(trainings.values()), gp_cfg)))
-    del detrended, trainings    # released before the tracks are fit
-    # the (variance-only training, length scale) of each distinct track,
-    # and the last run that uses it
+    # each distinct track's (variance-only training, length scale), or the
+    # exception building it raised; a track is made from ``made``, a
+    # training of its fixes, where there is one, its empty channels a
+    # fresh array, not a view that would keep the channel values alive
     requests: dict = {}
-    last_run: dict = {}
 
-    def track(fixes: Trajectory, l: float, r: int):
+    def track(fixes: Trajectory, l: float, made: Optional[Training]):
         key = (fixes.t.tobytes(), fixes.sigma.tobytes(), l)
-        requests.setdefault(key, (bare(fixes), l))
-        last_run[key] = r
+        if key not in requests:
+            try:
+                requests[key] = (Training.of(
+                    fixes.t, [], fixes.sigma, gp_cfg, fixes.trajectory_id)
+                    if made is None else made._replace(
+                        resids=np.empty((0, fixes.t.size))), l)
+            except Exception as e:
+                requests[key] = e
         return key
 
-    runs = [list(run) for _, run in groupby(
-        range(len(cells)), key=lambda i: cells[i][0].trajectory_id)]
     # a scored cell's plan becomes its length scale, prior track key (None
     # for the uninformative prior) and posterior track key
-    for r, run in enumerate(runs):
-        for i in run:
-            if not isinstance(plans[i], Exception):
-                evidence, prior = cells[i][:2]
-                l = trained[plans[i]]
-                plans[i] = (l, track(prior.released, l, r)
-                            if prior.kind == "released" else None,
-                            track(evidence, l, r))
-    tracks = dict(zip(requests, fit_tracks(list(requests.values()), gp_cfg)))
-    for r, run in enumerate(runs):
+    for i, (evidence, prior, *_) in enumerate(cells):
+        if not isinstance(plans[i], Exception):
+            l = scales[plans[i]]
+            prior_key = track(prior.released, l, trainings[prior]) \
+                if prior.kind == "released" else None
+            posterior_key = track(evidence, l, trainings.get(evidence))
+            error = requests[posterior_key]
+            plans[i] = error if isinstance(error, Exception) \
+                else (l, prior_key, posterior_key)
+    del built, trainings        # the channel values, before the fit
+    fit = [key for key, request in requests.items()
+           if not isinstance(request, Exception)]
+    tracks = dict(zip(fit, fit_tracks([requests[key] for key in fit],
+                                      gp_cfg)))
+    for _, run in groupby(range(len(cells)),
+                          key=lambda i: cells[i][0].trajectory_id):
+        run = list(run)
         keys = dict.fromkeys(key for i in run if isinstance(plans[i], tuple)
                              for key in plans[i][1:] if key is not None)
         # each scored cell's evidence times and day, and the tracks of
@@ -478,9 +471,6 @@ def score_cells(cells: Sequence[Tuple[Trajectory, PriorKnowledge, str,
                          day_end=day_start + integration.day_seconds,
                          trace=tuple(zip(ts.tolist(), igs.tolist()))
                          if keep_trace else None)
-        for key in keys:
-            if last_run[key] == r:
-                del tracks[key]
 
 
 def evaluate_voi(z: Trajectory, kind: str, param: float,

@@ -337,6 +337,32 @@ def test_voi_fits_each_prior_and_applies_each_spec_once(suite, tmp_path,
     assert len({id(track) for track in queried}) == 27
 
 
+def test_each_filter_input_is_built_once(suite, tmp_path, monkeypatch):
+    # gp.Training.of converts and checks every filter input. A walk's 55
+    # cells build their 23 trainings (17 releases under the uninformative
+    # prior, 6 released priors) and the 11 variance-only tracks whose fixes
+    # have no training: a track of fixes that have one is made from it,
+    # and neither the training pass nor the fit builds anything again. A
+    # baselines row builds its trajectory's one training.
+    builds = []
+    real = gp.Training.of
+
+    def counted(*args, **kwargs):
+        builds.append(args[4])              # the trajectory id
+        return real(*args, **kwargs)
+    monkeypatch.setattr(gp.Training, "of", staticmethod(counted))
+    counts = []
+    for k, command in ((0, "voi"), (1, "voi"), (0, "baselines")):
+        (tmp_path / f"{command}{k}").mkdir()
+        config, _ = reference_matrix_config(tmp_path / f"{command}{k}",
+                                            suite[k:k + 1])
+        builds.clear()
+        assert cli.entrypoint([command, "--config", str(config)]) == 0
+        assert set(builds) == {suite[k].trajectory_id}
+        counts.append(len(builds))
+    assert counts == [34, 34, 1]
+
+
 def test_voi_takes_one_transition_per_group_of_tracks(suite, tmp_path,
                                                     monkeypatch):
     # the 27 tracks of one walk's matrix fall into 11 groups of equal fix
@@ -673,15 +699,18 @@ def test_voi_failed_prior_fit_fails_only_its_cells(suite, tmp_path,
                                                    monkeypatch):
     config, out = reference_matrix_config(tmp_path, suite[:1])
     real = infogain.train_length_scales
+    # the noise variance a training holds for a 300 m fix
+    noise_300 = gp.Training.of([0.0], [], [300.0],
+                               load_config(str(config)).gp).noise
 
     def detrended(training):
-        x = training.channels[0]
+        x = training.resids[0]
         return np.allclose(infogain._linear_residuals(training.times, x), x)
 
     def fail_on_300m_prior(trainings, *args, **kwargs):
         # a released prior trains about its own least-squares lines; the
         # 300 m release under the uninformative prior trains as it is
-        if any(np.all(np.asarray(t.sigmas) == 300.0) and detrended(t)
+        if any(np.all(t.noise == noise_300) and detrended(t)
                for t in trainings):
             raise RuntimeError("no fit")
         return real(trainings, *args, **kwargs)

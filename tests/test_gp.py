@@ -23,8 +23,9 @@ def lone_gp(times, channels, sigmas, sigma_f, length_scale,
             trajectory_id=""):
     """The GP of one track at a given length scale: fit_tracks on a batch
     of one."""
-    (track,) = fit_tracks([(Training(times, channels, sigmas, trajectory_id),
-                            length_scale)], GpConfig(sigma_f=sigma_f))
+    cfg = GpConfig(sigma_f=sigma_f)
+    (track,) = fit_tracks([(Training.of(times, channels, sigmas, cfg,
+                                        trajectory_id), length_scale)], cfg)
     return track.gp
 
 
@@ -390,7 +391,7 @@ def test_grid_scan_lanes_match_single_scale_calls():
     sig = rng.uniform(2.0, 8.0, 150)
     channels = [_linear_residuals(ts, xs), _linear_residuals(ts, ys)]
     grid = np.exp(np.linspace(math.log(0.01), math.log(10.0), 32))
-    fixes = gp._track_inputs(Training(ts, channels, sig), 300.0 ** 2)
+    fixes = Training.of(ts, channels, sig, GpConfig(sigma_f=300.0))
     lanes = gp._lane_lmls(gp._Lanes.of([fixes], np.zeros(32), gp.SQRT3 / grid,
                                        300.0 ** 2))
     for l, got in zip(grid, lanes):
@@ -401,9 +402,10 @@ def test_grid_scan_lanes_match_single_scale_calls():
 
 @st.composite
 def ragged_trainings(draw):
-    """A batch of trainings of 0 to 60 fixes, with repeated timestamps,
-    zero-noise fixes, one or two channels, each detrended or not, and the
-    config of the one prior scale they share."""
+    """The (times, channels, sigmas) of a batch of trainings of 0 to 60
+    fixes, with repeated timestamps, zero-noise fixes, one or two channels,
+    each detrended or not, and the config of the one prior scale they
+    share."""
     cfg = GpConfig(sigma_f=draw(st.sampled_from([60.0, 7500.0])))
     batch = []
     for _ in range(draw(st.integers(1, 24))):
@@ -416,7 +418,7 @@ def ragged_trainings(draw):
         sigmas = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0, 20, n))
         values = [_linear_residuals(ts, v) if n and draw(st.booleans())
                   else v for v in values]
-        batch.append(Training(ts, values, sigmas))
+        batch.append((ts, values, sigmas))
     return batch, cfg
 
 
@@ -426,8 +428,9 @@ def test_batched_trainings_equal_each_training_alone(batch_and_cfg):
     # a batch mixes its trainings' lanes in shared passes, numpy and float
     # alike; no lane may see another's arithmetic
     batch, cfg = batch_and_cfg
-    for training, got in zip(batch, train_length_scales(batch, cfg)):
-        assert got == train_length_scale(*training[:3], cfg)
+    trainings = [Training.of(*inputs, cfg) for inputs in batch]
+    for inputs, got in zip(batch, train_length_scales(trainings, cfg)):
+        assert got == train_length_scale(*inputs, cfg)
 
 
 def two_sided_query(coordinate_gp, times, means=True):
@@ -475,14 +478,13 @@ def test_sliced_queries_equal_the_two_sided_oracle(batch_and_cfg, data):
     batch, cfg = batch_and_cfg
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     requests = []
-    for training in batch:
+    for ts, values, sigmas in batch:
         scale = data.draw(st.sampled_from([0.05, 1.0, 10.0]))
-        twin = training._replace(channels=[],
-                                 sigmas=rng.permutation(training.sigmas))
-        requests += [(training, scale),
+        twin = Training.of(ts, [], rng.permutation(sigmas), cfg)
+        requests += [(Training.of(ts, values, sigmas, cfg), scale),
                      (twin, data.draw(st.sampled_from([scale, 0.3])))]
     tracks = fit_tracks(requests, cfg)
-    ts = np.concatenate([training.times for training in batch])
+    ts = np.concatenate([ts for ts, _, _ in batch])
     lo, hi = (ts.min(), ts.max()) if ts.size else (0.0, HOUR)
     q = np.concatenate([ts, ts - 1.0, ts + 1.0, [lo - 10 * HOUR,
                                                  hi + 10 * HOUR],
@@ -504,10 +506,11 @@ def test_a_kept_pass_without_channels_steps_no_means(monkeypatch):
     # a voi track is fit for its variance alone: with no channels, the
     # numpy steps of its kept pass and the smoother run no mean recursion
     rng = np.random.default_rng(29)
+    cfg = GpConfig(sigma_f=500.0)
     requests = []
     for n in rng.integers(20, 60, 2 * gp.FLOAT_LANES_BELOW).tolist():
         ts = np.sort(rng.uniform(0, 8 * HOUR, n))
-        requests.append((Training(ts, [], rng.uniform(0, 9, n)),
+        requests.append((Training.of(ts, [], rng.uniform(0, 9, n), cfg),
                          float(rng.uniform(0.05, 5.0))))
     calls = {"_numpy_lanes": 0, "_mean_step": 0}
 
@@ -521,25 +524,29 @@ def test_a_kept_pass_without_channels_steps_no_means(monkeypatch):
 
     counted("_numpy_lanes")
     counted("_mean_step")
-    fit_tracks(requests, GpConfig(sigma_f=500.0))
+    fit_tracks(requests, cfg)
     assert calls == {"_numpy_lanes": 1, "_mean_step": 0}
 
 
 def test_a_failing_training_raises_its_error():
-    # a batch holding an unusable training raises; isolating the cells at
-    # fault is the CLI's work
+    # a training is checked where it is built, so no batch can hold an
+    # unusable one; isolating the cells at fault is the CLI's work
     rng = np.random.default_rng(12)
     ts = np.sort(rng.uniform(0, 6 * HOUR, 40))
-    good = [Training(ts, [rng.normal(0, 50, 40)], np.full(40, 3.0))
-            for _ in range(20)]
-    huge = Training(ts, [ts], np.full(40, 1e200), "doomed")
-    backwards = Training(ts[::-1], [ts], np.full(40, 3.0))
     cfg = GpConfig(sigma_f=300.0)
-    with pytest.raises(GpNumericalError) as raised:
-        train_length_scales(good[:10] + [huge] + good[10:], cfg)
+    with pytest.raises(GpNumericalError,
+                       match="^non-finite measurement noise for trajectory "
+                             "'doomed'$") as raised:
+        Training.of(ts, [ts], np.full(40, 1e200), cfg, "doomed")
+    assert raised.value.trajectory_id == "doomed"
+    with pytest.raises(GpNumericalError,
+                       match="^a channel value of trajectory 'doomed' has "
+                             "no finite square$") as raised:
+        Training.of(ts, [np.full(40, 1e200)], np.full(40, 3.0), cfg,
+                    "doomed")
     assert raised.value.trajectory_id == "doomed"
     with pytest.raises(ValueError, match="non-decreasing"):
-        train_length_scales(good + [backwards], cfg)
+        Training.of(ts[::-1], [ts], np.full(40, 3.0), cfg)
 
 
 def golden_grid(grid_size=32, bounds=(0.01, 10.0)):
@@ -618,7 +625,7 @@ def test_golden_search_lookahead_changes_no_decision(name):
         assert rest == asked
 
 
-def pinned_walks(count, rng):
+def pinned_walks(count, rng, cfg):
     """Trainings of slow Brownian walks with 3 m noise, which train to the
     10 h upper bound under sigma_f = 7500 m, as the suite's walks do."""
     out = []
@@ -627,8 +634,8 @@ def pinned_walks(count, rng):
         ts = np.sort(rng.uniform(0, 2 * HOUR, n))
         steps = rng.normal(0, 0.3 * np.sqrt(np.diff(ts, prepend=ts[0])),
                            (2, n))
-        out.append(Training(ts, list(np.cumsum(steps, axis=1)),
-                            np.full(n, 3.0)))
+        out.append(Training.of(ts, list(np.cumsum(steps, axis=1)),
+                               np.full(n, 3.0), cfg))
     return out
 
 
@@ -655,13 +662,13 @@ def test_pinned_trainings_take_one_pass(monkeypatch):
     passes = count_passes(monkeypatch)
     for count in (1, gp.FLOAT_LANES_BELOW - 1, gp.FLOAT_LANES_BELOW, 40):
         passes.clear()
-        batch = pinned_walks(count, np.random.default_rng(count))
+        batch = pinned_walks(count, np.random.default_rng(count), cfg)
         assert train_length_scales(batch, cfg) \
             == [cfg.length_scale_bounds[1]] * count
         assert passes == [count * (cfg.grid_size + len(path))]
     passes.clear()
     # nothing to train makes no pass
-    fit_tracks([(batch[0], 1.0), (Training([], [], []), None)], cfg)
+    fit_tracks([(batch[0], 1.0), (Training.of([], [], [], cfg), None)], cfg)
     assert passes == []
 
 
@@ -673,23 +680,24 @@ def test_interior_trainings_in_a_wide_batch_equal_each_alone(monkeypatch):
     for l in np.exp(rng.uniform(math.log(0.1), math.log(2.0), 14)):
         ts, xs = sample_matern_path(rng, int(rng.integers(30, 90)), l=l,
                                     sigma_f=100.0, noise=2.0)
-        batch.append(Training(ts, [xs], np.full(ts.size, 2.0)))
+        batch.append((ts, [xs], np.full(ts.size, 2.0)))
     cfg = GpConfig(sigma_f=100.0)
     passes = count_passes(monkeypatch)
-    got = train_length_scales(batch, cfg)
+    got = train_length_scales([Training.of(*inputs, cfg)
+                               for inputs in batch], cfg)
     lo, hi = cfg.length_scale_bounds
     assert all(lo < l < hi for l in got)
     # a two-cell bracket (log width 0.446) takes 13 rounds, 14 probes
     assert sum(passes[1:]) == 14 * len(batch)
     monkeypatch.undo()
-    for training, l in zip(batch, got):
-        assert l == train_length_scale(*training[:3], cfg)
+    for inputs, l in zip(batch, got):
+        assert l == train_length_scale(*inputs, cfg)
 
 
 def lone_track_lml(fixes, lam, var):
     """The log evidence of one track at one scale, its filter written out
     on floats, each sum of terms accumulated in fix order."""
-    dt, noise, resids = fixes
+    _, dt, noise, resids = fixes
     A, Q = gp._transition(dt, lam, var)
     p00, p01, p11 = var, 0.0, var * lam * lam
     S, K0, K1 = [], [], []
@@ -732,8 +740,8 @@ def test_lanes_match_a_lone_float_filter(monkeypatch):
         ts = np.sort(rng.uniform(0, 9 * HOUR, n))
         ts[n // 3:n // 3 + 3] = ts[n // 3]
         values = [np.cumsum(rng.normal(0, 40, n)) for _ in range(1 + k % 2)]
-        tracks.append(gp._track_inputs(
-            Training(ts, values, rng.uniform(0, 9, n)), 800.0 ** 2))
+        tracks.append(Training.of(ts, values, rng.uniform(0, 9, n),
+                                  GpConfig(sigma_f=800.0)))
         for l in rng.uniform(0.02, 8.0, 4):
             track.append(k)
             lams.append(gp.SQRT3 / l)
@@ -759,8 +767,8 @@ def test_an_evidence_pass_is_one_filter_call(monkeypatch):
     for k in range(3):
         ts = np.sort(rng.uniform(0, 40 * HOUR, 1600))
         values = [np.cumsum(rng.normal(0, 40, 1600)) for _ in range(1 + k % 2)]
-        tracks.append(gp._track_inputs(
-            Training(ts, values, rng.uniform(0, 9, 1600)), 800.0 ** 2))
+        tracks.append(Training.of(ts, values, rng.uniform(0, 9, 1600),
+                                  GpConfig(sigma_f=800.0)))
     track = np.repeat(np.arange(3), 15)
     lams = gp.SQRT3 / np.exp(rng.uniform(math.log(0.01), math.log(10.0), 45))
     calls = []
@@ -782,12 +790,14 @@ def test_a_smoother_pass_is_one_filter_call(monkeypatch):
     # running at each step, so all 61 lanes run as one pass whose state
     # arrays hold exactly their fixes, with no padding to the longest
     rng = np.random.default_rng(25)
-    requests = []
+    cfg = GpConfig(sigma_f=800.0)
+    inputs, requests = [], []
     for n in [2000] + rng.integers(1, 9, 60).tolist():
         ts = np.sort(rng.uniform(0, 30 * HOUR, n))
         ts[n // 2:n // 2 + 2] = ts[n // 2]
         channels = [np.cumsum(rng.normal(0, 40, n)) for _ in range(2)]
-        requests.append((Training(ts, channels, rng.uniform(0, 9, n)),
+        inputs.append((ts, channels, rng.uniform(0, 9, n)))
+        requests.append((Training.of(*inputs[-1], cfg),
                          float(rng.uniform(0.05, 5.0))))
     kept = []
     real = gp._kalman_filter
@@ -799,7 +809,7 @@ def test_a_smoother_pass_is_one_filter_call(monkeypatch):
         return run
 
     monkeypatch.setattr(gp, "_kalman_filter", spied)
-    tracks = fit_tracks(requests, GpConfig(sigma_f=800.0))
+    tracks = fit_tracks(requests, cfg)
     assert len(kept) == 1
     run = kept[0]
     fixes = sum(np.size(training.times) for training, _ in requests)
@@ -808,8 +818,8 @@ def test_a_smoother_pass_is_one_filter_call(monkeypatch):
     assert run.M.shape == (2, 2, fixes)
     monkeypatch.undo()
     q = np.linspace(-HOUR, 31 * HOUR, 400)
-    for (training, l), track in zip(requests, tracks):
-        (mx, my), var = lone_gp(*training[:3], 800.0, l).predict(q)
+    for args, (_, l), track in zip(inputs, requests, tracks):
+        (mx, my), var = lone_gp(*args, 800.0, l).predict(q)
         got = track.query(q)
         assert np.array_equal(got.mean_x, mx)
         assert np.array_equal(got.mean_y, my)
@@ -820,19 +830,21 @@ def test_batched_tracks_predict_like_lone_tracks():
     # enough tracks that the batch filters and smooths them with numpy
     # steps, where a lone track runs on floats
     rng = np.random.default_rng(33)
-    requests, q = [], np.linspace(-HOUR, 9 * HOUR, 700)
+    cfg = GpConfig(sigma_f=500.0)
+    inputs, requests = [], []
+    q = np.linspace(-HOUR, 9 * HOUR, 700)
     for n in [1, 2, 3, 5, 8, 13, 21, 34, 55, 80] * 2:
         ts = np.sort(rng.uniform(0, 8 * HOUR, n))
         ts[n // 2:n // 2 + 2] = ts[n // 2]
         s = make_trajectory(rng.normal(0, 100, n), ts,
                             sigmas=rng.uniform(0, 10, n),
                             ys=rng.normal(0, 100, n))
-        channels = [_linear_residuals(ts, s.x), s.y]
-        requests.append((Training(ts, channels, s.sigma),
+        inputs.append((ts, [_linear_residuals(ts, s.x), s.y], s.sigma))
+        requests.append((Training.of(*inputs[-1], cfg),
                          float(rng.uniform(0.05, 5.0))))
-    tracks = fit_tracks(requests, GpConfig(sigma_f=500.0))
-    for (training, l), track in zip(requests, tracks):
-        alone = lone_gp(*training[:3], 500.0, l)
+    tracks = fit_tracks(requests, cfg)
+    for args, (_, l), track in zip(inputs, requests, tracks):
+        alone = lone_gp(*args, 500.0, l)
         (mx, my), var = alone.predict(q)
         got = track.query(q)
         assert np.array_equal(got.mean_x, mx)
@@ -847,6 +859,7 @@ def test_tracks_without_channels_have_the_same_variance(copies):
     # channels have bitwise the variance of the same tracks fit with two:
     # 4 lanes run on floats throughout, 16 on numpy steps first
     rng = np.random.default_rng(21)
+    cfg = GpConfig(sigma_f=500.0)
     q = np.linspace(-HOUR, 9 * HOUR, 500)
     two, none = [], []
     for n in [0, 1, 2, 6, 40] * copies:
@@ -855,10 +868,9 @@ def test_tracks_without_channels_have_the_same_variance(copies):
         sigmas = rng.uniform(0, 10, n)
         l = float(rng.uniform(0.05, 5.0))
         channels = [rng.normal(0, 100, n), rng.normal(0, 100, n)]
-        two.append((Training(ts, channels, sigmas), l))
-        none.append((Training(ts, [], sigmas), l))
+        two.append((Training.of(ts, channels, sigmas, cfg), l))
+        none.append((Training.of(ts, [], sigmas, cfg), l))
     assert (4 * copies < gp.FLOAT_LANES_BELOW) == (copies == 1)
-    cfg = GpConfig(sigma_f=500.0)
     for with_channels, without in zip(fit_tracks(two, cfg),
                                       fit_tracks(none, cfg)):
         assert np.array_equal(without.query(q, means=False).var,
@@ -935,13 +947,14 @@ def test_fit_tracks_takes_the_prior_scale_from_the_config():
     rng = np.random.default_rng(6)
     ts = np.sort(rng.uniform(0, 2 * HOUR, 12))
     sig = rng.uniform(1, 5, 12)
-    training = Training(ts, [rng.normal(0, 30, 12)], sig)
+    values = [rng.normal(0, 30, 12)]
     none = np.empty(0)
     q = np.linspace(-HOUR, 3 * HOUR, 40)
     for sf in (50.0, 900.0):
         cfg = GpConfig(sigma_f=sf)
+        training = Training.of(ts, values, sig, cfg)
         prior, fixed, trained = fit_tracks(
-            [(Training(none, [none], none), None), (training, 0.7),
+            [(Training.of(none, [none], none, cfg), None), (training, 0.7),
              (training, None)], cfg)
         (mean,), var = prior.gp.predict(q)
         assert np.array_equal(mean, np.zeros(q.size))
@@ -950,7 +963,7 @@ def test_fit_tracks_takes_the_prior_scale_from_the_config():
                            dense_posterior_var(ts, sig, sf, 0.7, q),
                            rtol=1e-8)
         assert trained.gp.length_scale \
-            == train_length_scale(*training[:3], cfg)
+            == train_length_scale(ts, values, sig, cfg)
 
 
 def test_gp_config_validation():

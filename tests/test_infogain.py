@@ -225,7 +225,7 @@ def test_released_prior_sets_the_scale():
     prior = PriorKnowledge.from_release(apply_spec(s, spec), spec)
     row = evaluate_voi(s, "identity", 1.0, prior)
     (release_scale,) = train_length_scales(
-        [_release_training(prior.released)], GpConfig())
+        [_release_training(prior.released, GpConfig())], GpConfig())
     assert row.length_scale_x == row.length_scale_y == release_scale
     assert release_scale == pytest.approx(9.687, abs=1e-3)
     assert fit_track(s, GpConfig()).gp.length_scale \
@@ -351,10 +351,10 @@ def scored_the_old_way(cell, integration):
         posterior_track = fit_track(evidence, cfg)
         times = evidence.t
     else:
-        training = _release_training(prior.released)
+        training = _release_training(prior.released, cfg)
         (l,) = train_length_scales([training], cfg)
         prior_track, posterior_track = fit_tracks(
-            [(training, l), (point_training(evidence), l)], cfg)
+            [(training, l), (point_training(evidence, cfg), l)], cfg)
         times = np.union1d(evidence.t, prior.released.t)
     day_start = covering_day_start(float(times.min()))
     ts = integration_grid(day_start, integration, times)
